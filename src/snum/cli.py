@@ -97,6 +97,29 @@ def _parse_n_list(text: str):
     return tuple(dict.fromkeys(out))
 
 
+def _parse_kinds(text: str) -> tuple:
+    kinds = []
+    for letter in text.split(","):
+        letter = letter.strip()
+        if letter not in KIND_LETTERS:
+            raise ValueError(
+                f"unknown kind {letter!r} in --kinds; choose from "
+                + ", ".join(sorted(KIND_LETTERS))
+            )
+        kinds.append(KIND_LETTERS[letter])
+    return tuple(kinds)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
 def _threads() -> int:
     raw = os.environ.get("SNUM_THREADS", "")
     if raw.strip():
@@ -287,30 +310,45 @@ def _run_hilbert(args) -> int:
             status = 1
         if status == 0:
             sys.stdout.write("check_face_adjacency: ok\ncheck_prefix_nesting: ok\n")
-    table = [
-        {"index": i + 1, "coords": list(c.coords)}
-        for i, c in enumerate(ordering.index_to_cube)
-    ]
     if args.format == "json":
-        text = json.dumps(
-            {"dim": args.dim, "order": args.order, "cells": table},
-            indent=2, sort_keys=True,
-        )
         if args.out:
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(_hilbert_json(ordering))
         elif not args.check:
-            sys.stdout.write(text + "\n")
+            sys.stdout.write(_hilbert_json(ordering) + "\n")
     else:
-        rows = [[str(r["index"])] + [str(z) for z in r["coords"]] for r in table]
         if args.out:
             with open(args.out, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["index"] + [f"z{a}" for a in range(args.dim)])
-                writer.writerows(rows)
+                fh.write(_hilbert_csv(ordering, "\r\n", header=True))
         elif not args.check:
-            for row in rows:
-                sys.stdout.write(",".join(row) + "\n")
+            sys.stdout.write(_hilbert_csv(ordering, "\n", header=False))
     return status
+
+
+def _table_values(ordering, index_last: bool) -> tuple:
+    """Each cell's 1-based index and coordinates, flattened to Python ints."""
+    index = np.arange(1, len(ordering) + 1)[:, None]
+    columns = [ordering.coords, index] if index_last else [index, ordering.coords]
+    return tuple(np.hstack(columns).ravel().tolist())
+
+
+def _hilbert_json(ordering) -> str:
+    """The bytes of ``json.dumps({"dim": d, "order": k, "cells": [{"index": i,
+    "coords": [...]}, ...]}, indent=2, sort_keys=True)``, formatted from the
+    arrays without building the cell dicts."""
+    coords = ",\n".join(["        %d"] * ordering.dim)
+    cell = f'    {{\n      "coords": [\n{coords}\n      ],\n      "index": %d\n    }}'
+    cells = ",\n".join([cell] * len(ordering)) % _table_values(ordering, index_last=True)
+    return (f'{{\n  "cells": [\n{cells}\n  ],\n'
+            f'  "dim": {ordering.dim},\n  "order": {ordering.order}\n}}')
+
+
+def _hilbert_csv(ordering, newline: str, header: bool) -> str:
+    """Rows ``index,z0,...`` each ended by ``newline``; with the header and
+    "\\r\\n" these are the bytes ``csv.writer`` writes."""
+    names = ["index"] + [f"z{a}" for a in range(ordering.dim)]
+    row = ",".join(["%d"] * len(names)) + newline
+    head = ",".join(names) + newline if header else ""
+    return head + (row * len(ordering)) % _table_values(ordering, index_last=False)
 
 
 def _run_john(args) -> int:
@@ -354,24 +392,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_vol = sub.add_parser("volterra", help="interval embedding estimators")
     p_vol.add_argument("--n", required=True, help="scale list, e.g. 1..5 or 1,2,8")
-    p_vol.add_argument("--grid", type=int, default=240)
+    p_vol.add_argument("--grid", type=_positive_int, default=240)
     p_vol.add_argument("--kinds", default="i,b,c,d,a")
     p_vol.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
     p_vol.add_argument("--seed", type=int, default=0)
     p_vol.add_argument("--eps", type=float, default=1e-3,
                        help="functional quantization step")
     p_vol.add_argument("--zigzag-eps", type=float, default=0.05)
-    p_vol.add_argument("--subspaces", type=int, default=20)
+    p_vol.add_argument("--subspaces", type=_positive_int, default=20)
     p_vol.add_argument("--out")
     p_vol.add_argument("--csv")
     p_vol.add_argument("--plot-data")
 
     p_cube = sub.add_parser("cube", help="cube embedding estimators")
-    p_cube.add_argument("--dim", type=int, default=2)
+    p_cube.add_argument("--dim", type=_positive_int, default=2)
     p_cube.add_argument("--m", required=True, help="balls per side, e.g. 1,2,4")
     p_cube.add_argument("--space", default="", help="Lorentz exponents p,q")
-    p_cube.add_argument("--curve-order", type=int, default=3)
-    p_cube.add_argument("--grid", type=int, default=32)
+    p_cube.add_argument("--curve-order", type=_positive_int, default=3)
+    p_cube.add_argument("--grid", type=_positive_int, default=32)
     p_cube.add_argument("--kinds", default="i,b")
     p_cube.add_argument("--zigzag-eps", type=float, default=0.05)
     p_cube.add_argument("--seed", type=int, default=0)
@@ -380,19 +418,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_cube.add_argument("--plot-data")
 
     p_hil = sub.add_parser("hilbert", help="emit and check the cube ordering")
-    p_hil.add_argument("--dim", type=int, required=True)
-    p_hil.add_argument("--order", type=int, required=True)
+    p_hil.add_argument("--dim", type=_positive_int, required=True)
+    p_hil.add_argument("--order", type=_positive_int, required=True)
     p_hil.add_argument("--check", action="store_true")
     p_hil.add_argument("--format", choices=["json", "csv"], default="json")
     p_hil.add_argument("--out")
 
     p_john = sub.add_parser("john", help="segment-domain certificates")
-    p_john.add_argument("--dim", type=int, required=True)
-    p_john.add_argument("--order", type=int, required=True)
+    p_john.add_argument("--dim", type=_positive_int, required=True)
+    p_john.add_argument("--order", type=_positive_int, required=True)
     group = p_john.add_mutually_exclusive_group()
-    group.add_argument("--pairs", type=int, default=100)
+    group.add_argument("--pairs", type=_positive_int, default=100)
     group.add_argument("--exhaustive", action="store_true")
-    p_john.add_argument("--samples", type=int, default=10_000)
+    p_john.add_argument("--samples", type=_positive_int, default=10_000)
     p_john.add_argument("--seed", type=int, default=0)
     p_john.add_argument("--out")
 
@@ -430,7 +468,7 @@ def main(argv=None) -> int:
                 command="volterra",
                 grid=args.grid,
                 n_list=_parse_n_list(args.n),
-                kinds=tuple(KIND_LETTERS[k.strip()] for k in args.kinds.split(",")),
+                kinds=_parse_kinds(args.kinds),
                 mode=args.mode,
                 seed=args.seed,
                 eps=args.eps,
@@ -448,7 +486,7 @@ def main(argv=None) -> int:
                 dimension=args.dim,
                 grid=args.grid,
                 n_list=_parse_n_list(args.m),
-                kinds=tuple(KIND_LETTERS[k.strip()] for k in args.kinds.split(",")),
+                kinds=_parse_kinds(args.kinds),
                 seed=args.seed,
                 zigzag_eps=args.zigzag_eps,
                 space=space,

@@ -7,7 +7,10 @@ fixed (independent of the order), which makes the self-similarity across
 orders an exact identity: the level-(k-1) block order induced by the order-k
 curve equals the order-(k-1) curve.
 
-The two checkers below are the actual contract; any generator passing both is
+An ordering is one ``(N, d)`` integer array of cube coordinates in curve
+order plus a dense inverse array from flat cell id to curve position; decode,
+encode and the two checkers run over whole arrays, one pass per level.  The two
+checkers below are the actual contract; any generator passing both is
 interchangeable with this one.
 """
 
@@ -16,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+
+import numpy as np
 
 MAX_CUBES = 1 << 22
 
@@ -68,101 +73,124 @@ class DyadicCube:
 
 
 # -- Gray-code travel frames --------------------------------------------------
+# Every helper acts elementwise on integer arrays: one frame per curve position.
 
 
-def _gray(i: int) -> int:
+def _gray(i):
     return i ^ (i >> 1)
 
 
-def _gray_inverse(g: int) -> int:
+def _gray_inverse(g, dim: int):
     i = g
-    shift = 1
-    while (g >> shift) > 0:
-        i ^= g >> shift
-        shift += 1
+    for shift in range(1, dim):  # g < 2^dim, so larger shifts add nothing
+        i = i ^ (g >> shift)
     return i
 
 
-def _travel(start: int, end: int, mask: int, i: int) -> int:
+def _travel(start, end, mask: int, i):
     # Gray code rotated so that step 0 is `start` and step `mask` is `end`
     travel_bit = start ^ end
     modulus = mask + 1
     g = _gray(i) * (travel_bit * 2)
     return ((g | (g // modulus)) & mask) ^ start
 
-def _travel_inverse(start: int, end: int, mask: int, cell: int) -> int:
+
+def _travel_inverse(start, end, mask: int, cell, dim: int):
     travel_bit = start ^ end
     modulus = mask + 1
     rg = (cell ^ start) * (modulus // (travel_bit * 2))
-    return _gray_inverse((rg | (rg // modulus)) & mask)
+    return _gray_inverse((rg | (rg // modulus)) & mask, dim)
 
 
-def _child_frame(start: int, end: int, mask: int, i: int):
-    start_i = max(0, (i - 1) & ~1)  # largest even number <= i, clipped at 0
-    end_i = min(mask, (i + 1) | 1)  # smallest odd number >= i, clipped at mask
-    return (
-        _travel(start, end, mask, start_i),
-        _travel(start, end, mask, end_i),
-    )
+def _child_frame(start, end, mask: int, i):
+    start_i = np.maximum(0, (i - 1) & ~1)  # largest even number <= i, clipped at 0
+    end_i = np.minimum(mask, (i + 1) | 1)  # smallest odd number >= i, clipped at mask
+    return _travel(start, end, mask, start_i), _travel(start, end, mask, end_i)
 
 
-def _initial_frame(dim: int):
-    return 0, 1 << (dim - 1)
+def _initial_frame(shape, dim: int):
+    return np.zeros(shape, dtype=np.int64), np.full(shape, 1 << (dim - 1), dtype=np.int64)
 
 
-def decode(index0: int, dim: int, order: int) -> tuple:
-    """Zero-based curve position -> cube coordinates at the given order."""
+def decode(index, dim: int, order: int) -> np.ndarray:
+    """Zero-based curve positions (any integer array shape S) -> cube
+    coordinates at the given order, shape S + (dim,)."""
+    index = np.asarray(index, dtype=np.int64)
     mask = (1 << dim) - 1
-    start, end = _initial_frame(dim)
-    coords = [0] * dim
+    start, end = _initial_frame(index.shape, dim)
+    axis_bits = np.arange(dim - 1, -1, -1)  # axis a is bit dim-1-a of a cell
+    coords = np.zeros(index.shape + (dim,), dtype=np.int64)
     for level in range(order):
-        chunk = (index0 >> (dim * (order - 1 - level))) & mask
+        chunk = (index >> (dim * (order - 1 - level))) & mask
         cell = _travel(start, end, mask, chunk)
-        for a in range(dim):
-            coords[a] = (coords[a] << 1) | ((cell >> (dim - 1 - a)) & 1)
+        coords <<= 1
+        coords |= (cell[..., None] >> axis_bits) & 1
         start, end = _child_frame(start, end, mask, chunk)
-    return tuple(coords)
+    return coords
 
 
-def encode(coords, dim: int, order: int) -> int:
-    """Cube coordinates -> zero-based curve position (inverse of decode)."""
+def encode(coords, dim: int, order: int) -> np.ndarray:
+    """Cube coordinates, shape S + (dim,) -> zero-based curve positions, shape S
+    (inverse of decode)."""
+    coords = np.asarray(coords, dtype=np.int64)
     mask = (1 << dim) - 1
-    start, end = _initial_frame(dim)
-    index0 = 0
+    start, end = _initial_frame(coords.shape[:-1], dim)
+    axis_bits = np.arange(dim - 1, -1, -1)
+    index = np.zeros(coords.shape[:-1], dtype=np.int64)
     for level in range(order):
-        cell = 0
-        for a in range(dim):
-            cell = (cell << 1) | ((coords[a] >> (order - 1 - level)) & 1)
-        chunk = _travel_inverse(start, end, mask, cell)
-        index0 = (index0 << dim) | chunk
+        cell = (((coords >> (order - 1 - level)) & 1) << axis_bits).sum(axis=-1)
+        chunk = _travel_inverse(start, end, mask, cell, dim)
+        index = (index << dim) | chunk
         start, end = _child_frame(start, end, mask, chunk)
-    return index0
+    return index
 
 
 class HilbertOrdering:
-    """A bijective numbering {1, ..., 2^(dim*order)} -> cubes of the order-th
-    dyadic generation, face-connected and prefix-nested."""
+    """A bijective numbering {1, ..., N} -> cubes of the order-th dyadic
+    generation, held as the ``(N, dim)`` array ``coords`` (row p is the cube
+    numbered p + 1) and the dense array ``inverse`` from flat cell id to the
+    0-based curve position (-1 for cells the numbering skips)."""
 
-    def __init__(self, dim: int, order: int, index_to_cube):
+    def __init__(self, dim: int, order: int, coords):
         self.dim = dim
         self.order = order
-        self.index_to_cube = list(index_to_cube)
-        self.cube_to_index = {
-            cube.coords: i + 1 for i, cube in enumerate(self.index_to_cube)
-        }
-        if len(self.cube_to_index) != len(self.index_to_cube):
+        raw = np.asarray(coords, dtype=np.int64)
+        if raw.ndim != 2 or raw.shape[1] != dim:
+            raise ValueError(f"coords must be an (N, {dim}) array, got shape {raw.shape}")
+        if raw.size and (raw.min() < 0 or raw.max() >= 1 << order):
+            raise ValueError("coords outside the level's index range")
+        self.coords = raw.astype(np.int32)
+        self.coords.flags.writeable = False
+        self._strides = (1 << order) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+        flat = raw @ self._strides
+        positions = np.arange(len(raw), dtype=np.int32)
+        self.inverse = np.full((1 << order) ** dim, -1, dtype=np.int32)
+        self.inverse[flat] = positions
+        if not np.array_equal(self.inverse[flat], positions):
             raise ValueError("numbering is not injective")
+        self.inverse.flags.writeable = False
 
     def __len__(self) -> int:
-        return len(self.index_to_cube)
+        return len(self.coords)
 
     def cube(self, index: int) -> DyadicCube:
         if not 1 <= index <= len(self):
             raise IndexError(f"index {index} outside 1..{len(self)}")
-        return self.index_to_cube[index - 1]
+        return DyadicCube(self.order, tuple(int(z) for z in self.coords[index - 1]))
 
     def index_of(self, cube: DyadicCube) -> int:
-        return self.cube_to_index[cube.coords]
+        position = int(self.positions(np.array(cube.coords)))
+        if cube.level != self.order or position < 0:
+            raise KeyError(cube.coords)
+        return position + 1
+
+    def positions(self, cells) -> np.ndarray:
+        """0-based curve position of each cell of an integer array of shape
+        S + (dim,); -1 for cells off the grid or not numbered."""
+        cells = np.asarray(cells, dtype=np.int64)
+        on_grid = ((cells >= 0) & (cells < 1 << self.order)).all(axis=-1)
+        flat = np.where(on_grid, cells @ self._strides, 0)
+        return np.where(on_grid, self.inverse[flat], -1)
 
     @cached_property
     def is_face_adjacent(self) -> bool:
@@ -180,8 +208,7 @@ def hilbert_order(dim: int, order: int) -> HilbertOrdering:
     total = 1 << (dim * order)
     if total > MAX_CUBES:
         raise CapacityError(f"2^(dim*order) = {total} exceeds {MAX_CUBES}")
-    cubes = [DyadicCube(order, decode(i, dim, order)) for i in range(total)]
-    return HilbertOrdering(dim, order, cubes)
+    return HilbertOrdering(dim, order, decode(np.arange(total), dim, order))
 
 
 def check_face_adjacency(ordering: HilbertOrdering):
@@ -190,31 +217,28 @@ def check_face_adjacency(ordering: HilbertOrdering):
     Returns ``(ok, first_violation_index)`` where the index (1-based) points at
     the first pair (index, index+1) violating adjacency.
     """
-    cubes = ordering.index_to_cube
-    for i in range(len(cubes) - 1):
-        a, b = cubes[i].coords, cubes[i + 1].coords
-        if sum(abs(x - y) for x, y in zip(a, b)) != 1:
-            return False, i + 1
+    steps = np.abs(np.diff(ordering.coords, axis=0)).sum(axis=1)
+    bad = np.flatnonzero(steps != 1)
+    if bad.size:
+        return False, int(bad[0]) + 1
     return True, None
 
 
 def check_prefix_nesting(ordering: HilbertOrdering):
     """True iff every coarser cube's descendants occupy one contiguous block.
 
-    Returns ``(ok, first_violating_cube)``.
+    Returns ``(ok, first_violating_cube)``: at the coarsest violating level,
+    the ancestor that the first re-entering run of cubes enters again.
     """
-    k = ordering.order
-    cubes = ordering.index_to_cube
+    k, d = ordering.order, ordering.dim
     for level in range(k):
-        seen = set()
-        shift = k - level
-        current = None
-        for cube in cubes:
-            anc = tuple(z >> shift for z in cube.coords)
-            if anc == current:
-                continue
-            if anc in seen:
-                return False, DyadicCube(level, anc)
-            seen.add(anc)
-            current = anc
+        ancestors = ordering.coords >> (k - level)
+        flat = ancestors @ ((1 << level) ** np.arange(d - 1, -1, -1, dtype=np.int64))
+        run_starts = np.flatnonzero(np.diff(flat, prepend=-1))
+        _, first = np.unique(flat[run_starts], return_index=True)
+        reentry = np.ones(len(run_starts), dtype=bool)
+        reentry[first] = False
+        if reentry.any():
+            row = ancestors[run_starts[np.argmax(reentry)]]
+            return False, DyadicCube(level, tuple(int(z) for z in row))
     return True, None

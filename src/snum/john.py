@@ -44,7 +44,11 @@ def uniform_john_constant(dim: int) -> float:
 
 
 class CubeUnion:
-    """Closed union of the cubes numbered i..j (1-based, inclusive)."""
+    """Closed union of the cubes numbered i..j (1-based, inclusive).
+
+    ``coords`` is the ordering's ``(N, dim)`` array sliced to the union; a cell
+    is a member iff its curve position falls in ``i-1 .. j-1``.
+    """
 
     def __init__(self, ordering: HilbertOrdering, i: int, j: int):
         if not 1 <= i <= j <= len(ordering):
@@ -54,8 +58,7 @@ class CubeUnion:
         self.j = j
         self.dim = ordering.dim
         self.level = ordering.order
-        self.cubes = ordering.index_to_cube[i - 1 : j]
-        self.coord_set = frozenset(c.coords for c in self.cubes)
+        self.coords = ordering.coords[i - 1 : j]
 
     @property
     def cube_count(self) -> int:
@@ -64,54 +67,64 @@ class CubeUnion:
     def volume(self) -> Fraction:
         return self.cube_count * Fraction(1, 1 << (self.dim * self.level))
 
+    def positions(self, cells) -> np.ndarray:
+        """0-based position within the union of each cell (shape S + (dim,));
+        -1 for cells outside it."""
+        pos = self.ordering.positions(cells) - (self.i - 1)
+        return np.where((pos >= 0) & (pos < self.cube_count), pos, -1)
+
+    def _incident_positions(self, points, tol: float) -> np.ndarray:
+        """Union positions of the cells whose closures hold each point, up to
+        ``tol`` in cell units: shape (M, 2^dim), -1 where not a member."""
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        n = 1 << self.level
+        s = pts * n
+        base = np.floor(s + tol)
+        own = np.clip(base, 0, n - 1).astype(np.int64)
+        on_face = (np.abs(s - base) <= tol) & (base - 1 >= 0)
+        other = np.where(on_face, base - 1, own).astype(np.int64)
+        picks = np.array(list(product((False, True), repeat=self.dim)))
+        cells = np.where(picks[None], other[:, None, :], own[:, None, :])
+        return self.positions(cells)
+
+    def contains_points(self, points, tol: float = 1e-9) -> np.ndarray:
+        """Membership of each point in the closed union (faces belong)."""
+        return (self._incident_positions(points, tol) >= 0).any(axis=1)
+
     def contains(self, point, tol: float = 1e-9) -> bool:
         """Membership in the closed union (faces belong)."""
-        n = 1 << self.level
-        candidates = []
-        for x in point:
-            s = float(x) * n
-            base = math.floor(s + tol)
-            cands = {min(max(base, 0), n - 1)}
-            if abs(s - base) <= tol and base - 1 >= 0:
-                cands.add(base - 1)
-            candidates.append(cands)
-        return any(c in self.coord_set for c in product(*candidates))
+        return bool(self.contains_points([point], tol)[0])
 
     @cached_property
     def is_connected(self) -> bool:
-        if not self.cubes:
-            return False
-        todo = [self.cubes[0].coords]
-        seen = {self.cubes[0].coords}
-        while todo:
-            z = todo.pop()
-            for a in range(self.dim):
-                for step in (-1, 1):
-                    nb = z[:a] + (z[a] + step,) + z[a + 1 :]
-                    if nb in self.coord_set and nb not in seen:
-                        seen.add(nb)
-                        todo.append(nb)
-        return len(seen) == len(self.coord_set)
+        d = self.dim
+        steps = np.concatenate([np.eye(d, dtype=np.int64), -np.eye(d, dtype=np.int64)])
+        seen = np.zeros(self.cube_count, dtype=bool)
+        seen[0] = True
+        frontier = self.coords[:1]
+        while len(frontier):  # breadth-first over face neighbours
+            pos = self.positions(frontier[:, None, :] + steps[None]).ravel()
+            pos = np.unique(pos[pos >= 0])
+            pos = pos[~seen[pos]]
+            seen[pos] = True
+            frontier = self.coords[pos]
+        return bool(seen.all())
 
     @cached_property
     def _face_arrays(self):
         """Boundary faces as axis-aligned boxes (lows, highs), one degenerate axis."""
-        lows, highs = [], []
         side = 1.0 / (1 << self.level)
-        for cube in self.cubes:
-            z = cube.coords
-            for a in range(self.dim):
-                for step in (-1, 1):
-                    nb = z[:a] + (z[a] + step,) + z[a + 1 :]
-                    if nb in self.coord_set:
-                        continue
-                    lo = [zz * side for zz in z]
-                    hi = [(zz + 1) * side for zz in z]
-                    plane = (z[a] + (1 if step == 1 else 0)) * side
-                    lo[a] = hi[a] = plane
-                    lows.append(lo)
-                    highs.append(hi)
-        return np.array(lows), np.array(highs)
+        lows, highs = [], []
+        for a in range(self.dim):
+            for step in (-1, 1):
+                nb = self.coords.astype(np.int64)
+                nb[:, a] += step
+                z = self.coords[self.positions(nb) < 0]
+                lo, hi = z * side, (z + 1) * side
+                lo[:, a] = hi[:, a] = (z[:, a] + (1 if step == 1 else 0)) * side
+                lows.append(lo)
+                highs.append(hi)
+        return np.concatenate(lows), np.concatenate(highs)
 
     def boundary_distance(self, points) -> np.ndarray:
         """Exact Euclidean distance to the boundary, via the face decomposition."""
@@ -120,17 +133,21 @@ class CubeUnion:
         out = np.empty(len(pts))
         chunk = max(1, int(4_000_000 // max(len(lows), 1)))
         for s in range(0, len(pts), chunk):
-            blk = pts[s : s + chunk][:, None, :]
-            delta = np.maximum(lows[None] - blk, blk - highs[None])
-            np.maximum(delta, 0.0, out=delta)
-            out[s : s + chunk] = np.sqrt((delta**2).sum(axis=2)).min(axis=1)
+            squared = 0.0  # (points, faces), summed axis by axis
+            for a in range(self.dim):
+                x = pts[s : s + chunk, a, None]
+                gap = np.maximum(lows[:, a] - x, x - highs[:, a])
+                np.maximum(gap, 0.0, out=gap)
+                squared = squared + gap * gap
+            # sqrt is monotone and correctly rounded: sqrt of the min is exact
+            out[s : s + chunk] = np.sqrt(squared.min(axis=1))
         return out
 
     def random_points(self, rng, count: int) -> np.ndarray:
         """Uniform samples from the union."""
         side = 1.0 / (1 << self.level)
         picks = rng.integers(0, self.cube_count, size=count)
-        anchors = np.array([self.cubes[p].coords for p in picks], dtype=float) * side
+        anchors = self.coords[picks] * side
         return anchors + rng.uniform(0.0, side, size=(count, self.dim))
 
     def cell_mask(self, cells_per_side: int) -> np.ndarray:
@@ -143,9 +160,17 @@ class CubeUnion:
             )
         idx = (np.arange(cells_per_side) << k) // cells_per_side
         member = np.zeros((1 << k,) * self.dim, dtype=bool)
-        for z in self.coord_set:
-            member[z] = True
+        member[tuple(self.coords.T)] = True
         return member[np.ix_(*([idx] * self.dim))]
+
+
+def _centers(coords, level: int) -> np.ndarray:
+    """Centers 2^-level (z + 1/2) of level cubes; exact, since they are dyadic."""
+    return (2 * np.asarray(coords, dtype=np.int64) + 1) / float(1 << (level + 1))
+
+
+def _block_center(cube: DyadicCube) -> np.ndarray:
+    return _centers(cube.coords, cube.level)
 
 
 def segment_domain(ordering: HilbertOrdering, i: int, j: int) -> CubeUnion:
@@ -193,32 +218,26 @@ class JohnCertificate:
     center_block: int
     runs_left: list
     runs_right: list
-    _block_starts: list = field(repr=False, default_factory=list)
+    _block_starts: np.ndarray = field(repr=False)  # 0-based first position per block
     _chains: dict = field(repr=False, default_factory=dict)
 
-    def block_of_index(self, index: int) -> int:
-        """Maximal-block position of the 1-based cube index."""
-        pos = index - 1
-        lo, hi = 0, len(self.blocks) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self._block_starts[mid] <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
+    def block_of_index(self, index):
+        """Maximal-block position of 1-based cube indices (an int or an
+        array), clamped to ``[0, len(blocks) - 1]``."""
+        found = np.searchsorted(self._block_starts, np.asarray(index) - 1, side="right") - 1
+        return np.clip(found, 0, len(self.blocks) - 1)
 
     def chain_vertices(self, block_idx: int) -> np.ndarray:
         """Polyline from the block's center to the domain center x0."""
         if block_idx in self._chains:
             return self._chains[block_idx]
         step = 1 if block_idx < self.center_block else -1
-        path = [np.array([float(c) for c in self.blocks[block_idx].center()])]
+        path = [_block_center(self.blocks[block_idx])]
         b = block_idx
         while b != self.center_block:
             nxt = b + step
             path.append(np.array(_gate(self.blocks[b], self.blocks[nxt])))
-            path.append(np.array([float(c) for c in self.blocks[nxt].center()]))
+            path.append(_block_center(self.blocks[nxt]))
             b = nxt
         chain = np.array(path)
         self._chains[block_idx] = chain
@@ -227,17 +246,12 @@ class JohnCertificate:
     def polyline(self, x) -> np.ndarray:
         """John curve from x to the center: x, block centers, face midpoints."""
         x = np.asarray(x, dtype=float)
-        n = 1 << self.union.level
-        cell = tuple(min(int(v * n), n - 1) for v in x)
-        if cell not in self.union.coord_set:
-            if not self.union.contains(x):
-                raise CertificateInvalidError("start point outside the domain")
-            for cand in self.union.coord_set:  # boundary point: any incident cell
-                if all(c / n <= v <= (c + 1) / n for c, v in zip(cand, x)):
-                    cell = cand
-                    break
-        index = self.union.ordering.cube_to_index[cell]
-        chain = self.chain_vertices(self.block_of_index(index))
+        incident = self.union._incident_positions(x, 1e-9)[0]
+        incident = incident[incident >= 0]
+        if not incident.size:
+            raise CertificateInvalidError("start point outside the domain")
+        # a boundary point lies in several cells: take the first along the curve
+        chain = self.chain_vertices(int(self.block_of_index(self.union.i + incident.min())))
         return np.vstack([x[None, :], chain])
 
 
@@ -261,14 +275,14 @@ def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
     blocks = []
     for pos, size in raw:
         t = (size.bit_length() - 1) // d  # size = (2^d)^t
-        blocks.append(omega.ordering.index_to_cube[pos].ancestor(k - t))
+        blocks.append(ordering.cube(pos + 1).ancestor(k - t))
 
     min_level = min(c.level for c in blocks)
     oldest = [idx for idx, c in enumerate(blocks) if c.level == min_level]
     if oldest != list(range(oldest[0], oldest[-1] + 1)):
         raise ConstructionError("largest filled cubes are not consecutive")
     center_block = oldest[0] + (len(oldest) - 1) // 2
-    x0 = np.array([float(c) for c in blocks[center_block].center()])
+    x0 = _block_center(blocks[center_block])
 
     def runs(indices):
         out = []
@@ -292,7 +306,7 @@ def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
         center_block=center_block,
         runs_left=runs_left,
         runs_right=runs_right,
-        _block_starts=[pos for pos, _ in raw],
+        _block_starts=np.array([pos for pos, _ in raw]),
     )
     cert.profile_bound = _profile_bound(cert)
     return cert
@@ -318,8 +332,7 @@ def _profile_bound(cert: JohnCertificate) -> float:
         pref = [0.0]
         for inner, outer in zip(idxs, idxs[1:]):
             a, b = cert.blocks[outer], cert.blocks[inner]
-            ca = np.array([float(c) for c in a.center()])
-            cb = np.array([float(c) for c in b.center()])
+            ca, cb = _block_center(a), _block_center(b)
             g = np.array(_gate(a, b))
             pref.append(pref[-1] + float(np.linalg.norm(ca - g) + np.linalg.norm(g - cb)))
         for t_pos in range(len(idxs)):  # gamma(t) inside this block
@@ -351,36 +364,26 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
         rng = np.random.default_rng(0)
     nblocks = len(cert.blocks)
 
-    shared_pts, shared_dist = [], []
-    for b in range(nblocks):
-        W = cert.chain_vertices(b)
-        pts = W if len(W) == 1 else np.vstack([W, 0.5 * (W[:-1] + W[1:])])
-        for p in pts:
-            if not omega.contains(p):
-                raise CertificateInvalidError("polyline exits the domain")
-        shared_pts.append(pts)
-        shared_dist.append(omega.boundary_distance(pts))
+    chains = [cert.chain_vertices(b) for b in range(nblocks)]
+    shared_pts = [W if len(W) == 1 else np.vstack([W, 0.5 * (W[:-1] + W[1:])]) for W in chains]
+    curve_pts = np.vstack(shared_pts)
+    if not omega.contains_points(curve_pts).all():
+        raise CertificateInvalidError("polyline exits the domain")
+    counts = np.array([len(p) for p in shared_pts])
+    shared_dist = np.split(omega.boundary_distance(curve_pts), np.cumsum(counts)[:-1])
 
     # start points: member-cube centers first, then random interior fills
-    centers = np.array(
-        [[float(c) for c in cube.center()] for cube in omega.cubes]
-    )
-    blocks_of_cells = np.array(
-        [cert.block_of_index(idx) for idx in range(omega.i, omega.j + 1)]
-    )
-    xs = [centers]
+    blocks_of_cells = cert.block_of_index(np.arange(omega.i, omega.j + 1))
+    xs = [_centers(omega.coords, omega.level)]
     x_blocks = [blocks_of_cells]
-    pair_cost = np.array([len(p) + 1 for p in shared_pts])
+    pair_cost = counts + 1
     total = int(pair_cost[blocks_of_cells].sum())
     while total < samples:
         need = max(64, (samples - total) // (int(pair_cost.mean()) + 1) + 1)
         extra = omega.random_points(rng, need)
         n = 1 << omega.level
         cells = np.minimum((extra * n).astype(int), n - 1)
-        idxs = np.array(
-            [omega.ordering.cube_to_index[tuple(c)] for c in cells]
-        )
-        eb = np.array([cert.block_of_index(i) for i in idxs])
+        eb = cert.block_of_index(omega.ordering.positions(cells) + 1)
         xs.append(extra)
         x_blocks.append(eb)
         total += int(pair_cost[eb].sum())
@@ -388,19 +391,21 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
     X = np.vstack(xs)
     XB = np.concatenate(x_blocks)
     worst = 0.0
+    by_block = np.argsort(XB, kind="stable")
+    edges = np.searchsorted(XB[by_block], np.arange(nblocks + 1))
     for b in range(nblocks):
-        sel = XB == b
-        if not sel.any():
+        pts_x = X[by_block[edges[b] : edges[b + 1]]]
+        if not len(pts_x):
             continue
-        pts_x = X[sel]
         P, D = shared_pts[b], shared_dist[b]
         diff = pts_x[:, None, :] - P[None, :, :]
         ratios = np.sqrt((diff**2).sum(axis=2)) / D[None, :]
         worst = max(worst, float(ratios.max()))
-        head = cert.chain_vertices(b)[0]
-        mid = 0.5 * (pts_x + head)
-        dq = omega.boundary_distance(mid)
-        worst = max(worst, float((np.linalg.norm(pts_x - mid, axis=1) / dq).max()))
+    # the first leg, from x straight to its block's center
+    heads = np.array([W[0] for W in chains])
+    mid = 0.5 * (X + heads[XB])
+    dq = omega.boundary_distance(mid)
+    worst = max(worst, float((np.linalg.norm(X - mid, axis=1) / dq).max()))
     return worst <= cert.constant * (1 + 1e-9), worst
 
 

@@ -165,7 +165,7 @@ def check_hilbert_structure() -> CheckResult:
     """Face adjacency and prefix nesting hold exhaustively."""
     t0 = time.time()
     problems = []
-    for dim, orders in ((2, range(1, 7)), (3, range(1, 4))):
+    for dim, orders in ((2, range(1, 11)), (3, range(1, 8))):
         for order in orders:
             ordering = hilbert_order(dim, order)
             ok, where = check_face_adjacency(ordering)
@@ -180,7 +180,7 @@ def check_hilbert_structure() -> CheckResult:
                 )
     return _finish(
         "hilbert_structure", t0, 30.0, problems,
-        "adjacency + nesting pass for (2,1..6) and (3,1..3)",
+        "adjacency + nesting pass for (2,1..10) and (3,1..7)",
     )
 
 

@@ -1130,19 +1130,15 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
 
     ordering = hilbert_order(d, curve_order)
     stride = R >> (curve_order + 1)
-    node_ids = [
-        tuple((2 * z + 1) * stride for z in cube.coords)
-        for cube in ordering.index_to_cube
-    ]
-    matrix = np.array(
-        [[u.nodal_values[idx] for u in subspace.basis] for idx in node_ids]
-    )
+    node_ids = tuple(((2 * ordering.coords + 1) * stride).T)  # cube centers, curve order
+    matrix = np.column_stack([u.nodal_values[node_ids] for u in subspace.basis])
     res = zigzag_find(matrix, eps=eps, rng=rng, **search)
     if res.witness is None:
         return SNumberBound(
             kind="bernstein", n=n, status="inconclusive", mode=FLOAT,
             witness={"reason": "alternation search failed"},
             label="cube embedding: bernstein chain",
+            operator="cube",
         )
     w = res.witness
     v = subspace.basis[0].combine(subspace.basis[1:], w.coefficients.tolist())

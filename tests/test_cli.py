@@ -6,7 +6,7 @@ import pytest
 
 import snum.selftest as selftest_mod
 from snum.cli import RunConfig, build_parser, main, run
-from snum.hilbert import hilbert_order
+from snum.hilbert import HilbertOrdering, hilbert_order
 
 
 def test_usage_error_on_bad_flags(capsys):
@@ -17,6 +17,37 @@ def test_usage_error_on_bad_flags(capsys):
 
 def test_usage_error_on_incompatible_grid():
     assert main(["volterra", "--n", "2", "--grid", "3", "--kinds", "i"]) == 2
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["volterra", "--n", "1", "--grid", "0"], "--grid"),
+    (["volterra", "--n", "1", "--grid", "-4"], "--grid"),
+    (["volterra", "--n", "1", "--subspaces", "0"], "--subspaces"),
+    (["cube", "--m", "1", "--grid", "0"], "--grid"),
+    (["cube", "--m", "1", "--dim", "0"], "--dim"),
+    (["cube", "--m", "1", "--curve-order", "-1"], "--curve-order"),
+    (["hilbert", "--dim", "0", "--order", "2"], "--dim"),
+    (["hilbert", "--dim", "2", "--order", "0"], "--order"),
+    (["john", "--dim", "2", "--order", "2", "--pairs", "0"], "--pairs"),
+    (["john", "--dim", "2", "--order", "2", "--samples", "0"], "--samples"),
+    (["john", "--dim", "2", "--order", "2", "--samples", "ten"], "--samples"),
+])
+def test_nonpositive_counts_rejected_up_front(argv, flag, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"argument {flag}: must be a positive integer" in message
+    assert "Traceback" not in message
+
+
+@pytest.mark.parametrize("command", [["volterra", "--n", "1"], ["cube", "--m", "1"]])
+def test_unknown_kind_named(command, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(command + ["--kinds", "i,x"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "unknown kind 'x'" in message and "a, b, c, d, i" in message
 
 
 def test_hilbert_check_ok():
@@ -32,6 +63,33 @@ def test_hilbert_table_emission(tmp_path):
     rows = list(csv.reader(out.open()))
     assert rows[0] == ["index", "z0", "z1"]
     assert [r[1:] for r in rows[1:]] == [["0", "0"], ["0", "1"], ["1", "1"], ["1", "0"]]
+
+
+@pytest.mark.parametrize("dim,order", [(1, 1), (1, 3), (2, 3), (3, 2), (4, 2)])
+def test_hilbert_table_bytes_match_library_writers(tmp_path, capsys, dim, order):
+    # the array formatter writes exactly what json.dumps and csv.writer write
+    ordering = hilbert_order(dim, order)
+    cells = [{"index": i + 1, "coords": row} for i, row in enumerate(ordering.coords.tolist())]
+    expected_json = json.dumps(
+        {"dim": dim, "order": order, "cells": cells}, indent=2, sort_keys=True
+    )
+    rows = [[str(c["index"])] + [str(z) for z in c["coords"]] for c in cells]
+    reference_csv = tmp_path / "reference.csv"
+    with open(reference_csv, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index"] + [f"z{a}" for a in range(dim)])
+        writer.writerows(rows)
+    base = ["hilbert", "--dim", str(dim), "--order", str(order)]
+
+    assert main(base + ["--out", str(tmp_path / "t.json")]) == 0
+    assert (tmp_path / "t.json").read_bytes() == expected_json.encode()
+    assert main(base + ["--format", "csv", "--out", str(tmp_path / "t.csv")]) == 0
+    assert (tmp_path / "t.csv").read_bytes() == reference_csv.read_bytes()
+    capsys.readouterr()
+    assert main(base) == 0
+    assert capsys.readouterr().out == expected_json + "\n"
+    assert main(base + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == "".join(",".join(r) + "\n" for r in rows)
 
 
 def test_john_command(tmp_path):
@@ -138,13 +196,10 @@ def test_selftest_names_failed_checker_on_fault(monkeypatch, capsys):
     # fault injection: corrupt the generated table and watch the matrix name
     # the violated structural check
     def corrupted(dim, order):
-        ordering = hilbert_order(dim, order)
-        mid = len(ordering) // 2
-        ordering.index_to_cube[0], ordering.index_to_cube[mid] = (
-            ordering.index_to_cube[mid],
-            ordering.index_to_cube[0],
-        )
-        return ordering
+        coords = hilbert_order(dim, order).coords.copy()
+        mid = len(coords) // 2
+        coords[[0, mid]] = coords[[mid, 0]]  # fancy indexing swaps the rows
+        return HilbertOrdering(dim, order, coords)
 
     monkeypatch.setattr(selftest_mod, "hilbert_order", corrupted)
     assert selftest_mod.run_selftest({"hilbert_structure"}) == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from snum.hilbert import DyadicCube, HilbertOrdering, hilbert_order
+from snum.hilbert import HilbertOrdering, hilbert_order
 from snum.john import (
     CertificateInvalidError,
     ConstructionError,
@@ -25,7 +25,7 @@ def ordering_k3():
 class TestSegmentDomain:
     def test_single_cube_center_distance(self, ordering_k3):
         omega = segment_domain(ordering_k3, 5, 5)
-        center = np.array([float(c) for c in omega.cubes[0].center()])
+        center = np.array([float(c) for c in ordering_k3.cube(5).center()])
         assert omega.boundary_distance([center])[0] == pytest.approx(1 / 16, abs=0)
 
     def test_full_cube(self, ordering_k3):
@@ -67,6 +67,43 @@ class TestSegmentDomain:
             math.hypot(0.1, 0.1), rel=1e-12
         )
 
+    def test_disconnected_union(self):
+        # cells (0,1) and (1,0) of the row-major order touch only at a corner
+        row_major = HilbertOrdering(2, 1, [(i, j) for i in range(2) for j in range(2)])
+        assert not segment_domain(row_major, 2, 3).is_connected
+        assert segment_domain(row_major, 1, 3).is_connected
+
+    def test_membership_matches_cell_set(self, ordering_k3):
+        # a point belongs iff some member cell's closure holds it; grid
+        # points on faces and corners included
+        omega = segment_domain(ordering_k3, 6, 29)
+        members = {ordering_k3.cube(k).coords for k in range(6, 30)}
+        ticks = np.arange(0, 17) / 16
+        pts = np.array([(x, y) for x in ticks for y in ticks])
+        expected = [
+            any(all(c / 8 <= v <= (c + 1) / 8 for c, v in zip(cell, p)) for cell in members)
+            for p in pts
+        ]
+        assert omega.contains_points(pts).tolist() == expected
+        assert [omega.contains(p) for p in pts] == expected
+
+    def test_positions_within_union(self, ordering_k3):
+        omega = segment_domain(ordering_k3, 10, 20)
+        assert np.array_equal(omega.positions(omega.coords), np.arange(11))
+        outside = [ordering_k3.cube(k).coords for k in (9, 21)]
+        assert omega.positions(np.array(outside)).tolist() == [-1, -1]
+
+    def test_face_count_matches_neighbour_count(self, ordering_k3):
+        omega = segment_domain(ordering_k3, 3, 40)
+        members = {ordering_k3.cube(k).coords for k in range(3, 41)}
+        faces = sum(
+            (z[:a] + (z[a] + step,) + z[a + 1 :]) not in members
+            for z in members for a in range(2) for step in (-1, 1)
+        )
+        lows, highs = omega._face_arrays
+        assert len(lows) == faces
+        assert ((highs - lows) == 0).sum(axis=1).tolist() == [1] * faces
+
     def test_random_points_inside(self, ordering_k3):
         omega = segment_domain(ordering_k3, 3, 17)
         rng = np.random.default_rng(0)
@@ -79,6 +116,9 @@ class TestSegmentDomain:
             omega.cell_mask(12)
         mask = omega.cell_mask(16)
         assert mask.sum() == 8 * 4  # 4 fine cells per member cube
+        for k in range(1, 65):
+            x, y = ordering_k3.cube(k).coords
+            assert mask[2 * x, 2 * y] == (k <= 8) and mask[2 * x + 1, 2 * y + 1] == (k <= 8)
 
 
 class TestConstructiveCertificate:
@@ -122,7 +162,7 @@ class TestConstructiveCertificate:
                                 assert count <= 2**2 - 1
 
     def test_requires_structured_ordering(self):
-        cells = [DyadicCube(1, (i, j)) for i in range(2) for j in range(2)]
+        cells = [(i, j) for i in range(2) for j in range(2)]
         row_major = HilbertOrdering(2, 1, cells)
         omega = segment_domain(row_major, 1, 4)
         with pytest.raises(ConstructionError):
@@ -131,12 +171,50 @@ class TestConstructiveCertificate:
     def test_polyline_starts_at_x_and_ends_at_center(self, ordering_k3):
         omega = segment_domain(ordering_k3, 3, 30)
         cert = john_bound_constructive(omega)
-        x = np.array([float(c) for c in omega.cubes[-1].center()])
+        x = np.array([float(c) for c in ordering_k3.cube(30).center()])
         path = cert.polyline(x)
         assert np.allclose(path[0], x)
         assert np.allclose(path[-1], cert.center)
         for p in path:
             assert omega.contains(p)
+
+
+def _bisection_block(starts, nblocks, index):
+    """Reference lookup: the largest block whose start is <= index - 1,
+    clamped to block 0 from below."""
+    pos = index - 1
+    lo, hi = 0, nblocks - 1
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if starts[mid] <= pos:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+class TestBlockLookup:
+    def test_matches_bisection_including_clamping(self):
+        ordering = hilbert_order(2, 4)
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            i = int(rng.integers(1, 257))
+            j = int(rng.integers(i, 257))
+            cert = john_bound_constructive(segment_domain(ordering, i, j))
+            nblocks = len(cert.blocks)
+            # the domain, and positions before and after it
+            indices = np.arange(max(1, i - 5), min(256, j + 5) + 1)
+            indices = np.concatenate([[-3, 0], indices, [300]])
+            expected = [_bisection_block(cert._block_starts, nblocks, int(x)) for x in indices]
+            assert cert.block_of_index(indices).tolist() == expected
+            assert [int(cert.block_of_index(int(x))) for x in indices] == expected
+            assert min(expected) >= 0 and max(expected) <= nblocks - 1
+
+    def test_block_centers_are_exact(self, ordering_k3):
+        cert = john_bound_constructive(segment_domain(ordering_k3, 3, 50))
+        for b, cube in enumerate(cert.blocks):
+            head = cert.chain_vertices(b)[0]
+            assert [Fraction(v) for v in head] == list(cube.center())
 
 
 class TestVerification:
@@ -188,7 +266,7 @@ class TestOscillationCheck:
 
     def test_hat_in_one_cube(self, ordering_k3):
         omega = segment_domain(ordering_k3, 5, 12)
-        cube = omega.cubes[0]
+        cube = ordering_k3.cube(5)
         center = [float(c) for c in cube.center()]
         r = float(cube.side) / 2
 

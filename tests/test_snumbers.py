@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import snum.snumbers as snumbers_mod
+from snum.hilbert import hilbert_order
 from snum.snumbers import (
     Adversary,
     DegenerateBasisError,
@@ -29,6 +31,7 @@ from snum.snumbers import (
     random_mean_zero_step_subspace,
     snumber_axiom_suite,
     two_sided_spike,
+    ZigzagResult,
     zigzag_find,
 )
 from snum.spaces import (
@@ -347,6 +350,28 @@ class TestDdim:
         hats = hat_functions(2, 2, 16)
         with pytest.raises(GridMismatchError):
             bernstein_upper_ddim(Subspace("grid[2,16]", hats), curve_order=4)
+
+    def test_failed_search_is_an_inconclusive_cube_record(self, monkeypatch):
+        # force the alternation search to find no witness; also capture the
+        # node matrix it was given: one row per cube center in curve order
+        seen = []
+
+        def no_witness(matrix, **kwargs):
+            seen.append(matrix)
+            return ZigzagResult(None, "inconclusive", math.inf, 0)
+
+        monkeypatch.setattr(snumbers_mod, "zigzag_find", no_witness)
+        hats = hat_functions(2, 2, 32)
+        bound = bernstein_upper_ddim(Subspace("grid[2,32]", hats), curve_order=2)
+        assert bound.status == "inconclusive"
+        assert bound.to_json_dict()["operator"] == "cube"
+        ordering = hilbert_order(2, 2)
+        expected = [
+            [h.nodal_values[tuple(int(c * 32) for c in ordering.cube(i).center())]
+             for h in hats]
+            for i in range(1, len(ordering) + 1)
+        ]
+        assert np.array_equal(seen[0], np.array(expected))
 
 
 def test_gelfand_kolmogorov_separation():
