@@ -11,9 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +37,7 @@ from .snumbers import (
     random_mean_zero_step_subspace,
     snumber_axiom_suite,
 )
-from .spaces import EXACT, FLOAT, LorentzParams, random_step_function, step_to_json_dict
+from .spaces import EXACT, LorentzParams, random_step_function, step_to_json_dict
 from .volterra import operator_norm_discrete
 
 KIND_LETTERS = {"a": "approximation", "c": "gelfand", "d": "kolmogorov",
@@ -55,7 +53,6 @@ class RunConfig:
     grid: int = 64
     n_list: tuple = ()
     kinds: tuple = ()
-    mode: str = FLOAT
     seed: int = 0
     eps: float = 1e-3
     zigzag_eps: float = 0.05
@@ -120,13 +117,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _threads() -> int:
-    raw = os.environ.get("SNUM_THREADS", "")
-    if raw.strip():
-        return max(1, int(raw))
-    return 1
-
-
 def _rng_for(config: RunConfig, kind: str, n: int):
     kind_id = sorted(KIND_LETTERS.values()).index(kind)
     return np.random.default_rng([config.seed, kind_id, n])
@@ -160,7 +150,6 @@ def _volterra_task(config: RunConfig, kind: str, n: int) -> list:
             kolmogorov_lower_witness(10, n=n, rng=rng),
         ]
     if kind == "bernstein":
-        records = []
         ratios = []
         worst = None
         for _ in range(config.subspaces):
@@ -171,36 +160,16 @@ def _volterra_task(config: RunConfig, kind: str, n: int) -> list:
                 worst = bound
         worst.witness["subspace_ratio_bounds"] = ratios
         worst.witness["subspaces_tested"] = config.subspaces
-        records.append(worst)
-        return records
+        return [worst]
     raise AssertionError(kind)
 
 
-def _run_volterra(config: RunConfig) -> tuple[int, dict]:
-    for n in config.n_list:
-        if "isomorphism" in config.kinds and config.grid % (2 * n):
-            return 2, {"error": f"grid {config.grid} is not divisible by 2n = {2*n}"}
-    tasks = [(kind, n) for kind in config.kinds for n in config.n_list]
-    results: list = [None] * len(tasks)
-    with ThreadPoolExecutor(max_workers=min(_threads(), max(len(tasks), 1))) as pool:
-        futures = {
-            pool.submit(_volterra_task, config, kind, n): slot
-            for slot, (kind, n) in enumerate(tasks)
-        }
-        for fut, slot in futures.items():
-            results[slot] = fut.result()
-    bounds = [b for group in results for b in group]
-    report = snumber_axiom_suite(bounds)
-    payload = {
-        "config": config.to_json_dict(),
-        "results": [b.to_json_dict() for b in bounds],
-        "consistency": {"passed": report.passed, "checked": report.checked,
-                        "violations": report.violations},
-    }
-    return (0 if report.passed else 1), payload
+def _run_volterra(config: RunConfig) -> list:
+    return [b for kind in config.kinds for n in config.n_list
+            for b in _volterra_task(config, kind, n)]
 
 
-def _run_cube(config: RunConfig) -> tuple[int, dict]:
+def _run_cube(config: RunConfig) -> list:
     params = LorentzParams(*config.space) if config.space else LorentzParams(config.dimension, 1)
     bounds = []
     for m in config.n_list:  # here the list holds m values, n = m^d
@@ -223,20 +192,13 @@ def _run_cube(config: RunConfig) -> tuple[int, dict]:
                 config.dimension, m, grid, params
             )
             bounds.append(bound)
-    report = snumber_axiom_suite(bounds)
-    payload = {
-        "config": config.to_json_dict(),
-        "results": [b.to_json_dict() for b in bounds],
-        "consistency": {"passed": report.passed, "checked": report.checked,
-                        "violations": report.violations},
-    }
-    return (0 if report.passed else 1), payload
+    return bounds
 
 
 def _emit(config: RunConfig, payload: dict) -> None:
     if config.out:
         out = Path(config.out)
-        results = payload.get("results", [])
+        results = payload["results"]
         if results:
             wdir = out.with_name(out.stem + "-witnesses")
             wdir.mkdir(parents=True, exist_ok=True)
@@ -257,7 +219,7 @@ def _emit(config: RunConfig, payload: dict) -> None:
     else:
         json.dump(payload, sys.stdout, indent=2, sort_keys=True)
         sys.stdout.write("\n")
-    if config.csv and "results" in payload:
+    if config.csv:
         with open(config.csv, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["kind", "n", "lower", "upper", "status", "witness_path"])
@@ -266,7 +228,7 @@ def _emit(config: RunConfig, payload: dict) -> None:
                     row["kind"], row["n"], row["lower"], row["upper"],
                     row["status"], row.get("witness_path", ""),
                 ])
-    if config.plot_data and "results" in payload:
+    if config.plot_data:
         with open(config.plot_data, "w") as fh:
             fh.write("kind\tn\tlower\tupper\tlog_n\tlog_lower\tlog_upper\n")
             for row in payload["results"]:
@@ -394,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_vol.add_argument("--n", required=True, help="scale list, e.g. 1..5 or 1,2,8")
     p_vol.add_argument("--grid", type=_positive_int, default=240)
     p_vol.add_argument("--kinds", default="i,b,c,d,a")
-    p_vol.add_argument("--mode", choices=[EXACT, FLOAT], default=EXACT)
     p_vol.add_argument("--seed", type=int, default=0)
     p_vol.add_argument("--eps", type=float, default=1e-3,
                        help="functional quantization step")
@@ -442,21 +403,26 @@ def build_parser() -> argparse.ArgumentParser:
 def run(config: RunConfig) -> int:
     """Run an estimator suite described by a configuration record."""
     if config.command == "volterra":
-        status, payload = _run_volterra(config)
+        for n in config.n_list:
+            if "isomorphism" in config.kinds and config.grid % (2 * n):
+                sys.stderr.write(f"grid {config.grid} is not divisible by 2n = {2*n}\n")
+                return 2
+        bounds = _run_volterra(config)
     elif config.command == "cube":
-        status, payload = _run_cube(config)
+        bounds = _run_cube(config)
     else:
         raise ValueError(f"run() drives volterra/cube, not {config.command!r}")
-    if status == 2:
-        sys.stderr.write(payload["error"] + "\n")
-        return 2
-    _emit(config, payload)
-    if status:
-        sys.stderr.write(
-            "consistency violations:\n  "
-            + "\n  ".join(payload["consistency"]["violations"]) + "\n"
-        )
-    return status
+    report = snumber_axiom_suite(bounds)
+    _emit(config, {
+        "config": config.to_json_dict(),
+        "results": [b.to_json_dict() for b in bounds],
+        "consistency": {"passed": report.passed, "checked": report.checked,
+                        "violations": report.violations},
+    })
+    if not report.passed:
+        sys.stderr.write("consistency violations:\n  " + "\n  ".join(report.violations) + "\n")
+        return 1
+    return 0
 
 
 def main(argv=None) -> int:
@@ -469,7 +435,6 @@ def main(argv=None) -> int:
                 grid=args.grid,
                 n_list=_parse_n_list(args.n),
                 kinds=_parse_kinds(args.kinds),
-                mode=args.mode,
                 seed=args.seed,
                 eps=args.eps,
                 zigzag_eps=args.zigzag_eps,

@@ -75,12 +75,14 @@ class CubeUnion:
 
     def _incident_positions(self, points, tol: float) -> np.ndarray:
         """Union positions of the cells whose closures hold each point, up to
-        ``tol`` in cell units: shape (M, 2^dim), -1 where not a member."""
+        ``tol`` in cell units: shape (M, 2^dim), -1 where not a member.  A
+        point on the far face of the grid is held by the cell below it; points
+        further off the grid get cells off it, which belong to no union."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n = 1 << self.level
         s = pts * n
         base = np.floor(s + tol)
-        own = np.clip(base, 0, n - 1).astype(np.int64)
+        own = base.astype(np.int64)
         on_face = (np.abs(s - base) <= tol) & (base - 1 >= 0)
         other = np.where(on_face, base - 1, own).astype(np.int64)
         picks = np.array(list(product((False, True), repeat=self.dim)))

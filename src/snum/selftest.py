@@ -17,7 +17,9 @@ import numpy as np
 from .hilbert import check_face_adjacency, check_prefix_nesting, hilbert_order
 from .john import john_bound_constructive, segment_domain, uniform_john_constant, verify_john_certificate
 from .snumbers import (
+    BERNSTEIN_LOWER_MAX_N,
     approximation_upper,
+    bernstein_lower,
     bernstein_upper_1d,
     bernstein_upper_ddim,
     gelfand_lower_bound,
@@ -72,7 +74,8 @@ def check_one_dim_isomorphism() -> CheckResult:
 
 
 def check_one_dim_bernstein() -> CheckResult:
-    """Certified alternation bounds pin b_n within the factor 1.05."""
+    """Certified alternation bounds b_n <= 1.05/(2n); for n <= 3 the exact
+    subspace infimum sits below both the alternation ratio and 1/(2n)."""
     t0 = time.time()
     problems = []
     rng = np.random.default_rng(20_240_501)
@@ -88,12 +91,16 @@ def check_one_dim_bernstein() -> CheckResult:
             ratio = bound.witness["ratio_bound_for_subspace"]
             if not (float(bound.upper) <= cap + 1e-12 and ratio <= cap + 1e-12):
                 problems.append(f"n={n} trial {trial}: bound {bound.upper}, ratio {ratio}")
-        lower = isomorphism_lower_1d(n).lower
-        if not float(lower) <= cap <= 1.05 * float(lower) + 1e-12:
-            problems.append(f"n={n}: pinning interval broken")
+            if n <= BERNSTEIN_LOWER_MAX_N:
+                low = bernstein_lower(subspace)
+                if not (low.status == "certified"
+                        and low.lower <= min(ratio, 1 / (2 * n)) + 1e-12):
+                    problems.append(f"n={n} trial {trial}: exact infimum {low.lower} "
+                                    f"above min(ratio {ratio}, 1/(2n))")
     return _finish(
         "one_dim_bernstein", t0, 120.0, problems,
-        "b_n certified within [1/(2n), 1.05/(2n)] on 20 random subspaces per n",
+        "b_n <= 1.05/(2n) certified on 20 random subspaces per n; exact "
+        "subspace infima <= min(ratio, 1/(2n)) for n <= 3",
     )
 
 

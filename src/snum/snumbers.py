@@ -2,9 +2,8 @@
 Bernstein and Isomorphism numbers of the discretized embeddings.
 
 Every estimator returns an :class:`SNumberBound` carrying a serializable
-witness.  Certified and heuristic values are distinct statuses: only certified
-values are meant for acceptance checks; searches that run out of budget report
-``inconclusive`` rather than a false witness.
+witness.  Only certified values are meant for acceptance checks; searches
+that run out of budget report ``inconclusive`` rather than a false witness.
 """
 
 from __future__ import annotations
@@ -90,22 +89,27 @@ class SNumberBound:
 
 
 class Subspace:
-    """A finite-dimensional subspace given by a linearly independent basis."""
+    """A finite-dimensional subspace given by a linearly independent basis.
+
+    Step-function bases also keep their common refinement: ``piece_values``
+    (dim, pieces) on the intervals of lengths ``piece_lengths``.
+    """
 
     def __init__(self, ambient: str, basis):
         self.ambient = ambient
         self.basis = list(basis)
         if not self.basis:
             raise DegenerateBasisError("empty basis")
-        gram = np.empty((self.dim, self.dim))
-        for a, fa in enumerate(self.basis):
-            for b, fb in enumerate(self.basis):
-                if isinstance(fa, StepFunction1D):
-                    gram[a, b] = float(fa.integrate_against(fb))
-                else:
-                    gram[a, b] = float(
-                        (fa.nodal_values * fb.nodal_values).sum()
-                    )
+        if isinstance(self.basis[0], StepFunction1D):
+            bps = sorted(set().union(*[set(f.breakpoints) for f in self.basis]))
+            self.piece_values = np.array(
+                [[float(v) for v in f.refine(bps).values] for f in self.basis]
+            )
+            self.piece_lengths = np.array([float(b - a) for a, b in zip(bps, bps[1:])])
+            table = self.piece_values * np.sqrt(self.piece_lengths)  # L2 inner products
+        else:
+            table = np.stack([f.nodal_values.ravel() for f in self.basis])
+        gram = table @ table.T
         if np.linalg.matrix_rank(gram) < self.dim:
             raise DegenerateBasisError("basis Gram matrix is singular")
 
@@ -179,6 +183,24 @@ def _alternation_target(n: int) -> np.ndarray:
     return np.array([(-1.0) ** (j + 1) for j in range(n)])
 
 
+# alternation-search budgets
+EXHAUSTIVE_LIMIT = 100_000  # index sets swept exhaustively up front
+ESCALATION_LIMIT = 20_000_000  # index sets swept when local search fails
+RESTARTS = 12  # local-search starting sets
+KICKS = 24  # two-index perturbations of the incumbent per start
+MAX_SWEEPS = 80  # exchange sweeps per descent
+LP_BUDGET = 64  # singular index sets per batch handed to the LP
+
+BERNSTEIN_LOWER_MAX_N = 3  # vertex enumeration is exhaustive up to this n
+
+
+def _nonsingular(sub: np.ndarray) -> np.ndarray:
+    """Hadamard-relative singularity test on a stack of square matrices:
+    |det| <= product of row norms, so a tiny ratio means singular."""
+    hadamard = np.sqrt((sub**2).sum(axis=2)).prod(axis=1) + 1e-300
+    return np.abs(np.linalg.det(sub)) > 1e-12 * hadamard
+
+
 def _minimax_lp(matrix: np.ndarray, T, alt) -> tuple:
     """min ||g||_inf over g in span with g[T] = alt (degenerate index sets)."""
     npts, n = matrix.shape
@@ -203,7 +225,7 @@ def _minimax_lp(matrix: np.ndarray, T, alt) -> tuple:
     return float(res.fun), res.x[:n]
 
 
-def _minimax_for_sets(matrix, sets, alt, lp_fallback=False, lp_budget=64):
+def _minimax_for_sets(matrix, sets, alt, lp_fallback=False):
     """Interpolation minimax per index set, batched.
 
     With dim E = n and n constraints the interpolant is generically unique:
@@ -215,10 +237,7 @@ def _minimax_for_sets(matrix, sets, alt, lp_fallback=False, lp_budget=64):
     vals = np.full(m, np.inf)
     coeffs = np.zeros((m, n))
     sub = matrix[sets]  # (m, n, n)
-    # Hadamard-relative singularity test: |det| <= product of row norms
-    hadamard = np.sqrt((sub**2).sum(axis=2)).prod(axis=1) + 1e-300
-    dets = np.linalg.det(sub)
-    good = np.abs(dets) > 1e-12 * hadamard
+    good = _nonsingular(sub)
     if good.any():
         rhs = np.broadcast_to(alt, (int(good.sum()), n))[..., None]
         c = np.linalg.solve(sub[good], rhs)[..., 0]
@@ -226,7 +245,7 @@ def _minimax_for_sets(matrix, sets, alt, lp_fallback=False, lp_budget=64):
         vals[good] = np.abs(g).max(axis=0)
         coeffs[good] = c
     if lp_fallback:
-        bad = np.nonzero(~good)[0][:lp_budget]
+        bad = np.nonzero(~good)[0][:LP_BUDGET]
         for i in bad:
             v, c = _minimax_lp(matrix, sets[i], alt)
             if c is not None:
@@ -235,25 +254,15 @@ def _minimax_for_sets(matrix, sets, alt, lp_fallback=False, lp_budget=64):
     return vals, coeffs
 
 
-def zigzag_find(
-    matrix,
-    eps: float = 0.05,
-    rng=None,
-    exhaustive_limit: int = 100_000,
-    escalation_limit: int = 20_000_000,
-    restarts: int = 12,
-    kicks: int = 24,
-    max_sweeps: int = 80,
-    lp_budget: int = 64,
-) -> ZigzagResult:
+def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     """Find g in the column span of ``matrix`` with g(t_j) = (-1)^j at n
     increasing positions and near-minimal sup norm.
 
     Exhaustive over index sets (lexicographic, ties to the first = smallest
-    optimum) when the count fits ``exhaustive_limit``; otherwise iterated
+    optimum) when the count fits ``EXHAUSTIVE_LIMIT``; otherwise iterated
     local search (one-index exchange descent with random two-index kicks and
     restarts).  If the search cannot certify sup norm <= 1 + eps and the set
-    count fits ``escalation_limit``, the exhaustive sweep settles it.  Never
+    count fits ``ESCALATION_LIMIT``, the exhaustive sweep settles it.  Never
     returns a false witness: a failed search reports ``inconclusive`` with the
     best element found.
     """
@@ -291,16 +300,16 @@ def zigzag_find(
         for T in itertools.combinations(cands.tolist(), n):
             chunk.append(T)
             if len(chunk) == 100_000:
-                consider(*_minimax_for_sets(matrix, chunk, alt, True, lp_budget), chunk)
+                consider(*_minimax_for_sets(matrix, chunk, alt, True), chunk)
                 chunk = []
         if chunk:
-            consider(*_minimax_for_sets(matrix, chunk, alt, True, lp_budget), chunk)
+            consider(*_minimax_for_sets(matrix, chunk, alt, True), chunk)
 
     def descend(T):
-        vals, coeffs = _minimax_for_sets(matrix, [T], alt, True, lp_budget)
+        vals, coeffs = _minimax_for_sets(matrix, [T], alt, True)
         cur_val, cur_c = float(vals[0]), coeffs[0]
         nonlocal evals
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             proposals = []
             Tset = set(T)
             for pos in range(n):
@@ -320,7 +329,7 @@ def zigzag_find(
         return cur_val, T, cur_c
 
     total_sets = comb(len(cands), n)
-    if total_sets <= exhaustive_limit:
+    if total_sets <= EXHAUSTIVE_LIMIT:
         exhaustive_sweep()
     else:
         starts = []
@@ -331,7 +340,7 @@ def zigzag_find(
             g = matrix @ rng.standard_normal(n)
             top = cands[np.argsort(-np.abs(g[cands]))[: max(n, 3 * n)]]
             starts.append(sorted(int(i) for i in rng.choice(top, size=n, replace=False)))
-        while len(starts) < restarts:
+        while len(starts) < RESTARTS:
             starts.append(sorted(int(i) for i in rng.choice(cands, size=n, replace=False)))
 
         for T0 in starts:
@@ -339,7 +348,7 @@ def zigzag_find(
             if cur_val < best_val - 1e-12:
                 best_val, best_T, best_c = cur_val, tuple(T), cur_c
             # iterated local search: random two-index kicks off the incumbent
-            for _ in range(kicks):
+            for _ in range(KICKS):
                 if best_val <= 1.0 + 1e-12:
                     break
                 T = list(best_T)
@@ -356,7 +365,7 @@ def zigzag_find(
                     best_val, best_T, best_c = cur_val, tuple(T), cur_c
             if best_val <= 1.0 + 1e-12:
                 break
-        if best_val > 1.0 + eps and total_sets <= escalation_limit:
+        if best_val > 1.0 + eps and total_sets <= ESCALATION_LIMIT:
             exhaustive_sweep()
 
     if best_T is None:
@@ -436,10 +445,10 @@ def _volterra_node_matrix(subspace: Subspace):
     matrix = np.array(
         [[float(curve(t)) for curve in curves] for t in bps]
     )
-    return np.array([float(b) for b in bps]), matrix, curves
+    return np.array([float(b) for b in bps]), matrix
 
 
-def bernstein_upper_1d(subspace: Subspace, eps: float = 0.05, rng=None, **search) -> SNumberBound:
+def bernstein_upper_1d(subspace: Subspace, eps: float = 0.05, rng=None) -> SNumberBound:
     """Alternation-based upper bound on the Bernstein ratio of the subspace.
 
     The pullback h of the alternating element has mass at least 2n by
@@ -449,8 +458,8 @@ def bernstein_upper_1d(subspace: Subspace, eps: float = 0.05, rng=None, **search
     n = subspace.dim
     for f in subspace.basis:
         MeanZeroTag(tolerance=1e-9).require(f)
-    bps, matrix, _ = _volterra_node_matrix(subspace)
-    res = zigzag_find(matrix, eps=eps, rng=rng, **search)
+    bps, matrix = _volterra_node_matrix(subspace)
+    res = zigzag_find(matrix, eps=eps, rng=rng)
     if res.witness is None:
         return SNumberBound(
             kind="bernstein", n=n, status="inconclusive", mode=FLOAT,
@@ -496,112 +505,72 @@ def bernstein_upper_1d(subspace: Subspace, eps: float = 0.05, rng=None, **search
     )
 
 
-def bernstein_lower(subspace: Subspace, exact_limit: int = 3, starts: int = 16,
-                    iters: int = 400, rng=None) -> SNumberBound:
+def bernstein_lower(subspace: Subspace) -> SNumberBound:
     """inf over the unit mass sphere of the subspace of the sup norm of the
     antiderivative.
 
-    For n <= exact_limit the infimum is computed exactly: it equals
+    For n <= BERNSTEIN_LOWER_MAX_N the infimum is computed exactly: it equals
     1 / max ||f||_1 over the vertices of the polytope {max |Vf| <= 1}, and
-    every vertex activates n node constraints.  Beyond that a projected
-    subgradient descent reports an uncertified value (an upper bound on the
-    infimum, not a certified lower bound for the Bernstein number).
+    every vertex activates n node constraints.  Larger n is reported
+    ``inconclusive``.
     """
     n = subspace.dim
-    bps, matrix, _ = _volterra_node_matrix(subspace)
+    if n > BERNSTEIN_LOWER_MAX_N:
+        return SNumberBound(
+            kind="bernstein", n=n, status="inconclusive", mode=FLOAT,
+            witness={"reason": f"vertex enumeration stops at n = {BERNSTEIN_LOWER_MAX_N}"},
+            label="bernstein >= subspace ratio (exact enumeration)",
+        )
+    _, matrix = _volterra_node_matrix(subspace)
     col_scale = np.abs(matrix).max(axis=0)
     if (col_scale == 0).any():
         raise DegenerateBasisError("a basis element integrates to zero everywhere")
     matrix = matrix / col_scale
+    piece_vals = subspace.piece_values.T / col_scale
 
-    piece_bps = sorted(set().union(*[set(f.breakpoints) for f in subspace.basis]))
-    refined = [f.refine(piece_bps) for f in subspace.basis]
-    piece_vals = np.array(
-        [[float(v) for v in f.values] for f in refined]
-    ).T / col_scale
-    lengths = np.array([float(b - a) for a, b in zip(piece_bps, piece_bps[1:])])
-
-    def mass(coeff_rows):
-        return np.abs(piece_vals @ coeff_rows.T).T @ lengths
-
-    if n <= exact_limit:
-        rows = np.arange(matrix.shape[0])
-        live = rows[np.abs(matrix).max(axis=1) > 1e-14]
-        best_mass, best_c = 0.0, None
-        patterns = [
-            np.array(p) for p in itertools.product((1.0, -1.0), repeat=n)
-            if p[0] == 1.0  # global sign symmetry
-        ]
-        combos = np.array(list(itertools.combinations(live.tolist(), n)))
-        if combos.size == 0:
-            raise DegenerateBasisError("not enough active nodes for a vertex")
-        sub = matrix[combos]
-        hadamard = np.sqrt((sub**2).sum(axis=2)).prod(axis=1) + 1e-300
-        dets = np.linalg.det(sub)
-        good = np.abs(dets) > 1e-12 * hadamard
-        sub = sub[good]
-        for sigma in patterns:
-            rhs = np.broadcast_to(sigma, (len(sub), n))[..., None]
-            cs = np.linalg.solve(sub, rhs)[..., 0]
-            g = matrix @ cs.T
-            feas = np.abs(g).max(axis=0) <= 1.0 + 1e-9
-            if not feas.any():
-                continue
-            masses = mass(cs[feas])
-            k = int(np.argmax(masses))
-            if masses[k] > best_mass:
-                best_mass = float(masses[k])
-                best_c = cs[feas][k]
-        if best_c is None:
-            raise DegenerateBasisError("no polytope vertex found")
-        value = 1.0 / best_mass
-        real_c = best_c / col_scale
-        f_star = subspace.basis[0] * float(real_c[0] / best_mass)
-        for c, f in zip(real_c[1:], subspace.basis[1:]):
-            f_star = f_star + f * float(c / best_mass)
-        return SNumberBound(
-            kind="bernstein",
-            n=n,
-            lower=value,
-            witness={
-                "method": "vertex enumeration",
-                "minimizer": step_to_json_dict(f_star),
-                "sphere_mass": float(f_star.l1_norm()),
-            },
-            mode=FLOAT,
-            status="certified",
-            label="bernstein >= subspace ratio (exact enumeration)",
-        )
-
-    # descent: an upper bound on the infimum, reported as uncertified
-    if rng is None:
-        rng = np.random.default_rng(0)
-    best = math.inf
-    best_c = None
-    for _ in range(starts):
-        c = rng.standard_normal(n)
-        c /= mass(c[None])[0]
-        for it in range(iters):
-            g = matrix @ c
-            i_star = int(np.argmax(np.abs(g)))
-            grad = np.sign(g[i_star]) * matrix[i_star]
-            step = 0.5 / (1 + it)
-            c = c - step * grad
-            m = mass(c[None])[0]
-            if m < 1e-12:
-                break
-            c /= m
-        val = float(np.abs(matrix @ c).max())
-        if val < best:
-            best, best_c = val, c
+    rows = np.arange(matrix.shape[0])
+    live = rows[np.abs(matrix).max(axis=1) > 1e-14]
+    best_mass, best_c = 0.0, None
+    patterns = [
+        np.array(p) for p in itertools.product((1.0, -1.0), repeat=n)
+        if p[0] == 1.0  # global sign symmetry
+    ]
+    combos = np.array(list(itertools.combinations(live.tolist(), n)))
+    if combos.size == 0:
+        raise DegenerateBasisError("not enough active nodes for a vertex")
+    sub = matrix[combos]
+    sub = sub[_nonsingular(sub)]
+    for sigma in patterns:
+        rhs = np.broadcast_to(sigma, (len(sub), n))[..., None]
+        cs = np.linalg.solve(sub, rhs)[..., 0]
+        g = matrix @ cs.T
+        feas = np.abs(g).max(axis=0) <= 1.0 + 1e-9
+        if not feas.any():
+            continue
+        masses = np.abs(piece_vals @ cs[feas].T).T @ subspace.piece_lengths
+        k = int(np.argmax(masses))
+        if masses[k] > best_mass:
+            best_mass = float(masses[k])
+            best_c = cs[feas][k]
+    if best_c is None:
+        raise DegenerateBasisError("no polytope vertex found")
+    value = 1.0 / best_mass
+    real_c = best_c / col_scale
+    f_star = subspace.basis[0] * float(real_c[0] / best_mass)
+    for c, f in zip(real_c[1:], subspace.basis[1:]):
+        f_star = f_star + f * float(c / best_mass)
     return SNumberBound(
         kind="bernstein",
         n=n,
-        lower=None,
-        witness={"method": "projected subgradient", "uncertified_value": best},
+        lower=value,
+        witness={
+            "method": "vertex enumeration",
+            "minimizer": step_to_json_dict(f_star),
+            "sphere_mass": float(f_star.l1_norm()),
+        },
         mode=FLOAT,
-        status="heuristic",
-        label="bernstein ratio (heuristic descent, uncertified)",
+        status="certified",
+        label="bernstein >= subspace ratio (exact enumeration)",
     )
 
 
@@ -1095,7 +1064,7 @@ def hat_subspace_ratio_grid(dim: int, m: int, cells_per_side: int,
 
 
 def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05,
-                         rng=None, **search) -> SNumberBound:
+                         rng=None) -> SNumberBound:
     """Alternation along the cube ordering plus the segment-domain chain.
 
     The element alternating at n ordered cube centers oscillates by 2 over
@@ -1132,7 +1101,7 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
     stride = R >> (curve_order + 1)
     node_ids = tuple(((2 * ordering.coords + 1) * stride).T)  # cube centers, curve order
     matrix = np.column_stack([u.nodal_values[node_ids] for u in subspace.basis])
-    res = zigzag_find(matrix, eps=eps, rng=rng, **search)
+    res = zigzag_find(matrix, eps=eps, rng=rng)
     if res.witness is None:
         return SNumberBound(
             kind="bernstein", n=n, status="inconclusive", mode=FLOAT,

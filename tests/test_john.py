@@ -75,11 +75,13 @@ class TestSegmentDomain:
 
     def test_membership_matches_cell_set(self, ordering_k3):
         # a point belongs iff some member cell's closure holds it; grid
-        # points on faces and corners included
+        # points on faces and corners included, and points off the unit
+        # square, which belong to no cell
         omega = segment_domain(ordering_k3, 6, 29)
         members = {ordering_k3.cube(k).coords for k in range(6, 30)}
-        ticks = np.arange(0, 17) / 16
-        pts = np.array([(x, y) for x in ticks for y in ticks])
+        ticks = np.arange(-2, 19) / 16
+        pts = np.array([(x, y) for x in ticks for y in ticks]
+                       + [(-0.3, 0.1), (0.1, -5.0), (1.2, 0.5), (0.5, 7.0)])
         expected = [
             any(all(c / 8 <= v <= (c + 1) / 8 for c, v in zip(cell, p)) for cell in members)
             for p in pts

@@ -35,6 +35,7 @@ from snum.snumbers import (
     zigzag_find,
 )
 from snum.spaces import (
+    GridFunction,
     GridMismatchError,
     LorentzParams,
     StepFunction1D,
@@ -64,6 +65,20 @@ class TestSubspace:
         f = StepFunction1D.from_cells([1.0, -1.0])
         with pytest.raises(DegenerateBasisError):
             Subspace("step[2]", [f, f * 2.0])
+        u = GridFunction.random_interior(np.random.default_rng(1), 2, 8)
+        with pytest.raises(DegenerateBasisError):
+            Subspace("grid[2,8]", [u, u.combine([u], [1.0, 1.0])])
+
+    def test_refinement_table_matches_pairwise_integrals(self):
+        # the stacked table reproduces the pairwise exact integrals
+        rng = np.random.default_rng(4)
+        basis = [random_step_function(rng, max_pieces=9, exact=exact)
+                 for exact in (True, False, True)]
+        subspace = Subspace("step", basis)
+        table = subspace.piece_values * subspace.piece_lengths
+        pairwise = [[float(f.integrate_against(g)) for g in basis] for f in basis]
+        assert subspace.piece_lengths.sum() == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(table @ subspace.piece_values.T, pairwise, rtol=1e-12, atol=1e-14)
 
     def test_dim(self):
         rng = np.random.default_rng(0)
@@ -190,12 +205,14 @@ class TestBernstein1d:
         assert float(low.lower) >= float(iso.lower) - 1e-12
 
     def test_heuristic_path_reports_uncertified(self):
+        # beyond the exact enumeration there is no certified lower bound
         rng = np.random.default_rng(5)
         subspace = random_mean_zero_step_subspace(rng, 4, 16)
-        low = bernstein_lower(subspace, exact_limit=3, rng=rng)
-        assert low.status == "heuristic"
+        low = bernstein_lower(subspace)
+        assert low.status == "inconclusive"
         assert low.lower is None
-        assert low.witness["uncertified_value"] > 0
+        assert low.upper is None
+        assert "n = 3" in low.witness["reason"]
 
 
 class TestGelfand:
