@@ -42,6 +42,7 @@ from .volterra import operator_norm_discrete
 
 KIND_LETTERS = {"a": "approximation", "c": "gelfand", "d": "kolmogorov",
                 "b": "bernstein", "i": "isomorphism"}
+CUBE_KIND_LETTERS = {"b": "bernstein", "i": "isomorphism"}  # what `snum cube` computes
 
 
 @dataclass
@@ -59,7 +60,6 @@ class RunConfig:
     subspaces: int = 20
     space: tuple = ()
     curve_order: int = 3
-    samples: int = 10_000
     out: str | None = None
     csv: str | None = None
     plot_data: str | None = None
@@ -94,16 +94,17 @@ def _parse_n_list(text: str):
     return tuple(dict.fromkeys(out))
 
 
-def _parse_kinds(text: str) -> tuple:
+def _parse_kinds(args) -> tuple:
+    letters = CUBE_KIND_LETTERS if args.command == "cube" else KIND_LETTERS
     kinds = []
-    for letter in text.split(","):
+    for letter in args.kinds.split(","):
         letter = letter.strip()
-        if letter not in KIND_LETTERS:
+        if letter not in letters:
             raise ValueError(
                 f"unknown kind {letter!r} in --kinds; choose from "
-                + ", ".join(sorted(KIND_LETTERS))
+                + ", ".join(sorted(letters))
             )
-        kinds.append(KIND_LETTERS[letter])
+        kinds.append(letters[letter])
     return tuple(kinds)
 
 
@@ -179,15 +180,12 @@ def _run_cube(config: RunConfig) -> list:
         if grid % (2 * m) or grid % block:
             lcm = np.lcm(2 * m, block)
             grid = int(lcm * max(1, round(config.grid / lcm)))
-        bounds.append(isomorphism_lower_ddim(config.dimension, m, params, grid))
+        if "isomorphism" in config.kinds:
+            bounds.append(isomorphism_lower_ddim(config.dimension, m, params, grid))
         if "bernstein" in config.kinds:
             hats = hat_functions(config.dimension, m, grid)
-            bound = bernstein_upper_ddim(
-                Subspace(f"grid[{config.dimension},{grid}]", hats),
-                curve_order=config.curve_order,
-                eps=config.zigzag_eps,
-                rng=rng,
-            )
+            bound = bernstein_upper_ddim(Subspace(hats), curve_order=config.curve_order,
+                                         eps=config.zigzag_eps, rng=rng)
             bound.witness["grid_ratio_equal_coefficients"] = hat_subspace_ratio_grid(
                 config.dimension, m, grid, params
             )
@@ -434,7 +432,7 @@ def main(argv=None) -> int:
                 command="volterra",
                 grid=args.grid,
                 n_list=_parse_n_list(args.n),
-                kinds=_parse_kinds(args.kinds),
+                kinds=_parse_kinds(args),
                 seed=args.seed,
                 eps=args.eps,
                 zigzag_eps=args.zigzag_eps,
@@ -451,7 +449,7 @@ def main(argv=None) -> int:
                 dimension=args.dim,
                 grid=args.grid,
                 n_list=_parse_n_list(args.m),
-                kinds=_parse_kinds(args.kinds),
+                kinds=_parse_kinds(args),
                 seed=args.seed,
                 zigzag_eps=args.zigzag_eps,
                 space=space,

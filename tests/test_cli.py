@@ -53,7 +53,31 @@ def test_unknown_kind_named(command, capsys):
         main(command + ["--kinds", "i,x"])
     assert err.value.code == 2
     message = capsys.readouterr().err
-    assert "unknown kind 'x'" in message and "a, b, c, d, i" in message
+    allowed = "b, i" if command[0] == "cube" else "a, b, c, d, i"
+    assert "unknown kind 'x'" in message and f"choose from {allowed}\n" in message
+
+
+@pytest.mark.parametrize("kinds", ["a", "i,c"])
+def test_cube_rejects_interval_kinds(kinds, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["cube", "--m", "1", "--kinds", kinds])
+    assert err.value.code == 2
+    assert "choose from b, i" in capsys.readouterr().err
+
+
+def test_cube_emits_exactly_the_requested_kinds(tmp_path):
+    base = ["cube", "--dim", "2", "--m", "1,2", "--curve-order", "2", "--grid", "16"]
+    rows = {}
+    for kinds in ("b", "i", "i,b"):
+        out = tmp_path / f"{kinds}.json"
+        assert main(base + ["--kinds", kinds, "--out", str(out)]) == 0
+        rows[kinds] = json.loads(out.read_text())["results"]
+        for row in rows[kinds]:
+            del row["witness_path"]
+    assert {r["kind"] for r in rows["b"]} == {"bernstein"}
+    assert {r["kind"] for r in rows["i"]} == {"isomorphism"}
+    # the bernstein search draws from the same rng whatever else is asked for
+    assert rows["i,b"] == [rows["i"][0], rows["b"][0], rows["i"][1], rows["b"][1]]
 
 
 def test_hilbert_check_ok():
@@ -221,6 +245,7 @@ def test_run_config_roundtrip():
     config = RunConfig(command="volterra", n_list=(1, 2), kinds=("isomorphism",))
     d = config.to_json_dict()
     assert d["command"] == "volterra" and d["n_list"] == [1, 2]
+    assert "samples" not in d  # only `snum john` samples
 
 
 def test_readme_commands_parse():

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -64,17 +65,17 @@ class TestSubspace:
     def test_degenerate_basis_rejected(self):
         f = StepFunction1D.from_cells([1.0, -1.0])
         with pytest.raises(DegenerateBasisError):
-            Subspace("step[2]", [f, f * 2.0])
+            Subspace([f, f * 2.0])
         u = GridFunction.random_interior(np.random.default_rng(1), 2, 8)
         with pytest.raises(DegenerateBasisError):
-            Subspace("grid[2,8]", [u, u.combine([u], [1.0, 1.0])])
+            Subspace([u, u.combine([u], [1.0, 1.0])])
 
     def test_refinement_table_matches_pairwise_integrals(self):
         # the stacked table reproduces the pairwise exact integrals
         rng = np.random.default_rng(4)
         basis = [random_step_function(rng, max_pieces=9, exact=exact)
                  for exact in (True, False, True)]
-        subspace = Subspace("step", basis)
+        subspace = Subspace(basis)
         table = subspace.piece_values * subspace.piece_lengths
         pairwise = [[float(f.integrate_against(g)) for g in basis] for f in basis]
         assert subspace.piece_lengths.sum() == pytest.approx(1.0, abs=1e-12)
@@ -91,7 +92,7 @@ class TestZigzag:
         e = np.array([0.5, -2.0, 1.0])[:, None]
         res = zigzag_find(e, eps=1e-9)
         assert res.status == "certified"
-        assert res.witness.indices == (1,)
+        assert res.witness.indices.tolist() == [1]
         assert res.witness.sup_norm_value == pytest.approx(1.0, abs=1e-12)
         assert res.witness.element[1] == pytest.approx(-1.0, abs=1e-12)
 
@@ -126,6 +127,62 @@ class TestZigzag:
     def test_dimension_exceeds_points(self):
         with pytest.raises(ValueError):
             zigzag_find(np.ones((2, 3)))
+
+    def test_index_set_builders_match_the_python_loops(self):
+        cands = np.array([0, 2, 3, 5, 7, 8, 11])
+        T = np.array([2, 5, 8])
+        outside = cands[~np.isin(cands, T)]
+        loop = [sorted((set(T.tolist()) - {t}) | {i}) for t in T.tolist() for i in outside.tolist()]
+        assert snumbers_mod._exchanges(T, outside).tolist() == loop
+        chunks = list(snumbers_mod._combination_chunks(np.arange(42), 4))
+        assert [len(c) for c in chunks] == [100_000, math.comb(42, 4) - 100_000]
+        assert np.concatenate(chunks).tolist() == [
+            list(c) for c in itertools.combinations(range(42), 4)
+        ]
+
+    # indices, value, status and evaluations recorded when index sets were
+    # still tuples and lists: the array search walks the same path
+    @pytest.mark.parametrize("matrix,seed,eps,indices,value,status,evaluations,lp_solves", [
+        # exhaustive: C(40, 3) = 9880 sets
+        (np.random.default_rng(1).standard_normal((40, 3)), 0, 0.05,
+         [8, 11, 31], 1.0, "certified", 9880, 0),
+        # exhaustive with tripled rows: singular sets go to the LP (64 per chunk)
+        (np.repeat(np.random.default_rng(3).standard_normal((8, 3)), 3, axis=0), 3, 0.05,
+         [0, 6, 9], 0.9999999999999999, "certified", 2024, 64),
+        # local search: C(24, 7) > EXHAUSTIVE_LIMIT, seven kicks off the incumbent
+        (np.random.default_rng(0).standard_normal((24, 7)), 0, 0.05,
+         [6, 8, 11, 12, 16, 18, 21], 1.0, "certified", 2975, 0),
+        # eps = 0 is missed by one ulp, so the C(30, 5) = 142506 sets are swept
+        (np.random.default_rng(0).standard_normal((30, 5)), 0, 0.0,
+         [1, 4, 13, 15, 19], 1.0000000000000002, "inconclusive", 2000 + 142506, 0),
+    ], ids=["exhaustive", "exhaustive-lp", "kicks", "escalation"])
+    def test_search_path_pinned(self, monkeypatch, matrix, seed, eps, indices, value,
+                                status, evaluations, lp_solves):
+        calls = []
+
+        def counted_lp(*args):
+            calls.append(1)
+            return lp(*args)
+
+        lp = snumbers_mod._minimax_lp
+        monkeypatch.setattr(snumbers_mod, "_minimax_lp", counted_lp)
+        res = zigzag_find(matrix, eps=eps, rng=np.random.default_rng(seed))
+        assert res.witness.indices.tolist() == indices
+        assert (res.value, res.status, res.evaluations) == (value, status, evaluations)
+        assert len(calls) == lp_solves
+
+    def test_unsolvable_first_start_does_not_stop_the_search(self):
+        # all rows but four planted ones are copies of one small row, so every
+        # start with two copies is infeasible (value inf, no incumbent); the
+        # search used to crash kicking off the missing incumbent
+        rng = np.random.default_rng(0)
+        matrix = np.tile(0.01 * rng.standard_normal(4), (45, 1))
+        planted = np.sort(rng.choice(45, 4, replace=False))
+        matrix[planted] = rng.standard_normal((4, 4))
+        res = zigzag_find(matrix, rng=np.random.default_rng(0))
+        assert res.status == "certified"
+        assert res.witness.indices.tolist() == planted.tolist()
+        assert res.evaluations > math.comb(45, 4)  # the escalation sweep ran
 
 
 class TestIsomorphism1d:
@@ -174,7 +231,7 @@ class TestBernstein1d:
         blocks = [
             from_json_dict(b) for b in iso.witness["factorization"]["building_blocks"]
         ]
-        subspace = Subspace("step[8]", blocks)
+        subspace = Subspace(blocks)
         low = bernstein_lower(subspace)
         assert low.status == "certified"
         assert float(low.lower) == pytest.approx(0.25, abs=1e-12)
@@ -193,7 +250,7 @@ class TestBernstein1d:
 
     def test_single_dipole_ratio_half(self):
         f = dipole(0, 1, 4)
-        low = bernstein_lower(Subspace("step[4]", [f]))
+        low = bernstein_lower(Subspace([f]))
         assert float(low.lower) == pytest.approx(0.5, abs=1e-12)
 
     def test_lower_respects_isomorphism_chain(self):
@@ -201,8 +258,32 @@ class TestBernstein1d:
         blocks = [
             from_json_dict(b) for b in iso.witness["factorization"]["building_blocks"]
         ]
-        low = bernstein_lower(Subspace("step[8]", blocks))
+        low = bernstein_lower(Subspace(blocks))
         assert float(low.lower) >= float(iso.lower) - 1e-12
+
+    def test_node_matrix_is_running_sum_of_table(self):
+        # bitwise the per-node evaluation of the antiderivatives, C-ordered
+        rng = np.random.default_rng(6)
+        for n, cells in [(1, 8), (3, 64), (5, 240)]:
+            subspace = random_mean_zero_step_subspace(rng, n, cells)
+            matrix = snumbers_mod._volterra_node_matrix(subspace)
+            assert matrix.flags.c_contiguous
+            curves = [volterra_apply(f) for f in subspace.basis]
+            expected = np.array(
+                [[float(curve(t)) for curve in curves] for t in subspace.breakpoints]
+            )
+            assert matrix.tobytes() == expected.tobytes()
+
+    def test_lower_bits_pinned_on_selftest_subspaces(self):
+        # the one_dim_bernstein selftest subspaces with n <= 3 (their searches
+        # are exhaustive and draw nothing from the rng); digest of the values
+        # recorded before bernstein_lower shared the batched solve
+        rng = np.random.default_rng(20_240_501)
+        values = [bernstein_lower(random_mean_zero_step_subspace(rng, n, 64)).lower
+                  for n in (1, 2, 3) for _ in range(20)]
+        assert hashlib.sha256(np.array(values).tobytes()).hexdigest() == (
+            "8a8bf89820e46f24e64de6bdbb29f5cf723697c23a18a64ece0b200f359b32da"
+        )
 
     def test_heuristic_path_reports_uncertified(self):
         # beyond the exact enumeration there is no certified lower bound
@@ -260,6 +341,18 @@ class TestKolmogorov:
     def test_upper_quarter(self):
         bound = kolmogorov_upper_1d(2)
         assert bound.upper == Fraction(1, 4)
+
+    def test_upper_confirmation_runs_once(self):
+        # the n-independent confirmation is shared; witness as recorded before
+        witnesses = [kolmogorov_upper_1d(n).witness for n in (2, 3, 7)]
+        assert snumbers_mod._midrange_confirmation.cache_info().currsize == 1
+        assert witnesses == 3 * [{
+            "argument": "oscillation <= 1/2; midrange constant",
+            "dipole_deviation": "1/4",
+            "confirm_cells": 1024,
+            "random_trials": 64,
+            "worst_random_deviation": 0.20645005352823892,
+        }]
 
     def test_upper_needs_n_at_least_two(self):
         with pytest.raises(ValueError):
@@ -334,7 +427,7 @@ class TestDdim:
 
     def test_hat_sandwich_n_four(self):
         hats = hat_functions(2, 2, 32)
-        subspace = Subspace("grid[2,32]", hats)
+        subspace = Subspace(hats)
         bound = bernstein_upper_ddim(subspace, curve_order=2, eps=0.05,
                                      rng=np.random.default_rng(0))
         assert bound.status == "certified"
@@ -349,7 +442,7 @@ class TestDdim:
 
     def test_single_direction_no_alternation(self):
         hats = hat_functions(2, 1, 16)
-        bound = bernstein_upper_ddim(Subspace("grid[2,16]", hats), curve_order=2)
+        bound = bernstein_upper_ddim(Subspace(hats), curve_order=2)
         assert bound.witness["note"] == "single direction"
         assert bound.lower > 0 and bound.upper is None
 
@@ -366,7 +459,7 @@ class TestDdim:
     def test_grid_resolution_must_match_curve(self):
         hats = hat_functions(2, 2, 16)
         with pytest.raises(GridMismatchError):
-            bernstein_upper_ddim(Subspace("grid[2,16]", hats), curve_order=4)
+            bernstein_upper_ddim(Subspace(hats), curve_order=4)
 
     def test_failed_search_is_an_inconclusive_cube_record(self, monkeypatch):
         # force the alternation search to find no witness; also capture the
@@ -379,7 +472,7 @@ class TestDdim:
 
         monkeypatch.setattr(snumbers_mod, "zigzag_find", no_witness)
         hats = hat_functions(2, 2, 32)
-        bound = bernstein_upper_ddim(Subspace("grid[2,32]", hats), curve_order=2)
+        bound = bernstein_upper_ddim(Subspace(hats), curve_order=2)
         assert bound.status == "inconclusive"
         assert bound.to_json_dict()["operator"] == "cube"
         ordering = hilbert_order(2, 2)
