@@ -186,9 +186,7 @@ def _run_cube(config: RunConfig) -> list:
             hats = hat_functions(config.dimension, m, grid)
             bound = bernstein_upper_ddim(Subspace(hats), curve_order=config.curve_order,
                                          eps=config.zigzag_eps, rng=rng)
-            bound.witness["grid_ratio_equal_coefficients"] = hat_subspace_ratio_grid(
-                config.dimension, m, grid, params
-            )
+            bound.witness["grid_ratio_equal_coefficients"] = hat_subspace_ratio_grid(hats, params)
             bounds.append(bound)
     return bounds
 

@@ -23,6 +23,7 @@ from .snumbers import (
     bernstein_upper_1d,
     bernstein_upper_ddim,
     gelfand_lower_bound,
+    hat_functions,
     hat_subspace_ratio_closed_form,
     hat_subspace_ratio_grid,
     isomorphism_lower_1d,
@@ -242,7 +243,7 @@ def check_cube_scaling() -> CheckResult:
         bound = isomorphism_lower_ddim(2, m, params)
         if bound.lower * m != Fraction(1, 4):
             problems.append(f"m={m}: lower * sqrt(n) = {bound.lower * m}")
-        ratio = hat_subspace_ratio_grid(2, m, 16 * m, params)
+        ratio = hat_subspace_ratio_grid(hat_functions(2, m, 16 * m), params)
         closed = hat_subspace_ratio_closed_form(2, m, params)
         if not float(bound.lower) <= ratio + 1e-12:
             problems.append(f"m={m}: grid ratio {ratio} below the certified lower bound")

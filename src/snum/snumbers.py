@@ -203,6 +203,13 @@ RESTARTS = 12  # local-search starting sets
 KICKS = 24  # two-index perturbations of the incumbent per start
 MAX_SWEEPS = 80  # exchange sweeps per descent
 LP_BUDGET = 64  # singular index sets per batch handed to the LP
+BLOCK_ENTRIES = 1 << 22  # matrix entries per stacked block of index sets
+
+# rank-one screening of exchange sweeps
+SCREEN_MIN_N = 8  # below this dimension the exact batch is the faster sweep
+SCREEN_COND_LIMIT = 1e6  # worse-conditioned incumbents are scored exactly
+SCREEN_TOL = 16  # safety factor on the screen's first-order rounding bounds
+SCREEN_BLOCK = 1 << 20  # interpolant entries per block of screened exchanges
 
 BERNSTEIN_LOWER_MAX_N = 3  # vertex enumeration is exhaustive up to this n
 
@@ -238,20 +245,30 @@ def _minimax_for_sets(matrix, sets, alt, lp_fallback=False):
     one square solve per set.  Singular sets are infeasible or need the LP.
     ``sets`` is an (m, n) integer array.  Returns (values, coefficient rows);
     infeasible sets get +inf.
+
+    The (sets, n, n) stack is built, tested and solved in blocks of at most
+    ``BLOCK_ENTRIES`` entries; each set is factored on its own, so the blocks
+    do not change its coefficients.  The product with the basis stays one
+    call over all nonsingular sets, as without blocks, because BLAS may round
+    a column differently depending on where it sits in the product.
     """
     m, n = sets.shape
     vals = np.full(m, np.inf)
     coeffs = np.zeros((m, n))
-    sub = matrix[sets]  # (m, n, n)
-    # Hadamard-relative singularity test: |det| <= product of row norms
-    hadamard = np.sqrt((sub**2).sum(axis=2)).prod(axis=1) + 1e-300
-    good = np.abs(np.linalg.det(sub)) > 1e-12 * hadamard
+    good = np.zeros(m, dtype=bool)
+    step = max(1, BLOCK_ENTRIES // (n * n))
+    for start in range(0, m, step):
+        sub = matrix[sets[start:start + step]]  # (block, n, n)
+        # Hadamard-relative singularity test: |det| <= product of row norms
+        hadamard = np.sqrt((sub**2).sum(axis=2)).prod(axis=1) + 1e-300
+        ok = np.abs(np.linalg.det(sub)) > 1e-12 * hadamard
+        good[start:start + step] = ok
+        if ok.any():
+            rhs = np.broadcast_to(alt, (int(ok.sum()), n))[..., None]
+            coeffs[start:start + step][ok] = np.linalg.solve(sub[ok], rhs)[..., 0]
     if good.any():
-        rhs = np.broadcast_to(alt, (int(good.sum()), n))[..., None]
-        c = np.linalg.solve(sub[good], rhs)[..., 0]
-        g = matrix @ c.T  # (npts, good)
+        g = matrix @ coeffs[good].T  # (npts, good)
         vals[good] = np.abs(g).max(axis=0)
-        coeffs[good] = c
     if lp_fallback:
         for i in np.nonzero(~good)[0][:LP_BUDGET]:
             v, c = _minimax_lp(matrix, sets[i], alt)
@@ -283,14 +300,112 @@ def _exchanges(T: np.ndarray, outside: np.ndarray) -> np.ndarray:
     return np.sort(swapped, axis=2).reshape(n * m, n)
 
 
+def _screened_exchanges(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: float):
+    """The one-index exchanges of ``T`` that the exact scoring must see to
+    find the first best one if its value is below ``bound``, in
+    ``_exchanges`` order; None when the incumbent is singular or worse
+    conditioned than ``SCREEN_COND_LIMIT``.
+
+    With A = matrix[T] and K = matrix @ inv(A), exchange (pos -> r) is a
+    rank-one change of A with determinant ratio K[r, pos] (Sherman-Morrison),
+    and its interpolant is g' = K b' - K[:, pos] (K[r] b' - b'[pos]) / K[r, pos],
+    where b' is ``alt`` with the sign flipped over the positions that
+    re-sorting shifts.  Prefix sums of alt[j] K[:, j] give g' in O(npts).
+    Each screened quantity carries a first-order rounding bound scaled by
+    n eps cond(A); an exchange is kept when its bound does not settle it: its
+    Hadamard ratio is near the 1e-12 singularity threshold, or its value may
+    be the smallest and below ``bound``.
+    """
+    npts, n = matrix.shape
+    m = len(outside)
+    A = matrix[T]
+    norms = np.sqrt((A**2).sum(axis=1))
+    hadamard = norms.prod()
+    det = abs(np.linalg.det(A))
+    if not (np.isfinite(hadamard) and det > 1e-12 * (hadamard + 1e-300)):
+        return None
+    cond = np.linalg.cond(A)
+    if not cond <= SCREEN_COND_LIMIT:
+        return None
+    tol = SCREEN_TOL * n * np.finfo(float).eps * cond
+    X = np.linalg.inv(A)
+    kt = X.T @ matrix.T  # K transposed, (n, npts); K[T[j]] = e_j
+    ko = kt[:, outside]
+    out_norms = np.sqrt((matrix[outside] ** 2).sum(axis=1))
+    # |det| of each exchange over its Hadamard bound, position-major (n, m)
+    ratio = det * np.abs(ko) / (hadamard / norms[:, None] * out_norms + 1e-300)
+    good = ratio > 1e-12 + tol
+    near = ~good & (ratio >= 1e-12 - tol)
+
+    pos, j = np.nonzero(good)  # proposal order
+    q = np.searchsorted(T, outside)[j]  # entries of T below the new row
+    left = q <= pos  # the new row sorts in before T[pos]
+    lo = np.where(left, q, pos + 1)  # the shifted positions lo..hi-1 flip sign
+    hi = np.where(left, pos, q)
+    new_alt = alt[np.where(left, q, q - 1)] - alt[pos]  # b'[pos] - alt[pos]
+    csum = np.zeros((n + 1, npts))  # csum[k] = sum_{i<k} alt[i] K[:, i]
+    np.cumsum(kt * alt[:, None], axis=0, out=csum[1:])
+    kr = ko[pos, j]
+    co = csum[:, outside[j]]
+    span = np.arange(len(j))
+    kb_r = co[n] - 2 * (co[hi, span] - co[lo, span]) + new_alt * kr  # (K b')[r]
+    coef = (kb_r - new_alt - alt[pos]) / kr
+    beta = new_alt - coef  # g' = K alt - 2 (flipped prefix) + beta K[:, pos]
+
+    vals = np.empty(len(j))
+    step = max(1, SCREEN_BLOCK // npts)
+    for s in range(0, len(j), step):
+        b = slice(s, s + step)
+        g = csum[lo[b]]
+        g -= csum[hi[b]]
+        g *= 2
+        g += csum[n]
+        kp = kt[pos[b]]
+        kp *= beta[b, None]
+        g += kp
+        vals[b] = np.abs(g, out=g).max(axis=1)
+
+    # first-order bound on |g'_screened - g'_exact| over all rows
+    xc = np.sqrt((X**2).sum(axis=0))
+    row_max = np.sqrt((matrix**2).sum(axis=1)).max()
+    col_max = np.abs(kt).max(axis=1)
+    err = tol * (xc.sum() + np.abs(coef) * xc[pos]) * (
+        row_max + col_max[pos] * out_norms[j] / np.abs(kr))
+    keep = (vals - err <= (vals + err).min(initial=np.inf)) & (vals - err < bound)
+
+    flat = np.sort(np.concatenate([pos[keep] * m + j[keep], np.flatnonzero(near)]))
+    sets = np.repeat(T[None], len(flat), axis=0)
+    sets[np.arange(len(flat)), flat // m] = outside[flat % m]
+    sets.sort(axis=1)
+    return sets
+
+
+def _best_exchange(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: float):
+    """(value, set, coefficients) of the first exchange of ``T`` with the
+    least exact interpolation minimax, in ``_exchanges`` order.  From
+    ``SCREEN_MIN_N`` on, a rank-one screen first drops the exchanges that
+    cannot be that one or cannot go below ``bound``.  Value inf (and no set)
+    when none is left."""
+    sets = None
+    if len(T) >= SCREEN_MIN_N:
+        sets = _screened_exchanges(matrix, T, outside, alt, bound)
+    if sets is None:
+        sets = _exchanges(T, outside)
+    if not len(sets):
+        return math.inf, None, None
+    vals, coeffs = _minimax_for_sets(matrix, sets, alt)
+    k = int(np.argmin(vals))
+    return float(vals[k]), sets[k], coeffs[k]
+
+
 def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     """Find g in the column span of ``matrix`` with g(t_j) = (-1)^j at n
     increasing positions and near-minimal sup norm.
 
     Exhaustive over index sets (lexicographic, ties to the first = smallest
     optimum) when the count fits ``EXHAUSTIVE_LIMIT``; otherwise iterated
-    local search (one-index exchange descent with random two-index kicks and
-    restarts).  If the search cannot certify sup norm <= 1 + eps and the set
+    local search (one-index exchange descent, see ``_best_exchange``, with
+    random two-index kicks and restarts).  If the search cannot certify sup norm <= 1 + eps and the set
     count fits ``ESCALATION_LIMIT``, the exhaustive sweep settles it.  Never
     returns a false witness: a failed search reports ``inconclusive`` with the
     best element found.
@@ -333,13 +448,12 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
         vals, coeffs = _minimax_for_sets(matrix, T[None], alt, True)
         cur_val, cur_c = float(vals[0]), coeffs[0]
         for _ in range(MAX_SWEEPS):
-            proposals = _exchanges(T, cands[~np.isin(cands, T)])
-            vals, coeffs = _minimax_for_sets(matrix, proposals, alt)
-            evals += len(proposals)
-            k = int(np.argmin(vals))
-            if not vals[k] < cur_val - 1e-12:
+            outside = cands[~np.isin(cands, T)]
+            evals += n * len(outside)
+            val, S, c = _best_exchange(matrix, T, outside, alt, cur_val - 1e-12)
+            if not val < cur_val - 1e-12:
                 break
-            cur_val, T, cur_c = float(vals[k]), proposals[k], coeffs[k]
+            cur_val, T, cur_c = val, S, c
         return cur_val, T, cur_c
 
     total_sets = comb(len(cands), n)
@@ -853,6 +967,20 @@ def _chebyshev_distance_lp(ts, y, columns) -> float:
     return float(res.fun)
 
 
+def _kolmogorov_sample_points(k_max: int, adversary: Adversary) -> list:
+    """Sorted float points where the spike family meets the adversary: a
+    uniform grid, the dyadic ladders at both ends and the adversary's own."""
+    ladder = [2.0**-j for j in range(1, k_max + 3)]
+    return sorted(
+        set(np.linspace(0.0, 1.0, 1025).tolist())
+        | set(ladder)
+        | {1.0 - t for t in ladder}
+        | {1.5 * 2.0**-j for j in range(1, k_max + 3)}
+        | {1.0 - 1.5 * 2.0**-j for j in range(1, k_max + 3)}
+        | set(adversary.extra_points)
+    )
+
+
 def kolmogorov_lower_witness(k_max: int, n: int = 2, adversaries=None, rng=None) -> SNumberBound:
     """Shrinking-dipole family pinned at two points: the antiderivatives are 0
     at 0 and 1/2 at 2^-k while the mass stays 1, so no low-dimensional
@@ -887,25 +1015,15 @@ def kolmogorov_lower_witness(k_max: int, n: int = 2, adversaries=None, rng=None)
             raise AssertionError("two-point values are off")
         family.append(curve)
 
-    ladder = [2.0**-j for j in range(1, k_max + 3)]
-    base_pts = sorted(
-        set(np.linspace(0.0, 1.0, 1025).tolist())
-        | set(ladder)
-        | {1.0 - t for t in ladder}
-        | {1.5 * 2.0**-j for j in range(1, k_max + 3)}
-        | {1.0 - 1.5 * 2.0**-j for j in range(1, k_max + 3)}
-    )
-
     delta = Fraction(1, 2**k_max)
     reference = Fraction(1, 4) - delta
     lower = reference
     per_adversary = {}
     for adv in adversaries:
-        pts = sorted(set(base_pts) | set(adv.extra_points))
+        pts = _kolmogorov_sample_points(k_max, adv)
         dist = 0.0
         for curve in family:
-            y = np.array([float(curve(t)) for t in pts])
-            dist = max(dist, _chebyshev_distance_lp(pts, y, adv.columns))
+            dist = max(dist, _chebyshev_distance_lp(pts, curve.sample(pts), adv.columns))
         per_adversary[adv.name] = dist
         if dist < lower:
             lower = dist
@@ -938,23 +1056,33 @@ def _ball_centers(dim: int, m: int):
 
 
 def hat_functions(dim: int, m: int, cells_per_side: int) -> list:
-    """Cone profiles (radius - distance)+ over disjoint inscribed balls."""
+    """Cone profiles (radius - distance)+ over disjoint inscribed balls.
+
+    Each profile is evaluated on the interior nodes of its ball's bounding
+    box and is 0 elsewhere; boundary nodes are exact 0, which the float
+    profile misses by rounding when m is odd.
+    """
     if cells_per_side % (2 * m):
         raise GridMismatchError(
             f"need {2 * m} | cells_per_side so ball centers are grid nodes"
         )
     r = 1.0 / (2 * m)
+    half = cells_per_side // (2 * m)  # the radius in cells
     axis = np.arange(cells_per_side + 1) / cells_per_side
-    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
     out = []
     for center in _ball_centers(dim, m):
+        box = tuple(
+            slice(max(int(c * cells_per_side) - half, 1),
+                  min(int(c * cells_per_side) + half, cells_per_side - 1) + 1)
+            for c in center
+        )
+        mesh = np.meshgrid(*(axis[b] for b in box), indexing="ij")
         dist = np.sqrt(
             sum((g - float(c)) ** 2 for g, c in zip(mesh, center))
         )
-        out.append(
-            GridFunction(dim, cells_per_side, np.maximum(0.0, r - dist),
-                         boundary_zero=True)
-        )
+        values = np.zeros((cells_per_side + 1,) * dim)
+        values[box] = np.maximum(0.0, r - dist)
+        out.append(GridFunction(dim, cells_per_side, values, boundary_zero=True))
     return out
 
 
@@ -983,13 +1111,13 @@ def isomorphism_lower_ddim(dim: int, m: int, params: LorentzParams,
     r = Fraction(1, 2 * m)
     centers = _ball_centers(dim, m)
 
-    # exact identity: centers of distinct balls are >= 2r apart
-    for j, cj in enumerate(centers):
-        for k, ck in enumerate(centers):
-            d2 = sum((a - b) ** 2 for a, b in zip(cj, ck))
-            inside = d2 < r**2
-            if (j == k) != inside:
-                raise AssertionError("ball geometry violated")
+    # exact identity: centers of distinct balls are >= 2r apart.  Centers are
+    # (2a+1)/(2m) and r = 1/(2m), so |c_j - c_k| < r iff the integer squared
+    # distance of the numerators 2a+1 is < 1
+    nums = 2 * np.array(list(itertools.product(range(m), repeat=dim))) + 1
+    d2 = ((nums[:, None, :] - nums[None, :, :]) ** 2).sum(axis=2)
+    if not np.array_equal(d2 < 1, np.eye(n, dtype=bool)):
+        raise AssertionError("ball geometry violated")
 
     full = StepFunction1D.indicator(0, 1, height=1, exact=True)
     try:
@@ -1049,10 +1177,9 @@ def hat_subspace_ratio_closed_form(dim: int, m: int, params: LorentzParams) -> f
     return r / norm
 
 
-def hat_subspace_ratio_grid(dim: int, m: int, cells_per_side: int,
-                            params: LorentzParams) -> float:
-    """The same infimum on the declared grid surrogate (equal coefficients)."""
-    hats = hat_functions(dim, m, cells_per_side)
+def hat_subspace_ratio_grid(hats: list, params: LorentzParams) -> float:
+    """The same infimum on the declared grid surrogate (equal coefficients),
+    for the ``hat_functions`` profiles ``hats``."""
     combo = hats[0].combine(hats[1:], [1.0] * len(hats))
     return combo.sup_norm() / grid_gradient_lorentz_norm(combo, params)
 
@@ -1095,6 +1222,16 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
     stride = R >> (curve_order + 1)
     node_ids = tuple(((2 * ordering.coords + 1) * stride).T)  # cube centers, curve order
     matrix = np.column_stack([u.nodal_values[node_ids] for u in subspace.basis])
+    empty = np.flatnonzero(~matrix.any(axis=0))
+    if len(empty):  # e.g. a hat whose ball holds no cube center
+        return SNumberBound(
+            kind="bernstein", n=n, status="inconclusive", mode=FLOAT,
+            witness={"reason": f"basis elements {empty.tolist()} vanish at every "
+                               f"cube center at curve order {curve_order}",
+                     "empty_elements": empty.tolist()},
+            label="cube embedding: bernstein chain",
+            operator="cube",
+        )
     res = zigzag_find(matrix, eps=eps, rng=rng)
     if res.witness is None:
         return SNumberBound(

@@ -7,6 +7,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .spaces import MeanZeroTag, StepFunction1D
 
 
@@ -38,6 +40,23 @@ class VolterraCurve:
                 lam = (t - bps[i]) / width
                 return (1 - lam) * vals[i] + lam * vals[i + 1]
         return vals[-1]
+
+    def sample(self, ts) -> np.ndarray:
+        """``[float(self(t)) for t in ts]`` as one array expression with the
+        same float arithmetic: on the first piece whose right end is >= t,
+        lam = (t - bp_i) / width_i and the value is
+        (1 - lam) v_i + lam v_{i+1}.  Bit-for-bit equal to the pointwise
+        calls when every breakpoint is a float (or converts to one exactly,
+        as dyadic rationals do)."""
+        ts = np.asarray(ts, dtype=float)
+        if ts.size and not (0 <= ts.min() and ts.max() <= 1):
+            raise ValueError("t outside [0, 1]")
+        bps = np.array([float(b) for b in self.breakpoints])
+        widths = np.array([float(b - a) for a, b in zip(self.breakpoints, self.breakpoints[1:])])
+        vals = np.array([float(v) for v in self.node_values])
+        i = np.clip(np.searchsorted(bps, ts) - 1, 0, len(widths) - 1)
+        lam = (ts - bps[i]) / widths[i]
+        return (1 - lam) * vals[i] + lam * vals[i + 1]
 
     def slopes(self):
         """Recover the integrand's piece values (the inverse map)."""

@@ -206,6 +206,23 @@ def test_cube_command(tmp_path):
     assert len(lines) > 2
 
 
+@pytest.mark.parametrize("m,status,reason", [
+    (3, "certified", None),
+    (5, "inconclusive", "alternation search failed"),
+    (6, "inconclusive", "basis elements [7, 10, 25, 28] vanish"),
+    (7, "inconclusive", "basis elements [17, 23, 24, 25, 31] vanish"),
+])
+def test_cube_odd_and_uncovered_m(tmp_path, m, status, reason):
+    # odd m used to exit 2 on rounded boundary nodes, m = 6 on an empty hat
+    out = tmp_path / "cube.json"
+    assert main(["cube", "--dim", "2", "--m", str(m), "--out", str(out)]) == 0
+    rows = {r["kind"]: r for r in json.loads(out.read_text())["results"]}
+    assert rows["isomorphism"]["status"] == "certified"
+    assert rows["bernstein"]["status"] == status
+    witness = json.loads(Path(rows["bernstein"]["witness_path"]).read_text())
+    assert witness.get("reason", "").startswith(reason or "")
+
+
 def test_selftest_subset(capsys):
     assert selftest_mod.run_selftest({"operator_norm_half"}) == 0
     captured = capsys.readouterr()

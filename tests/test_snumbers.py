@@ -30,6 +30,7 @@ from snum.snumbers import (
     midrange_deviation,
     random_grid_subspace,
     random_mean_zero_step_subspace,
+    shipped_adversaries,
     snumber_axiom_suite,
     two_sided_spike,
     ZigzagResult,
@@ -183,6 +184,165 @@ class TestZigzag:
         assert res.status == "certified"
         assert res.witness.indices.tolist() == planted.tolist()
         assert res.evaluations > math.comb(45, 4)  # the escalation sweep ran
+
+
+def _hat_like(rng, rows, n, noise=0.0):
+    """One unit entry per row, ``rows // n`` rows per column, plus noise."""
+    matrix = np.zeros((rows, n))
+    matrix[np.arange(rows), np.arange(rows) * n // rows] = 1.0
+    return matrix + noise * rng.standard_normal((rows, n))
+
+
+def _screen_cases():
+    rng = np.random.default_rng(12)
+    near_singular = np.repeat(rng.standard_normal((21, 8)), 2, axis=0)
+    near_singular += 1e-9 * rng.standard_normal(near_singular.shape)
+    return [
+        pytest.param(rng.standard_normal((36, 8)), "screened", id="dense-8"),
+        pytest.param(rng.standard_normal((44, 12)), "screened", id="dense-12"),
+        pytest.param(rng.standard_normal((34, 16)), "screened", id="dense-16"),
+        # most exchanges put two rows of one column together: singular
+        pytest.param(_hat_like(rng, 48, 12), "screened", id="hat-like"),
+        # small integers: many exchanges tie exactly
+        pytest.param(rng.integers(-2, 3, (40, 9)).astype(float), "screened", id="ties"),
+        # pairs of nearly equal rows: ill-conditioned incumbents are scored exactly
+        pytest.param(near_singular, "fallback", id="near-singular"),
+    ]
+
+
+class TestExchangeScreen:
+    @pytest.mark.parametrize("matrix,path", _screen_cases())
+    def test_screened_descent_matches_exact(self, monkeypatch, matrix, path):
+        screened = []
+
+        def recorded(*args):
+            sets = screen(*args)
+            screened.append(sets is not None)
+            return sets
+
+        screen = snumbers_mod._screened_exchanges
+        monkeypatch.setattr(snumbers_mod, "_screened_exchanges", recorded)
+        results = []
+        for min_n in (math.inf, 1):  # exact sweeps, then screened sweeps
+            monkeypatch.setattr(snumbers_mod, "SCREEN_MIN_N", min_n)
+            results.append(zigzag_find(matrix, rng=np.random.default_rng(3)))
+        exact, fast = results
+        assert fast.witness.indices.tolist() == exact.witness.indices.tolist()
+        assert (fast.value, fast.status, fast.evaluations) == (
+            exact.value, exact.status, exact.evaluations)
+        assert fast.witness.coefficients.tobytes() == exact.witness.coefficients.tobytes()
+        assert any(screened)
+        if path == "fallback":
+            assert not all(screened)
+
+    def test_screen_keeps_the_first_exact_argmin(self):
+        # one sweep of exact ties: the screen hands every tied exchange over
+        rng = np.random.default_rng(5)
+        matrix = _hat_like(rng, 40, 8)
+        T = np.arange(8) * 5 + 2
+        outside = np.setdiff1d(np.arange(40), T)
+        alt = snumbers_mod._alternation_target(8)
+        sets = snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf)
+        proposals = snumbers_mod._exchanges(T, outside)
+        vals, _ = snumbers_mod._minimax_for_sets(matrix, proposals, alt)
+        finite = proposals[np.isfinite(vals)]  # the 8 * 4 in-column exchanges
+        assert sets.tolist() == finite.tolist()
+        assert snumbers_mod._screened_exchanges(matrix, T, outside, alt, 1.0 - 1e-12).size == 0
+
+    def test_near_ties_are_settled_exactly(self, monkeypatch):
+        # symmetric incumbents on a Chebyshev basis: mirrored exchanges tie in
+        # exact arithmetic and differ by rounding, in either order
+        P, n = 31, 8
+        t = np.linspace(-1.0, 1.0, P)
+        matrix = np.stack([np.cos(k * np.arccos(t)) for k in range(n)], axis=1)
+        alt = snumbers_mod._alternation_target(n)
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            half = np.sort(rng.choice(P // 2, n // 2, replace=False))
+            T = np.sort(np.concatenate([half, P - 1 - half]))
+            outside = np.setdiff1d(np.arange(P), T)
+            picks = []
+            for min_n in (1, math.inf):
+                monkeypatch.setattr(snumbers_mod, "SCREEN_MIN_N", min_n)
+                val, best, c = snumbers_mod._best_exchange(matrix, T, outside, alt, np.inf)
+                picks.append((best.tolist(), c.tobytes()))
+            assert picks[0] == picks[1]
+            # a bound one ulp above the exact minimum still keeps the winner
+            bound = np.nextafter(val, np.inf)
+            sets = snumbers_mod._screened_exchanges(matrix, T, outside, alt, bound)
+            assert best.tolist() in sets.tolist()
+
+    def test_exchange_near_the_singularity_threshold_is_scored_exactly(self):
+        rng = np.random.default_rng(7)
+        n = 8
+        matrix = rng.standard_normal((30, n))
+        T = np.arange(n) * 3
+        A = matrix[T]
+        norms = np.sqrt((A**2).sum(axis=1))
+        v = rng.standard_normal(n)
+        # row 29 = A[1] + delta v: swapped for T[0], its determinant over the
+        # Hadamard bound is |det A| |delta (v inv(A))[0]| / prod(other norms)
+        w = (v @ np.linalg.inv(A))[0]
+        delta = 1e-12 * norms[1:].prod() * norms[1] / abs(np.linalg.det(A) * w)
+        matrix[29] = A[1] + delta * v
+        outside = np.setdiff1d(np.arange(30), T)
+        alt = snumbers_mod._alternation_target(n)
+        sets = snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf)
+        assert [*T[1:].tolist(), 29] in sets.tolist()
+
+    def test_ill_conditioned_incumbent_is_not_screened(self):
+        # orthogonal rows pass the Hadamard test at any row scaling
+        q = np.linalg.qr(np.random.default_rng(1).standard_normal((8, 8)))[0]
+        matrix = np.vstack([q * np.logspace(0, -7, 8)[:, None], np.eye(8)])
+        T, outside = np.arange(8), np.arange(8, 16)
+        alt = snumbers_mod._alternation_target(8)
+        assert snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf) is None
+        matrix[:8] = q
+        assert snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf) is not None
+
+    def test_one_wide_sweep_stays_small(self):
+        import tracemalloc
+
+        # n = 64, P = 512: the exact batch stacks 28,672 matrices of 64 x 64
+        rng = np.random.default_rng(0)
+        matrix = _hat_like(rng, 512, 64, noise=0.05)
+        matrix /= np.abs(matrix).max(axis=0)
+        T = np.arange(64) * 8 + rng.integers(0, 8, 64)
+        outside = np.setdiff1d(np.arange(512), T)
+        alt = snumbers_mod._alternation_target(64)
+        tracemalloc.start()
+        try:
+            sets = snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf)
+            val, best, _ = snumbers_mod._best_exchange(matrix, T, outside, alt, np.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sets is not None and 0 < len(sets) < 100
+        assert best is not None and math.isfinite(val)
+        assert peak < 64 * 2**20
+
+    def test_minimax_blocks_match_one_block(self, monkeypatch):
+        # a 100 000-set chunk stays one block up to n = 6
+        assert snumbers_mod.BLOCK_ENTRIES // 6**2 >= 100_000
+        # tripled rows make singular sets, which go to the LP
+        rng = np.random.default_rng(3)
+        matrix = np.repeat(rng.standard_normal((9, 4)), 3, axis=0)
+        sets = np.array(list(itertools.combinations(range(27), 4)))
+        lp = snumbers_mod._minimax_lp
+        results = []
+        for entries in (10**9, 16 * 7):  # one block, then blocks of 7 sets
+            calls = []
+
+            def counted_lp(*args):
+                calls.append(1)
+                return lp(*args)
+
+            monkeypatch.setattr(snumbers_mod, "_minimax_lp", counted_lp)
+            monkeypatch.setattr(snumbers_mod, "BLOCK_ENTRIES", entries)
+            vals, coeffs = snumbers_mod._minimax_for_sets(matrix, sets, np.array([-1.0, 1, -1, 1]), True)
+            results.append((vals.tobytes(), coeffs.tobytes(), len(calls)))
+        assert results[0] == results[1]
+        assert results[0][2] == snumbers_mod.LP_BUDGET
 
 
 class TestIsomorphism1d:
@@ -373,6 +533,18 @@ class TestKolmogorov:
             assert curve(Fraction(0)) == 0
             assert curve(Fraction(1, 2**k)) == Fraction(1, 2)
 
+    def test_spike_samples_match_pointwise_evaluation(self):
+        # the array evaluation is bit for bit the pointwise one on every point
+        # set the witness samples, for every spike of the family
+        rng = np.random.default_rng(0)
+        family = [volterra_apply(two_sided_spike(k)) for k in range(1, 11)]
+        for n in (2, 3, 4):
+            for adv in shipped_adversaries(n, rng):
+                pts = snumbers_mod._kolmogorov_sample_points(10, adv)
+                for curve in family:
+                    pointwise = np.array([float(curve(t)) for t in pts])
+                    assert curve.sample(pts).tobytes() == pointwise.tobytes()
+
     def test_two_point_reference_value(self):
         # the generic two-point bound (b - a)/2 with a = 0, b = 1/2
         a, b = Fraction(0), Fraction(1, 2)
@@ -436,7 +608,7 @@ class TestDdim:
 
     def test_hat_ratio_grid_close_to_closed_form(self):
         params = LorentzParams(2, 1)
-        grid = hat_subspace_ratio_grid(2, 2, 32, params)
+        grid = hat_subspace_ratio_grid(hat_functions(2, 2, 32), params)
         closed = hat_subspace_ratio_closed_form(2, 2, params)
         assert grid == pytest.approx(closed, rel=0.02)
 
@@ -460,6 +632,29 @@ class TestDdim:
         hats = hat_functions(2, 2, 16)
         with pytest.raises(GridMismatchError):
             bernstein_upper_ddim(Subspace(hats), curve_order=4)
+
+    def test_hat_nodes_unchanged_where_the_boundary_was_exact(self):
+        # m = 4: the interior-only evaluation gives the old nodal values bit
+        # for bit; odd m: the boundary is exact 0 (it used to miss by rounding)
+        for dim, m, cells in ((2, 4, 64), (3, 4, 32)):
+            axis = np.arange(cells + 1) / cells
+            mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+            centers = snumbers_mod._ball_centers(dim, m)
+            for hat, center in zip(hat_functions(dim, m, cells), centers):
+                dist = np.sqrt(sum((g - float(c)) ** 2 for g, c in zip(mesh, center)))
+                old = np.maximum(0.0, 1.0 / (2 * m) - dist)
+                assert hat.nodal_values.tobytes() == old.tobytes()
+        for m in (3, 5, 7):
+            hats = hat_functions(2, m, 16 * m)
+            assert all(h.boundary_zero and h.nodal_values.max() > 0 for h in hats)
+
+    def test_empty_hat_is_an_inconclusive_cube_record(self):
+        # m = 6 at curve order 3: four balls hold no cube center
+        hats = hat_functions(2, 6, 48)
+        bound = bernstein_upper_ddim(Subspace(hats), curve_order=3)
+        assert (bound.status, bound.upper, bound.operator) == ("inconclusive", None, "cube")
+        assert bound.witness["empty_elements"] == [7, 10, 25, 28]
+        assert "[7, 10, 25, 28]" in bound.witness["reason"]
 
     def test_failed_search_is_an_inconclusive_cube_record(self, monkeypatch):
         # force the alternation search to find no witness; also capture the
