@@ -135,12 +135,16 @@ class CubeUnion:
         out = np.empty(len(pts))
         chunk = max(1, int(4_000_000 // max(len(lows), 1)))
         for s in range(0, len(pts), chunk):
-            squared = 0.0  # (points, faces), summed axis by axis
-            for a in range(self.dim):
+            for a in range(self.dim):  # (points, faces), summed axis by axis in place
                 x = pts[s : s + chunk, a, None]
-                gap = np.maximum(lows[:, a] - x, x - highs[:, a])
+                gap = lows[:, a] - x
+                np.maximum(gap, x - highs[:, a], out=gap)
                 np.maximum(gap, 0.0, out=gap)
-                squared = squared + gap * gap
+                gap *= gap
+                if a == 0:  # 0.0 + x == x: the first axis starts the sum
+                    squared = gap
+                else:
+                    squared += gap
             # sqrt is monotone and correctly rounded: sqrt of the min is exact
             out[s : s + chunk] = np.sqrt(squared.min(axis=1))
         return out
@@ -431,6 +435,7 @@ def oscillation_check(omega: CubeUnion, u: GridFunction, certificate: JohnCertif
         view |= mask
     vals = u.nodal_values[node_mask]
     osc = float(vals.max() - vals.min())
-    norm = grid_gradient_lorentz_norm(u, LorentzParams(u.dim, 1), cell_mask=mask)
+    norm = grid_gradient_lorentz_norm(u.gradient_field(), LorentzParams(u.dim, 1),
+                                      cell_mask=mask)
     bound = certificate.constant * norm
     return osc <= bound + 1e-12, osc, bound

@@ -268,7 +268,7 @@ def _minimax_for_sets(matrix, sets, alt, lp_fallback=False):
             coeffs[start:start + step][ok] = np.linalg.solve(sub[ok], rhs)[..., 0]
     if good.any():
         g = matrix @ coeffs[good].T  # (npts, good)
-        vals[good] = np.abs(g).max(axis=0)
+        vals[good] = np.abs(g, out=g).max(axis=0)  # in place: one table per batch
     if lp_fallback:
         for i in np.nonzero(~good)[0][:LP_BUDGET]:
             v, c = _minimax_lp(matrix, sets[i], alt)
@@ -406,9 +406,10 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     optimum) when the count fits ``EXHAUSTIVE_LIMIT``; otherwise iterated
     local search (one-index exchange descent, see ``_best_exchange``, with
     random two-index kicks and restarts).  If the search cannot certify sup norm <= 1 + eps and the set
-    count fits ``ESCALATION_LIMIT``, the exhaustive sweep settles it.  Never
-    returns a false witness: a failed search reports ``inconclusive`` with the
-    best element found.
+    count fits ``ESCALATION_LIMIT``, the exhaustive sweep settles it.  If no
+    incumbent is left after that, one descent starts from each column's peak
+    row.  Never returns a false witness: a failed search reports
+    ``inconclusive`` with the best element found.
     """
     matrix = np.asarray(matrix, dtype=float)
     npts, n = matrix.shape
@@ -486,6 +487,12 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
                 break
         if best_val > 1.0 + eps and total_sets <= ESCALATION_LIMIT:
             exhaustive_sweep()
+        if best_T is None:
+            # disjoint supports (cube hats): every exchange of a set missing
+            # two columns is singular, so start from one peak row per column
+            peaks = cands[np.abs(matrix[cands]).argmax(axis=0)]
+            if len(np.unique(peaks)) == n:
+                improve(*descend(np.sort(peaks)))
 
     if best_T is None:
         return ZigzagResult(None, "inconclusive", math.inf, evals)
@@ -1181,7 +1188,7 @@ def hat_subspace_ratio_grid(hats: list, params: LorentzParams) -> float:
     """The same infimum on the declared grid surrogate (equal coefficients),
     for the ``hat_functions`` profiles ``hats``."""
     combo = hats[0].combine(hats[1:], [1.0] * len(hats))
-    return combo.sup_norm() / grid_gradient_lorentz_norm(combo, params)
+    return combo.sup_norm() / grid_gradient_lorentz_norm(combo.gradient_field(), params)
 
 
 def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05,
@@ -1209,7 +1216,7 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
     if n == 1:
         # a one-dimensional subspace has a single ratio, a valid lower bound
         # for the first scale (and trivially at most the embedding norm)
-        ratio = u0.sup_norm() / grid_gradient_lorentz_norm(u0, params)
+        ratio = u0.sup_norm() / grid_gradient_lorentz_norm(u0.gradient_field(), params)
         return SNumberBound(
             kind="bernstein", n=1, lower=ratio,
             witness={"ratio_at_witness": ratio, "note": "single direction"},
@@ -1246,11 +1253,12 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
     c_john = uniform_john_constant(d)
     d_conj = d / (d - 1)
 
+    field = v.gradient_field()  # shared by every link and the full norm
     osc_links = []
     seg_norms = []
     for a, b in zip(w.indices.tolist(), w.indices[1:].tolist()):
         omega = segment_domain(ordering, a + 1, b + 1)
-        seg = grid_gradient_lorentz_norm(v, params, cell_mask=omega.cell_mask(R))
+        seg = grid_gradient_lorentz_norm(field, params, cell_mask=omega.cell_mask(R))
         osc = abs(w.element[b] - w.element[a])
         osc_links.append(
             {"segment": [a + 1, b + 1], "oscillation": float(osc),
@@ -1263,7 +1271,7 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
     holder_rhs = float(
         c_john * (n - 1) ** (1 / d_conj) * (seg_norms**d).sum() ** (1 / d)
     )
-    full_norm = grid_gradient_lorentz_norm(v, params)
+    full_norm = grid_gradient_lorentz_norm(field, params)
     lorsum_lhs = float((seg_norms**d).sum())
     lorsum_rhs = float(2 * full_norm**d)  # overlap factor: each cube in <= 2 segments
 

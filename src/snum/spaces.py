@@ -438,9 +438,6 @@ class GridFunction:
         # multilinear max over a cell sits at a vertex, so the node max is exact
         return float(np.abs(self.nodal_values).max())
 
-    def value_at_node(self, node_index) -> float:
-        return float(self.nodal_values[tuple(node_index)])
-
     def gradient_field(self) -> CellField:
         """|gradient| at cell centers, cellwise-constant surrogate."""
         h = 1.0 / self.cells_per_side
@@ -469,15 +466,15 @@ class GridFunction:
         }
 
 
-def grid_gradient_lorentz_norm(u: GridFunction, params, cell_mask=None, mode=FLOAT):
-    """Lorentz norm of the cellwise-constant |gradient| field of u.
+def grid_gradient_lorentz_norm(field: CellField, params, cell_mask=None, mode=FLOAT):
+    """Lorentz norm of a cellwise-constant |gradient| field, as returned by
+    ``GridFunction.gradient_field`` (computed once, it serves every mask).
 
     ``cell_mask`` (boolean array over cells) restricts to a subdomain; the
     restricted field is the gradient extended by zero outside the mask.
     """
-    if not isinstance(u, GridFunction):
-        raise GridMismatchError(f"expected GridFunction, got {type(u).__name__}")
-    field = u.gradient_field()
+    if not isinstance(field, CellField):
+        raise GridMismatchError(f"expected CellField, got {type(field).__name__}")
     if cell_mask is not None:
         mask = np.asarray(cell_mask, dtype=bool)
         if mask.shape != field.values.shape:

@@ -208,7 +208,7 @@ def test_cube_command(tmp_path):
 
 @pytest.mark.parametrize("m,status,reason", [
     (3, "certified", None),
-    (5, "inconclusive", "alternation search failed"),
+    (5, "certified", None),
     (6, "inconclusive", "basis elements [7, 10, 25, 28] vanish"),
     (7, "inconclusive", "basis elements [17, 23, 24, 25, 31] vanish"),
 ])

@@ -67,6 +67,31 @@ class TestSegmentDomain:
             math.hypot(0.1, 0.1), rel=1e-12
         )
 
+    @pytest.mark.parametrize("dim,order,i,j", [(2, 5, 37, 811), (2, 5, 300, 420), (3, 3, 20, 390)])
+    def test_boundary_distance_matches_the_per_axis_expression(self, dim, order, i, j):
+        # random, face and corner points, over several chunks of the face table
+        omega = segment_domain(hilbert_order(dim, order), i, j)
+        lows, highs = omega._face_arrays
+        rng = np.random.default_rng(i)
+        count = 3 * (4_000_000 // len(lows)) + 7
+        grid = rng.integers(0, (1 << order) + 1, (count, dim)) / (1 << order)
+        pts = rng.uniform(0.0, 1.0, (count, dim))
+        pts[: count // 3] = grid[: count // 3]  # corners
+        face = rng.integers(0, dim, count)
+        rows = np.arange(count // 3, 2 * count // 3)
+        pts[rows, face[rows]] = grid[rows, face[rows]]  # on a face plane
+        expected = np.empty(count)
+        for s in range(0, count, 1000):
+            squared = 0.0
+            for a in range(dim):
+                x = pts[s : s + 1000, a, None]
+                gap = np.maximum(lows[:, a] - x, x - highs[:, a])
+                np.maximum(gap, 0.0, out=gap)
+                squared = squared + gap * gap
+            expected[s : s + 1000] = np.sqrt(squared.min(axis=1))
+        assert (expected == 0).any() and (expected > 0).any()
+        assert omega.boundary_distance(pts).tobytes() == expected.tobytes()
+
     def test_disconnected_union(self):
         # cells (0,1) and (1,0) of the row-major order touch only at a corner
         row_major = HilbertOrdering(2, 1, [(i, j) for i in range(2) for j in range(2)])

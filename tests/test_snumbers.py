@@ -8,6 +8,7 @@ import pytest
 
 import snum.snumbers as snumbers_mod
 from snum.hilbert import hilbert_order
+from snum.john import segment_domain
 from snum.snumbers import (
     Adversary,
     DegenerateBasisError,
@@ -42,6 +43,7 @@ from snum.spaces import (
     LorentzParams,
     StepFunction1D,
     from_json_dict,
+    grid_gradient_lorentz_norm,
     random_step_function,
 )
 from snum.volterra import dipole, volterra_apply
@@ -184,6 +186,36 @@ class TestZigzag:
         assert res.status == "certified"
         assert res.witness.indices.tolist() == planted.tolist()
         assert res.evaluations > math.comb(45, 4)  # the escalation sweep ran
+
+    def test_disjoint_supports_start_from_the_column_peaks(self):
+        # tents on disjoint row blocks: nine one-row columns, then one tent on
+        # 30 rows peaking at row 21.  Every start misses two or more columns,
+        # so all its exchanges are singular and no start finds an incumbent;
+        # one peak row per column interpolates the signs with value 1
+        matrix = np.zeros((39, 10))
+        matrix[np.arange(9), np.arange(9)] = 1.0
+        matrix[9:, 9] = 1.0 - np.abs(np.arange(30) - 12) / 20
+        res = zigzag_find(matrix, rng=np.random.default_rng(0))
+        assert math.comb(39, 10) > snumbers_mod.ESCALATION_LIMIT  # local search only
+        assert res.status == "certified" and res.value == 1.0
+        assert res.witness.indices.tolist() == [*range(9), 21]
+
+    def test_one_batch_keeps_one_value_table(self):
+        import tracemalloc
+
+        # n = 2 on 241 rows: all 28,920 pairs are one (241, 28920) product,
+        # whose absolute value is taken in place
+        matrix = np.random.default_rng(2).standard_normal((241, 2))
+        sets = np.array(list(itertools.combinations(range(241), 2)))
+        alt = snumbers_mod._alternation_target(2)
+        tracemalloc.start()
+        try:
+            vals, _ = snumbers_mod._minimax_for_sets(matrix, sets, alt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.isfinite(vals).all()
+        assert peak <= 1.25 * vals.size * 241 * 8
 
 
 def _hat_like(rng, rows, n, noise=0.0):
@@ -627,6 +659,37 @@ class TestDdim:
         assert all(link["slack"] >= -1e-10 for link in w["osc_links"])
         assert w["holder"]["slack"] >= -1e-10 * w["holder"]["rhs"]
         assert w["lorsum"]["slack"] >= -1e-10 * w["lorsum"]["rhs"]
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_chain_norms_from_one_field_match_per_link_fields(self, monkeypatch, dim):
+        # the chain masks one shared gradient field; a fresh field per link
+        # gives the same norms bit for bit
+        found = []
+
+        def recorded(matrix, **kwargs):
+            found.append(search(matrix, **kwargs))
+            return found[-1]
+
+        search = snumbers_mod.zigzag_find
+        monkeypatch.setattr(snumbers_mod, "zigzag_find", recorded)
+        if dim == 2:
+            subspace, cells, order = Subspace(hat_functions(2, 2, 32)), 32, 2
+        else:
+            subspace = random_grid_subspace(np.random.default_rng(4), 4, 3, 16)
+            cells, order = 16, 3
+        bound = bernstein_upper_ddim(subspace, curve_order=order,
+                                     rng=np.random.default_rng(0))
+        v = subspace.element(found[0].witness.coefficients)
+        params = LorentzParams(dim, 1)
+        ordering = hilbert_order(dim, order)
+        w = bound.witness
+        assert len(w["osc_links"]) == subspace.dim - 1
+        for link in w["osc_links"]:
+            mask = segment_domain(ordering, *link["segment"]).cell_mask(cells)
+            fresh = grid_gradient_lorentz_norm(v.gradient_field(), params, cell_mask=mask)
+            assert link["gradient_norm"].hex() == fresh.hex()
+        full = grid_gradient_lorentz_norm(v.gradient_field(), params)
+        assert w["gradient_norm"].hex() == full.hex()
 
     def test_grid_resolution_must_match_curve(self):
         hats = hat_functions(2, 2, 16)

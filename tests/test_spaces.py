@@ -233,13 +233,13 @@ class TestGridFunction:
         u = GridFunction.from_callable(lambda x, y: x, 2, 8)
         field = u.gradient_field()
         assert np.allclose(field.values, 1.0)
-        assert grid_gradient_lorentz_norm(u, LorentzParams(2, 2)) == pytest.approx(
+        assert grid_gradient_lorentz_norm(u.gradient_field(), LorentzParams(2, 2)) == pytest.approx(
             1.0, rel=1e-12
         )
 
     def test_constant_function_zero_norm(self):
         u = GridFunction(2, 4, np.full((5, 5), 3.0))
-        assert grid_gradient_lorentz_norm(u, LorentzParams(2, 1)) == 0.0
+        assert grid_gradient_lorentz_norm(u.gradient_field(), LorentzParams(2, 1)) == 0.0
 
     def test_cone_profile_gradient_norm(self):
         # |grad u| = indicator of a ball: norm d * |B|^(1/d); the grid
@@ -253,7 +253,7 @@ class TestGridFunction:
         u = GridFunction.from_callable(
             lambda x, y: np.maximum(0.0, r - np.hypot(x - 0.5, y - 0.5)), 2, 128
         )
-        assert grid_gradient_lorentz_norm(u, LorentzParams(2, 1)) == pytest.approx(
+        assert grid_gradient_lorentz_norm(u.gradient_field(), LorentzParams(2, 1)) == pytest.approx(
             expect, rel=0.05
         )
 
