@@ -178,12 +178,6 @@ class HilbertOrdering:
             raise IndexError(f"index {index} outside 1..{len(self)}")
         return DyadicCube(self.order, tuple(int(z) for z in self.coords[index - 1]))
 
-    def index_of(self, cube: DyadicCube) -> int:
-        position = int(self.positions(np.array(cube.coords)))
-        if cube.level != self.order or position < 0:
-            raise KeyError(cube.coords)
-        return position + 1
-
     def positions(self, cells) -> np.ndarray:
         """0-based curve position of each cell of an integer array of shape
         S + (dim,); -1 for cells off the grid or not numbered."""

@@ -114,16 +114,32 @@ class CubeUnion:
 
     @cached_property
     def _face_arrays(self):
-        """Boundary faces as axis-aligned boxes (lows, highs), one degenerate axis."""
+        """Boundary faces as axis-aligned boxes (lows, highs), one degenerate axis.
+
+        Unit faces that lie in one plane and abut along a tangent axis are
+        merged into one run.  IEEE subtraction is monotone, so a run's gap to a
+        point on that axis is the least of its pieces' gaps and its other gaps
+        are theirs: the nearest run is exactly as near as the nearest face.
+        """
         side = 1.0 / (1 << self.level)
         lows, highs = [], []
         for a in range(self.dim):
             for step in (-1, 1):
                 nb = self.coords.astype(np.int64)
                 nb[:, a] += step
-                z = self.coords[self.positions(nb) < 0]
-                lo, hi = z * side, (z + 1) * side
-                lo[:, a] = hi[:, a] = (z[:, a] + (1 if step == 1 else 0)) * side
+                z = self.coords[self.positions(nb) < 0].astype(np.int64)
+                first = last = z
+                if self.dim > 1:  # runs along the first tangent axis t
+                    t = 1 if a == 0 else 0
+                    others = [b for b in range(self.dim) if b != t]
+                    z = z[np.lexsort(z.T[[t, *others]])]
+                    breaks = (np.diff(z[:, others], axis=0) != 0).any(axis=1)
+                    breaks |= np.diff(z[:, t]) != 1
+                    starts = np.flatnonzero(np.concatenate([[True], breaks]))
+                    first = z[starts]
+                    last = z[np.append(starts[1:], len(z)) - 1]
+                lo, hi = first * side, (last + 1) * side
+                lo[:, a] = hi[:, a] = (first[:, a] + (1 if step == 1 else 0)) * side
                 lows.append(lo)
                 highs.append(hi)
         return np.concatenate(lows), np.concatenate(highs)
@@ -219,13 +235,11 @@ class JohnCertificate:
     union: CubeUnion
     center: np.ndarray
     constant: float
-    profile_bound: float
     blocks: list
     center_block: int
     runs_left: list
     runs_right: list
     _block_starts: np.ndarray = field(repr=False)  # 0-based first position per block
-    _chains: dict = field(repr=False, default_factory=dict)
 
     def block_of_index(self, index):
         """Maximal-block position of 1-based cube indices (an int or an
@@ -233,21 +247,50 @@ class JohnCertificate:
         found = np.searchsorted(self._block_starts, np.asarray(index) - 1, side="right") - 1
         return np.clip(found, 0, len(self.blocks) - 1)
 
+    @cached_property
+    def _walks(self) -> tuple:
+        """The walks out of the center block toward the first and toward the
+        last block: block centers alternating with shared-face midpoints, so
+        a block m steps out is vertex 2m of its side's walk."""
+        walks = []
+        for step, stop in ((-1, -1), (1, len(self.blocks))):
+            path = [_block_center(self.blocks[self.center_block])]
+            for outer in range(self.center_block + step, stop, step):
+                path.append(np.array(_gate(self.blocks[outer], self.blocks[outer - step])))
+                path.append(_block_center(self.blocks[outer]))
+            walks.append(np.array(path))
+        return tuple(walks)
+
     def chain_vertices(self, block_idx: int) -> np.ndarray:
         """Polyline from the block's center to the domain center x0."""
-        if block_idx in self._chains:
-            return self._chains[block_idx]
-        step = 1 if block_idx < self.center_block else -1
-        path = [_block_center(self.blocks[block_idx])]
-        b = block_idx
-        while b != self.center_block:
-            nxt = b + step
-            path.append(np.array(_gate(self.blocks[b], self.blocks[nxt])))
-            path.append(_block_center(self.blocks[nxt]))
-            b = nxt
-        chain = np.array(path)
-        self._chains[block_idx] = chain
-        return chain
+        m = block_idx - self.center_block
+        return self._walks[m > 0][2 * abs(m) :: -1]
+
+    @cached_property
+    def profile_bound(self) -> float:
+        """The chain estimate evaluated on the actual generation profile.
+
+        A single block (a cube, or the full cube after the generations
+        collapse) yields sqrt(d), the straight-segment diagonal/side ratio;
+        otherwise the maximum over start/target block pairs of 4 * (half-diagonal
+        legs plus the connecting path length) / (target side).
+        """
+        half = 0.5 * math.sqrt(self.union.dim)
+        bound = math.sqrt(self.union.dim)
+        sides = (range(self.center_block, -1, -1), range(self.center_block, len(self.blocks)))
+        for walk, idxs in zip(self._walks, sides):
+            # path length from each block's center to x0, one leg per block
+            legs = [
+                float(np.linalg.norm(walk[k + 1] - walk[k]) + np.linalg.norm(walk[k] - walk[k - 1]))
+                for k in range(1, len(walk), 2)
+            ]
+            pref = np.cumsum([0.0, *legs])
+            h = np.array([float(self.blocks[b].side) for b in idxs])
+            # row t: gamma(t) in block idxs[t]; column x > t: x in an outer block
+            reach = half * h + (pref - pref[:, None]) + half * h[:, None]
+            outer = np.triu_indices(len(h), 1)
+            bound = float((4.0 * reach / h[:, None])[outer].max(initial=bound))
+        return bound
 
     def polyline(self, x) -> np.ndarray:
         """John curve from x to the center: x, block centers, face midpoints."""
@@ -300,59 +343,16 @@ def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
                 out.append((lvl, 1))
         return out
 
-    runs_left = runs(range(center_block - 1, -1, -1))
-    runs_right = runs(range(center_block + 1, len(blocks)))
-
-    cert = JohnCertificate(
+    return JohnCertificate(
         union=omega,
         center=x0,
         constant=uniform_john_constant(d),
-        profile_bound=0.0,
         blocks=blocks,
         center_block=center_block,
-        runs_left=runs_left,
-        runs_right=runs_right,
+        runs_left=runs(range(center_block - 1, -1, -1)),
+        runs_right=runs(range(center_block + 1, len(blocks))),
         _block_starts=np.array([pos for pos, _ in raw]),
     )
-    cert.profile_bound = _profile_bound(cert)
-    return cert
-
-
-def _profile_bound(cert: JohnCertificate) -> float:
-    """The chain estimate evaluated on the actual generation profile.
-
-    A single block (a cube, or the full cube after the generations collapse)
-    yields sqrt(d), the straight-segment diagonal/side ratio; otherwise the
-    maximum over start/target block pairs of 4 * (half-diagonal legs plus the
-    connecting path length) / (target side).
-    """
-    d = cert.union.dim
-    bound = math.sqrt(d)
-    sides = [
-        range(cert.center_block - 1, -1, -1),
-        range(cert.center_block + 1, len(cert.blocks)),
-    ]
-    for side in sides:
-        idxs = [cert.center_block, *side]
-        # path length from each block's center to x0
-        pref = [0.0]
-        for inner, outer in zip(idxs, idxs[1:]):
-            a, b = cert.blocks[outer], cert.blocks[inner]
-            ca, cb = _block_center(a), _block_center(b)
-            g = np.array(_gate(a, b))
-            pref.append(pref[-1] + float(np.linalg.norm(ca - g) + np.linalg.norm(g - cb)))
-        for t_pos in range(len(idxs)):  # gamma(t) inside this block
-            h_t = float(cert.blocks[idxs[t_pos]].side)
-            for x_pos in range(t_pos, len(idxs)):  # x in this or an outer block
-                h_x = float(cert.blocks[idxs[x_pos]].side)
-                reach = (
-                    0.5 * math.sqrt(d) * h_x
-                    + (pref[x_pos] - pref[t_pos])
-                    + 0.5 * math.sqrt(d) * h_t
-                )
-                if x_pos > t_pos:
-                    bound = max(bound, 4.0 * reach / h_t)
-    return bound
 
 
 def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: int, rng=None):
@@ -370,13 +370,20 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
         rng = np.random.default_rng(0)
     nblocks = len(cert.blocks)
 
-    chains = [cert.chain_vertices(b) for b in range(nblocks)]
-    shared_pts = [W if len(W) == 1 else np.vstack([W, 0.5 * (W[:-1] + W[1:])]) for W in chains]
-    curve_pts = np.vstack(shared_pts)
+    # each walk sampled at its vertices and segment midpoints, in walk order:
+    # the curve points of a block m steps out are the first 4m + 1 of its side
+    walk_pts = []
+    for W in cert._walks:
+        Q = np.empty((2 * len(W) - 1, omega.dim))
+        Q[0::2] = W
+        Q[1::2] = 0.5 * (W[:-1] + W[1:])
+        walk_pts.append(Q)
+    curve_pts = np.vstack(walk_pts)
     if not omega.contains_points(curve_pts).all():
         raise CertificateInvalidError("polyline exits the domain")
-    counts = np.array([len(p) for p in shared_pts])
-    shared_dist = np.split(omega.boundary_distance(curve_pts), np.cumsum(counts)[:-1])
+    walk_dist = np.split(omega.boundary_distance(curve_pts), [len(walk_pts[0])])
+    steps = np.arange(nblocks) - cert.center_block
+    counts = 4 * np.abs(steps) + 1
 
     # start points: member-cube centers first, then random interior fills
     blocks_of_cells = cert.block_of_index(np.arange(omega.i, omega.j + 1))
@@ -403,12 +410,13 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
         pts_x = X[by_block[edges[b] : edges[b + 1]]]
         if not len(pts_x):
             continue
-        P, D = shared_pts[b], shared_dist[b]
+        side = int(steps[b] > 0)
+        P, D = walk_pts[side][: counts[b]], walk_dist[side][: counts[b]]
         diff = pts_x[:, None, :] - P[None, :, :]
         ratios = np.sqrt((diff**2).sum(axis=2)) / D[None, :]
         worst = max(worst, float(ratios.max()))
     # the first leg, from x straight to its block's center
-    heads = np.array([W[0] for W in chains])
+    heads = np.array([cert.chain_vertices(b)[0] for b in range(nblocks)])
     mid = 0.5 * (X + heads[XB])
     dq = omega.boundary_distance(mid)
     worst = max(worst, float((np.linalg.norm(X - mid, axis=1) / dq).max()))

@@ -312,21 +312,18 @@ def distribution_function(f, t):
 
 
 def _layer_intervals(f):
-    """Thresholds 0 = t_0 < ... < t_M and measures mu_i = |{|f| > t_i}|."""
+    """Thresholds 0 = t_0 < ... < t_M and measures mu_i = |{|f| > t_{i-1}}|,
+    as arrays."""
     vals, meas = _value_measure_pairs(f)
     order = np.argsort(vals)
     vals, meas = vals[order], meas[order]
-    thresholds = [0.0]
-    mus = []
-    total = float(meas.sum())
-    uniq, starts = np.unique(vals, return_index=True)
     cum = np.concatenate([[0.0], np.cumsum(meas)])
-    for u, s in zip(uniq, starts):
-        if u == 0.0:
-            continue
-        mus.append(total - cum[s])  # measure strictly above previous threshold
-        thresholds.append(float(u))
-    return thresholds, mus
+    first = vals != 0.0  # the first nonzero entry of each run of equal values
+    first[1:] &= vals[1:] != vals[:-1]
+    starts = np.flatnonzero(first)
+    # measure strictly above each level's predecessor
+    mus = float(meas.sum()) - cum[starts]
+    return np.concatenate([[0.0], vals[starts]]), mus
 
 
 def lorentz_norm(f, params: LorentzParams, mode: str = FLOAT):
@@ -341,11 +338,9 @@ def lorentz_norm(f, params: LorentzParams, mode: str = FLOAT):
     if mode == EXACT:
         return _lorentz_norm_exact(f, params)
     p, q = float(params.p), float(params.q)
-    thresholds, mus = _layer_intervals(f)
-    if not mus:
+    ts, mus = _layer_intervals(f)
+    if not len(mus):
         return 0.0
-    ts = np.array(thresholds)
-    mus = np.array(mus)
     if q == 1.0:
         return float(p * np.sum(mus ** (1.0 / p) * np.diff(ts)))
     acc = (p / q) * np.sum(mus ** (q / p) * np.diff(ts**q))
@@ -412,12 +407,6 @@ class GridFunction:
     def zeros(cls, dim, cells_per_side, boundary_zero=True):
         shape = (cells_per_side + 1,) * dim
         return cls(dim, cells_per_side, np.zeros(shape), boundary_zero)
-
-    @classmethod
-    def from_callable(cls, fn, dim, cells_per_side, boundary_zero=False):
-        axes = [np.arange(cells_per_side + 1) / cells_per_side] * dim
-        grids = np.meshgrid(*axes, indexing="ij")
-        return cls(dim, cells_per_side, fn(*grids), boundary_zero)
 
     @classmethod
     def random_interior(cls, rng, dim, cells_per_side, scale=1.0):

@@ -58,14 +58,6 @@ class VolterraCurve:
         lam = (ts - bps[i]) / widths[i]
         return (1 - lam) * vals[i] + lam * vals[i + 1]
 
-    def slopes(self):
-        """Recover the integrand's piece values (the inverse map)."""
-        out = []
-        for i in range(len(self.breakpoints) - 1):
-            width = self.breakpoints[i + 1] - self.breakpoints[i]
-            out.append((self.node_values[i + 1] - self.node_values[i]) / width)
-        return tuple(out)
-
 
 def volterra_apply(f: StepFunction1D) -> VolterraCurve:
     """Exact antiderivative; linear in f."""

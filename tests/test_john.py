@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from snum.hilbert import HilbertOrdering, hilbert_order
 from snum.john import (
     CertificateInvalidError,
     ConstructionError,
+    _block_center,
+    _gate,
     john_bound_constructive,
     oscillation_check,
     segment_domain,
@@ -15,6 +18,23 @@ from snum.john import (
     verify_john_certificate,
 )
 from snum.spaces import GridFunction, GridMismatchError
+
+
+def _on_grid(fn, dim, cells_per_side):
+    """The grid function with nodal values fn(x_1, ..., x_d) at the grid nodes."""
+    axes = [np.arange(cells_per_side + 1) / cells_per_side] * dim
+    return GridFunction(dim, cells_per_side, fn(*np.meshgrid(*axes, indexing="ij")))
+
+
+def _unit_faces(omega):
+    """(axis, plane, cell) of each unit face between a member cell and a
+    neighbour outside the union, from the member cells; sorted."""
+    members = {tuple(int(v) for v in z) for z in omega.coords}
+    return sorted(
+        (a, z[a] + (step == 1), z)
+        for z in members for a in range(omega.dim) for step in (-1, 1)
+        if z[:a] + (z[a] + step,) + z[a + 1 :] not in members
+    )
 
 
 @pytest.fixture(scope="module")
@@ -67,19 +87,28 @@ class TestSegmentDomain:
             math.hypot(0.1, 0.1), rel=1e-12
         )
 
-    @pytest.mark.parametrize("dim,order,i,j", [(2, 5, 37, 811), (2, 5, 300, 420), (3, 3, 20, 390)])
+    @pytest.mark.parametrize("dim,order,i,j", [
+        (1, 6, 5, 40), (2, 5, 37, 811), (2, 5, 300, 420), (3, 3, 20, 390),
+    ])
     def test_boundary_distance_matches_the_per_axis_expression(self, dim, order, i, j):
-        # random, face and corner points, over several chunks of the face table
+        # random, face, corner and off-grid points against every unit face,
+        # over several chunks of the face table
         omega = segment_domain(hilbert_order(dim, order), i, j)
-        lows, highs = omega._face_arrays
+        side = 1.0 / (1 << order)
+        faces = _unit_faces(omega)
+        lows = np.array([z for _, _, z in faces]) * side
+        highs = lows + side
+        for row, (a, plane, _) in enumerate(faces):
+            lows[row, a] = highs[row, a] = plane * side
         rng = np.random.default_rng(i)
-        count = 3 * (4_000_000 // len(lows)) + 7
+        count = 3 * (4_000_000 // len(omega._face_arrays[0])) + 7
         grid = rng.integers(0, (1 << order) + 1, (count, dim)) / (1 << order)
         pts = rng.uniform(0.0, 1.0, (count, dim))
-        pts[: count // 3] = grid[: count // 3]  # corners
+        pts[: count // 4] = grid[: count // 4]  # corners
         face = rng.integers(0, dim, count)
-        rows = np.arange(count // 3, 2 * count // 3)
+        rows = np.arange(count // 4, count // 2)
         pts[rows, face[rows]] = grid[rows, face[rows]]  # on a face plane
+        pts[3 * count // 4 :] = rng.uniform(-0.5, 1.5, (count - 3 * count // 4, dim))
         expected = np.empty(count)
         for s in range(0, count, 1000):
             squared = 0.0
@@ -120,16 +149,27 @@ class TestSegmentDomain:
         outside = [ordering_k3.cube(k).coords for k in (9, 21)]
         assert omega.positions(np.array(outside)).tolist() == [-1, -1]
 
-    def test_face_count_matches_neighbour_count(self, ordering_k3):
-        omega = segment_domain(ordering_k3, 3, 40)
-        members = {ordering_k3.cube(k).coords for k in range(3, 41)}
-        faces = sum(
-            (z[:a] + (z[a] + step,) + z[a + 1 :]) not in members
-            for z in members for a in range(2) for step in (-1, 1)
-        )
+    @pytest.mark.parametrize("dim,order,i,j", [
+        (1, 4, 3, 11), (2, 3, 3, 40), (2, 4, 17, 200), (3, 2, 5, 50),
+    ])
+    def test_face_runs_expand_to_the_neighbour_faces(self, dim, order, i, j):
+        # every run is one plane piece; cut into unit faces, the runs give
+        # exactly the faces between member cells and their non-members
+        omega = segment_domain(hilbert_order(dim, order), i, j)
         lows, highs = omega._face_arrays
-        assert len(lows) == faces
-        assert ((highs - lows) == 0).sum(axis=1).tolist() == [1] * faces
+        flat = highs == lows
+        assert flat.sum(axis=1).tolist() == [1] * len(lows)
+        cells_lo = np.rint(lows * (1 << order)).astype(int)
+        cells_hi = np.rint(highs * (1 << order)).astype(int)
+        expanded = []
+        for lo, hi, flat_axes in zip(cells_lo, cells_hi, flat):
+            a = int(np.flatnonzero(flat_axes)[0])
+            spans = [range(l, h) if b != a else [l] for b, (l, h) in enumerate(zip(lo, hi))]
+            expanded += [(a, int(lo[a]), cell[:a] + cell[a + 1 :]) for cell in product(*spans)]
+        expected = [(a, plane, z[:a] + z[a + 1 :]) for a, plane, z in _unit_faces(omega)]
+        assert sorted(expanded) == expected
+        if dim > 1:
+            assert len(lows) < len(expected)
 
     def test_random_points_inside(self, ordering_k3):
         omega = segment_domain(ordering_k3, 3, 17)
@@ -206,6 +246,47 @@ class TestConstructiveCertificate:
             assert omega.contains(p)
 
 
+def _chain_by_walking(cert, block_idx):
+    """Reference chain: walk block by block from the block to the center."""
+    step = 1 if block_idx < cert.center_block else -1
+    path = [_block_center(cert.blocks[block_idx])]
+    b = block_idx
+    while b != cert.center_block:
+        path.append(np.array(_gate(cert.blocks[b], cert.blocks[b + step])))
+        path.append(_block_center(cert.blocks[b + step]))
+        b += step
+    return np.array(path)
+
+
+def _profile_bound_by_pairs(cert):
+    """Reference profile bound: one leg and one start/target pair at a time."""
+    d = cert.union.dim
+    bound = math.sqrt(d)
+    sides = [
+        range(cert.center_block - 1, -1, -1),
+        range(cert.center_block + 1, len(cert.blocks)),
+    ]
+    for side in sides:
+        idxs = [cert.center_block, *side]
+        pref = [0.0]
+        for inner, outer in zip(idxs, idxs[1:]):
+            a, b = cert.blocks[outer], cert.blocks[inner]
+            ca, cb = _block_center(a), _block_center(b)
+            g = np.array(_gate(a, b))
+            pref.append(pref[-1] + float(np.linalg.norm(ca - g) + np.linalg.norm(g - cb)))
+        for t_pos in range(len(idxs)):
+            h_t = float(cert.blocks[idxs[t_pos]].side)
+            for x_pos in range(t_pos + 1, len(idxs)):
+                h_x = float(cert.blocks[idxs[x_pos]].side)
+                reach = (
+                    0.5 * math.sqrt(d) * h_x
+                    + (pref[x_pos] - pref[t_pos])
+                    + 0.5 * math.sqrt(d) * h_t
+                )
+                bound = max(bound, 4.0 * reach / h_t)
+    return bound
+
+
 def _bisection_block(starts, nblocks, index):
     """Reference lookup: the largest block whose start is <= index - 1,
     clamped to block 0 from below."""
@@ -242,6 +323,21 @@ class TestBlockLookup:
         for b, cube in enumerate(cert.blocks):
             head = cert.chain_vertices(b)[0]
             assert [Fraction(v) for v in head] == list(cube.center())
+
+
+    def test_walks_match_block_by_block_chains(self, ordering_k3):
+        # every order-3 domain in d = 2: the same vertices and the same
+        # bound, bit for bit, as walking and pairing one block at a time
+        total = len(ordering_k3)
+        for i in range(1, total + 1):
+            for j in range(i, total + 1):
+                cert = john_bound_constructive(segment_domain(ordering_k3, i, j))
+                for b in range(len(cert.blocks)):
+                    chain = cert.chain_vertices(b)
+                    expected = _chain_by_walking(cert, b)
+                    assert chain.shape == expected.shape
+                    assert chain.tobytes() == expected.tobytes(), (i, j, b)
+                assert cert.profile_bound.hex() == _profile_bound_by_pairs(cert).hex(), (i, j)
 
 
 class TestVerification:
@@ -300,7 +396,7 @@ class TestOscillationCheck:
         def hat(x, y):
             return np.maximum(0.0, r - np.hypot(x - center[0], y - center[1]))
 
-        u = GridFunction.from_callable(hat, 2, 64)
+        u = _on_grid(hat, 2, 64)
         holds, osc, bound = oscillation_check(omega, u)
         assert holds
         assert osc == pytest.approx(r, rel=1e-12)  # oscillation = cone height

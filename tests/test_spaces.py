@@ -14,6 +14,8 @@ from snum.spaces import (
     MeanZeroTag,
     StepFunction1D,
     UnsupportedRegimeError,
+    _layer_intervals,
+    _value_measure_pairs,
     distribution_function,
     from_json_dict,
     grid_gradient_lorentz_norm,
@@ -23,6 +25,12 @@ from snum.spaces import (
     sup_norm,
 )
 from snum.volterra import volterra_apply
+
+
+def _on_grid(fn, dim, cells_per_side):
+    """The grid function with nodal values fn(x_1, ..., x_d) at the grid nodes."""
+    axes = [np.arange(cells_per_side + 1) / cells_per_side] * dim
+    return GridFunction(dim, cells_per_side, fn(*np.meshgrid(*axes, indexing="ij")))
 
 
 def quadrature_lorentz(f, p, q, samples=200_001):
@@ -35,6 +43,24 @@ def quadrature_lorentz(f, p, q, samples=200_001):
     mu = np.array([distribution_function(f, t) for t in mids])
     ds = np.diff(s)
     return float((p * mu ** (q / p) * mids ** (q - 1) * ds).sum()) ** (1 / q)
+
+
+def _layer_intervals_by_level(f):
+    """Reference layers: one distinct nonzero value at a time, as lists."""
+    vals, meas = _value_measure_pairs(f)
+    order = np.argsort(vals)
+    vals, meas = vals[order], meas[order]
+    thresholds = [0.0]
+    mus = []
+    total = float(meas.sum())
+    uniq, starts = np.unique(vals, return_index=True)
+    cum = np.concatenate([[0.0], np.cumsum(meas)])
+    for u, s in zip(uniq, starts):
+        if u == 0.0:
+            continue
+        mus.append(total - cum[s])
+        thresholds.append(float(u))
+    return thresholds, mus
 
 
 def steps(min_pieces=1, max_pieces=8):
@@ -170,6 +196,24 @@ class TestLorentzNorm:
                 lorentz_norm(field, LorentzParams(*pq)), rel=1e-14
             )
 
+    def test_layers_match_the_level_loop_bitwise(self):
+        # ties, zeros of both signs and all-zero functions, cell fields and
+        # step functions with unequal pieces
+        rng = np.random.default_rng(3)
+        funcs = [CellField(np.zeros((4, 4)), 1 / 16), StepFunction1D.zero()]
+        for _ in range(150):
+            size = int(rng.integers(1, 300))
+            levels = rng.integers(-5, 6, size) * rng.choice([0.25, 0.1, 1 / 3])
+            levels[rng.random(size) < 0.2] = -0.0
+            funcs.append(CellField(levels.reshape(1, -1), float(rng.choice([1 / size, 0.1]))))
+            funcs.append(random_step_function(rng, max_pieces=20, exact=bool(rng.integers(2)),
+                                              value_scale=1))
+        for f in funcs:
+            thresholds, mus = _layer_intervals(f)
+            ref_thresholds, ref_mus = _layer_intervals_by_level(f)
+            assert thresholds.tobytes() == np.array(ref_thresholds).tobytes()
+            assert mus.tobytes() == np.array(ref_mus, dtype=float).tobytes()
+
     @given(steps(max_pieces=5), st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2.5, 1.5)]))
     @settings(max_examples=25, deadline=None)
     def test_closed_form_matches_quadrature(self, f, pq):
@@ -230,7 +274,7 @@ class TestGridFunction:
 
     def test_linear_ramp_gradient(self):
         # u = x_1 on a 2-d grid: |grad| = 1 on every cell, L^{2,2} norm 1
-        u = GridFunction.from_callable(lambda x, y: x, 2, 8)
+        u = _on_grid(lambda x, y: x, 2, 8)
         field = u.gradient_field()
         assert np.allclose(field.values, 1.0)
         assert grid_gradient_lorentz_norm(u.gradient_field(), LorentzParams(2, 2)) == pytest.approx(
@@ -250,7 +294,7 @@ class TestGridFunction:
         assert lorentz_norm(exact_field, LorentzParams(d, 1)) == pytest.approx(
             expect, rel=1e-12
         )
-        u = GridFunction.from_callable(
+        u = _on_grid(
             lambda x, y: np.maximum(0.0, r - np.hypot(x - 0.5, y - 0.5)), 2, 128
         )
         assert grid_gradient_lorentz_norm(u.gradient_field(), LorentzParams(2, 1)) == pytest.approx(
@@ -276,7 +320,7 @@ class TestSupNormDispatch:
 
 
 def test_distribution_of_grid_gradient():
-    u = GridFunction.from_callable(lambda x, y: x, 2, 4)  # |grad| = 1 per cell
+    u = _on_grid(lambda x, y: x, 2, 4)  # |grad| = 1 per cell
     assert distribution_function(u, 0.5) == pytest.approx(1.0, abs=1e-12)
     assert distribution_function(u, 1.0) == 0.0
 

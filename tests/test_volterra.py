@@ -15,6 +15,13 @@ from snum.volterra import (
 )
 
 
+def _slopes(curve):
+    """The integrand's piece values, recovered from the curve (the inverse map)."""
+    nodes, values = curve.breakpoints, curve.node_values
+    return tuple((values[i + 1] - values[i]) / (nodes[i + 1] - nodes[i])
+                 for i in range(len(nodes) - 1))
+
+
 class TestVolterraApply:
     def test_tent(self):
         f = StepFunction1D([0, Fraction(1, 2), 1], [Fraction(2), Fraction(-2)])
@@ -57,8 +64,8 @@ class TestVolterraApply:
         # the reduction is an isometry: the slope field is the function itself
         f = StepFunction1D([0, Fraction(1, 4), 1], [Fraction(5), Fraction(-2)])
         curve = volterra_apply(f)
-        assert curve.slopes() == f.values
-        assert sum(abs(s) * l for s, l in zip(curve.slopes(), f.lengths())) == f.l1_norm()
+        assert _slopes(curve) == f.values
+        assert sum(abs(s) * l for s, l in zip(_slopes(curve), f.lengths())) == f.l1_norm()
 
 
 class TestOperatorNorm:
