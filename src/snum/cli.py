@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
@@ -115,6 +116,16 @@ def _positive_int(text: str) -> int:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
 
 
@@ -355,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vol.add_argument("--seed", type=int, default=0)
     p_vol.add_argument("--eps", type=float, default=1e-3,
                        help="functional quantization step")
-    p_vol.add_argument("--zigzag-eps", type=float, default=0.05)
+    p_vol.add_argument("--zigzag-eps", type=_nonnegative_float, default=0.05)
     p_vol.add_argument("--subspaces", type=_positive_int, default=20)
     p_vol.add_argument("--out")
     p_vol.add_argument("--csv")
@@ -368,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cube.add_argument("--curve-order", type=_positive_int, default=3)
     p_cube.add_argument("--grid", type=_positive_int, default=32)
     p_cube.add_argument("--kinds", default="i,b")
-    p_cube.add_argument("--zigzag-eps", type=float, default=0.05)
+    p_cube.add_argument("--zigzag-eps", type=_nonnegative_float, default=0.05)
     p_cube.add_argument("--seed", type=int, default=0)
     p_cube.add_argument("--out")
     p_cube.add_argument("--csv")

@@ -190,6 +190,7 @@ class ZigzagResult:
     status: str  # "certified" or "inconclusive"
     value: float
     evaluations: int
+    rescored: int = 0  # index sets scored on every row; not serialized
 
 
 def _alternation_target(n: int) -> np.ndarray:
@@ -238,22 +239,16 @@ def _minimax_lp(matrix: np.ndarray, T, alt) -> tuple:
     return float(res.fun), res.x[:n]
 
 
-def _minimax_for_sets(matrix, sets, alt, lp_fallback=False):
-    """Interpolation minimax per index set, batched.
+def _interpolants(matrix, sets, alt):
+    """(coefficients, good) of the interpolant of ``alt`` on each index set:
+    one square solve per set, for the sets that pass the Hadamard-relative
+    singularity test (``good``); the others keep zero coefficients.
 
-    With dim E = n and n constraints the interpolant is generically unique:
-    one square solve per set.  Singular sets are infeasible or need the LP.
-    ``sets`` is an (m, n) integer array.  Returns (values, coefficient rows);
-    infeasible sets get +inf.
-
-    The (sets, n, n) stack is built, tested and solved in blocks of at most
-    ``BLOCK_ENTRIES`` entries; each set is factored on its own, so the blocks
-    do not change its coefficients.  The product with the basis stays one
-    call over all nonsingular sets, as without blocks, because BLAS may round
-    a column differently depending on where it sits in the product.
+    ``sets`` is an (m, n) integer array.  The (sets, n, n) stack is built,
+    tested and solved in blocks of at most ``BLOCK_ENTRIES`` entries; each set
+    is factored on its own, so the blocks do not change its coefficients.
     """
     m, n = sets.shape
-    vals = np.full(m, np.inf)
     coeffs = np.zeros((m, n))
     good = np.zeros(m, dtype=bool)
     step = max(1, BLOCK_ENTRIES // (n * n))
@@ -266,15 +261,99 @@ def _minimax_for_sets(matrix, sets, alt, lp_fallback=False):
         if ok.any():
             rhs = np.broadcast_to(alt, (int(ok.sum()), n))[..., None]
             coeffs[start:start + step][ok] = np.linalg.solve(sub[ok], rhs)[..., 0]
-    if good.any():
-        g = matrix @ coeffs[good].T  # (npts, good)
-        vals[good] = np.abs(g, out=g).max(axis=0)  # in place: one table per batch
+    return coeffs, good
+
+
+def _sup_values(matrix, coeffs):
+    """max |matrix @ c| for each row c of ``coeffs``, from one product whose
+    absolute value is taken in place: one value table per batch.  BLAS may
+    round a column differently depending on where it sits in the product, so
+    a value's last bit depends on the batch."""
+    g = matrix @ coeffs.T  # (npts, sets)
+    return np.abs(g, out=g).max(axis=0)
+
+
+def _lp_fallback(matrix, sets, alt, good, vals, coeffs):
+    """Score the first ``LP_BUDGET`` singular sets by the LP, in place."""
+    for i in np.nonzero(~good)[0][:LP_BUDGET]:
+        v, c = _minimax_lp(matrix, sets[i], alt)
+        if c is not None:
+            vals[i], coeffs[i] = v, c
+
+
+def _minimax_for_sets(matrix, sets, alt, lp_fallback=False):
+    """Interpolation minimax per index set, batched.
+
+    With dim E = n and n constraints the interpolant is generically unique:
+    one square solve per set (``_interpolants``).  Singular sets are
+    infeasible or need the LP.  Returns (values, coefficient rows);
+    infeasible sets get +inf.  The values of all nonsingular sets come from
+    one product (``_sup_values``).
+    """
+    coeffs, good = _interpolants(matrix, sets, alt)
+    vals = np.full(len(sets), np.inf)
+    vals[good] = _sup_values(matrix, coeffs[good])
     if lp_fallback:
-        for i in np.nonzero(~good)[0][:LP_BUDGET]:
-            v, c = _minimax_lp(matrix, sets[i], alt)
-            if c is not None:
-                vals[i], coeffs[i] = v, c
+        _lp_fallback(matrix, sets, alt, good, vals, coeffs)
     return vals, coeffs
+
+
+def _row_lower_bounds(matrix, coeffs):
+    """(lower, least): for each row c of ``coeffs`` a lower bound on
+    max |matrix @ c| as any product rounds it, and an upper bound on the
+    least of those values; (empty, inf) for no rows.
+
+    The values are sampled on a few rows: each column's peak row, then the
+    peak row of the set with the least sampled value, until that row is
+    already in the sample; that set's full value is the upper bound.  In
+    any summation order, with or without fused multiply-adds, a computed
+    m . c is within gamma_n sum_k |m_k c_k| <= gamma_n max|m| ||c||_1 of the
+    exact one (gamma_n = n u / (1 - n u)).  A sampled value and the full
+    product's value at the same row both carry that error, so each bound
+    moves by twice it, times the safety factor ``SCREEN_TOL``.
+    """
+    if not len(coeffs):
+        return np.empty(0), math.inf
+    n = matrix.shape[1]
+    u = np.finfo(float).eps / 2
+    slack = 2 * SCREEN_TOL * n * u / (1 - n * u) * np.abs(matrix).max() * np.abs(coeffs).sum(axis=1)
+    rows = np.unique(np.abs(matrix).argmax(axis=0))
+    sampled = np.abs(matrix[rows] @ coeffs.T).max(axis=0)
+    while True:
+        k = int(np.argmin(sampled))
+        g = np.abs(matrix @ coeffs[k])
+        peak = int(np.argmax(g))
+        if peak in rows:
+            return sampled - slack, g[peak] + slack[k]
+        rows = np.append(rows, peak)
+        np.maximum(sampled, np.abs(coeffs @ matrix[peak]), out=sampled)
+
+
+def _best_of_sets(matrix, sets, alt, bound: float, lp_fallback=False):
+    """(value, set, coefficients, rescored) of the first index set with the
+    least interpolation minimax, when that value is below ``bound``; value
+    inf (and no set) otherwise.
+
+    Coefficients, singularity verdicts and LP fallbacks are those of
+    ``_minimax_for_sets``.  Only the sets whose row-sampled lower bound
+    (``_row_lower_bounds``) can still reach min(``bound``, the least set's
+    value, the LP values) are scored on every row (``_sup_values``); their
+    number is ``rescored``.  Every other set's value exceeds that minimum or
+    reaches ``bound``, so the winner is the one the full table gives, its
+    value rescored in the smaller batch.
+    """
+    coeffs, good = _interpolants(matrix, sets, alt)
+    vals = np.full(len(sets), np.inf)
+    if lp_fallback:
+        _lp_fallback(matrix, sets, alt, good, vals, coeffs)
+    idx = np.flatnonzero(good)
+    lower, least = _row_lower_bounds(matrix, coeffs[idx])
+    idx = idx[lower <= min(bound, least, vals.min())]
+    vals[idx] = _sup_values(matrix, coeffs[idx])
+    k = int(np.argmin(vals))
+    if not vals[k] < bound:
+        return math.inf, None, None, len(idx)
+    return float(vals[k]), sets[k], coeffs[k], len(idx)
 
 
 def _combination_chunks(cands: np.ndarray, n: int):
@@ -380,22 +459,32 @@ def _screened_exchanges(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: 
     return sets
 
 
-def _best_exchange(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: float):
+def _best_exchange(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: float,
+                   tally=None):
     """(value, set, coefficients) of the first exchange of ``T`` with the
     least exact interpolation minimax, in ``_exchanges`` order.  From
     ``SCREEN_MIN_N`` on, a rank-one screen first drops the exchanges that
-    cannot be that one or cannot go below ``bound``.  Value inf (and no set)
-    when none is left."""
+    cannot be that one or cannot go below ``bound``; otherwise the exchanges
+    are scored by ``_best_of_sets``.  Value inf (and no set) when none is
+    left.  The number of exchanges scored on every row is appended to the
+    list ``tally`` when one is given."""
     sets = None
     if len(T) >= SCREEN_MIN_N:
         sets = _screened_exchanges(matrix, T, outside, alt, bound)
-    if sets is None:
+    screened = sets is not None
+    if not screened:
         sets = _exchanges(T, outside)
     if not len(sets):
-        return math.inf, None, None
-    vals, coeffs = _minimax_for_sets(matrix, sets, alt)
-    k = int(np.argmin(vals))
-    return float(vals[k]), sets[k], coeffs[k]
+        val, S, c, rescored = math.inf, None, None, 0
+    elif screened:
+        vals, coeffs = _minimax_for_sets(matrix, sets, alt)
+        k = int(np.argmin(vals))
+        val, S, c, rescored = float(vals[k]), sets[k], coeffs[k], len(sets)
+    else:
+        val, S, c, rescored = _best_of_sets(matrix, sets, alt, bound)
+    if tally is not None:
+        tally.append(rescored)
+    return val, S, c
 
 
 def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
@@ -430,6 +519,7 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
 
     best_val, best_T, best_c = math.inf, None, None
     evals = 0
+    tally = []  # index sets scored on every row, per batch
 
     def improve(val, T, c):
         nonlocal best_val, best_T, best_c
@@ -439,19 +529,20 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     def exhaustive_sweep():
         nonlocal evals
         for sets in _combination_chunks(cands, n):
-            vals, coeffs = _minimax_for_sets(matrix, sets, alt, True)
+            val, T, c, rescored = _best_of_sets(matrix, sets, alt, best_val - 1e-12, True)
             evals += len(sets)
-            k = int(np.argmin(vals))
-            improve(float(vals[k]), sets[k], coeffs[k])
+            tally.append(rescored)
+            improve(val, T, c)
 
     def descend(T):
         nonlocal evals
         vals, coeffs = _minimax_for_sets(matrix, T[None], alt, True)
+        tally.append(1)
         cur_val, cur_c = float(vals[0]), coeffs[0]
         for _ in range(MAX_SWEEPS):
             outside = cands[~np.isin(cands, T)]
             evals += n * len(outside)
-            val, S, c = _best_exchange(matrix, T, outside, alt, cur_val - 1e-12)
+            val, S, c = _best_exchange(matrix, T, outside, alt, cur_val - 1e-12, tally)
             if not val < cur_val - 1e-12:
                 break
             cur_val, T, cur_c = val, S, c
@@ -495,12 +586,12 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
                 improve(*descend(np.sort(peaks)))
 
     if best_T is None:
-        return ZigzagResult(None, "inconclusive", math.inf, evals)
+        return ZigzagResult(None, "inconclusive", math.inf, evals, sum(tally))
     g = matrix @ best_c
     # coefficients go back to the caller's basis
     witness = ZigzagWitness(g, best_T, float(np.abs(g).max()), best_c / col_scale)
     status = "certified" if witness.sup_norm_value <= 1.0 + eps else "inconclusive"
-    return ZigzagResult(witness, status, witness.sup_norm_value, evals)
+    return ZigzagResult(witness, status, witness.sup_norm_value, evals, sum(tally))
 
 
 # -- one-dimensional estimators ------------------------------------------------
@@ -653,8 +744,11 @@ def bernstein_lower(subspace: Subspace) -> SNumberBound:
     best_mass, best_c = 0.0, None
     for signs in itertools.product((1.0, -1.0), repeat=n - 1):
         sigma = np.array((1.0, *signs))  # global sign symmetry fixes the first
-        vals, coeffs = _minimax_for_sets(matrix, combos, sigma)
-        cs = coeffs[vals <= 1.0 + 1e-9]
+        coeffs, good = _interpolants(matrix, combos, sigma)
+        # the feasibility cut, on the sets whose lower bound does not exclude it
+        cs = coeffs[good]
+        cs = cs[_row_lower_bounds(matrix, cs)[0] <= 1.0 + 1e-9]
+        cs = cs[_sup_values(matrix, cs) <= 1.0 + 1e-9]
         if not len(cs):
             continue
         masses = np.abs(piece_vals @ cs.T).T @ subspace.piece_lengths

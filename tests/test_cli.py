@@ -47,6 +47,27 @@ def test_nonpositive_counts_rejected_up_front(argv, flag, capsys):
     assert "Traceback" not in message
 
 
+@pytest.mark.parametrize("command", [["volterra", "--n", "2", "--kinds", "b"],
+                                     ["cube", "--m", "2", "--kinds", "b"]])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.01", "zero"])
+def test_zigzag_eps_must_be_finite_and_nonnegative(command, value, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main([*command, f"--zigzag-eps={value}", "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "argument --zigzag-eps: must be a finite number >= 0" in message
+    assert "Traceback" not in message
+    assert not out.exists()
+
+
+def test_zigzag_eps_zero_is_accepted(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["volterra", "--n", "1", "--kinds", "b", "--subspaces", "1",
+                 "--zigzag-eps", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["zigzag_eps"] == 0.0
+
+
 @pytest.mark.parametrize("command", [["volterra", "--n", "1"], ["cube", "--m", "1"]])
 def test_unknown_kind_named(command, capsys):
     with pytest.raises(SystemExit) as err:

@@ -377,6 +377,124 @@ class TestExchangeScreen:
         assert results[0][2] == snumbers_mod.LP_BUDGET
 
 
+def _assert_table_winner(matrix, sets, alt, bound=np.inf, lp_fallback=False, ulp=True):
+    """The pruned step picks the full table's first argmin below ``bound``:
+    same index, set and coefficient bytes, and a value within one ulp, or
+    with ``ulp=False`` within the rounding bound of two products,
+    2 gamma_n max|m| ||c||_1."""
+    vals, coeffs = snumbers_mod._minimax_for_sets(matrix, sets, alt, lp_fallback)
+    val, best, c, rescored = snumbers_mod._best_of_sets(matrix, sets, alt, bound, lp_fallback)
+    k = int(np.argmin(vals))
+    assert 0 <= rescored <= len(sets)
+    if not vals[k] < bound:
+        assert (val, best, c) == (math.inf, None, None)
+        return rescored
+    assert np.flatnonzero((sets == best).all(axis=1)).tolist() == [k]
+    assert c.tobytes() == coeffs[k].tobytes()
+    n = matrix.shape[1]
+    u = np.finfo(float).eps / 2
+    rounding = 2 * n * u / (1 - n * u) * np.abs(matrix).max() * np.abs(c).sum()
+    assert abs(val - vals[k]) <= (np.spacing(vals[k]) if ulp else rounding)
+    return rescored
+
+
+class TestPrunedScoring:
+    def test_interval_batches_match_the_full_table(self, monkeypatch):
+        # the 20 exhaustive n = 2 batches of the seed-1 interval command
+        from snum.cli import RunConfig, _volterra_task
+
+        batches = []
+
+        def recorded(*args):
+            batches.append(args)
+            return pruned(*args)
+
+        pruned = snumbers_mod._best_of_sets
+        monkeypatch.setattr(snumbers_mod, "_best_of_sets", recorded)
+        config = RunConfig(command="volterra", grid=240, seed=1, subspaces=20)
+        _volterra_task(config, "bernstein", 2)
+        monkeypatch.undo()
+        assert len(batches) == 20
+        for matrix, sets, alt, bound, lp_fallback in batches:
+            assert sets.shape == (math.comb(239, 2), 2) and bound == np.inf
+            assert _assert_table_winner(matrix, sets, alt, bound, lp_fallback) <= 3
+
+    def test_symmetric_chebyshev_incumbents(self):
+        # the 40 incumbents of test_near_ties_are_settled_exactly, whose
+        # mirrored exchanges tie in exact arithmetic.  A value's last bits
+        # depend on the batch: one winner (value 3452.86, 8 terms per row)
+        # rescores alone 2 ulps off its value in the full table
+        P, n = 31, 8
+        t = np.linspace(-1.0, 1.0, P)
+        matrix = np.stack([np.cos(k * np.arccos(t)) for k in range(n)], axis=1)
+        alt = snumbers_mod._alternation_target(n)
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            half = np.sort(rng.choice(P // 2, n // 2, replace=False))
+            T = np.sort(np.concatenate([half, P - 1 - half]))
+            outside = np.setdiff1d(np.arange(P), T)
+            _assert_table_winner(matrix, snumbers_mod._exchanges(T, outside), alt, ulp=False)
+
+    def test_first_of_exact_ties_wins(self):
+        # entries in {-1, 0, 1}: dyadic coefficients and exact values, so the
+        # least value is shared by many sets and the first one must win
+        matrix = np.random.default_rng(4).integers(-1, 2, (20, 3)).astype(float)
+        sets = np.array(list(itertools.combinations(range(20), 3)))
+        alt = snumbers_mod._alternation_target(3)
+        vals, _ = snumbers_mod._minimax_for_sets(matrix, sets, alt)
+        assert (vals == vals.min()).sum() > 10
+        _assert_table_winner(matrix, sets, alt)
+
+    def test_lp_fallback_sets(self, monkeypatch):
+        # tripled rows make singular sets; the first LP_BUDGET go to the LP
+        matrix = np.repeat(np.random.default_rng(3).standard_normal((8, 3)), 3, axis=0)
+        sets = np.array(list(itertools.combinations(range(24), 3)))
+        alt = snumbers_mod._alternation_target(3)
+        calls = []
+
+        def counted_lp(*args):
+            calls.append(1)
+            return lp(*args)
+
+        lp = snumbers_mod._minimax_lp
+        monkeypatch.setattr(snumbers_mod, "_minimax_lp", counted_lp)
+        _assert_table_winner(matrix, sets, alt, lp_fallback=True)
+        assert len(calls) == 2 * snumbers_mod.LP_BUDGET
+
+    def test_no_winner_at_or_above_the_bound(self):
+        matrix = np.random.default_rng(9).standard_normal((60, 3))
+        sets = np.array(list(itertools.combinations(range(60), 3)))
+        alt = snumbers_mod._alternation_target(3)
+        vals, _ = snumbers_mod._minimax_for_sets(matrix, sets, alt)
+        least = vals.min()
+        for bound in (least, least / 2):
+            assert _assert_table_winner(matrix, sets, alt, bound) <= len(sets) // 100
+            assert snumbers_mod._best_of_sets(matrix, sets, alt, bound)[1] is None
+        _assert_table_winner(matrix, sets, alt, np.nextafter(least, np.inf))
+
+    def test_exhaustive_search_rescores_few_sets(self):
+        subspace = random_mean_zero_step_subspace(np.random.default_rng(1), 2, 240)
+        matrix = snumbers_mod._volterra_node_matrix(subspace)
+        assert matrix.shape == (241, 2)
+        res = zigzag_find(matrix)
+        # the two end nodes are zero: C(239, 2) sets, each counted once
+        assert res.evaluations == math.comb(239, 2)
+        assert 1 <= res.rescored <= 0.01 * res.evaluations
+
+    def test_exhaustive_search_keeps_no_value_table(self):
+        import tracemalloc
+
+        matrix = np.random.default_rng(2).standard_normal((241, 2))
+        tracemalloc.start()
+        try:
+            res = zigzag_find(matrix)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.evaluations == math.comb(241, 2)
+        assert peak <= 0.25 * 241 * math.comb(239, 2) * 8
+
+
 class TestIsomorphism1d:
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_exact_value(self, n):
