@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import selftest as selftest_mod
-from .hilbert import check_face_adjacency, check_prefix_nesting, hilbert_order
+from .hilbert import MAX_CUBES, check_face_adjacency, check_prefix_nesting, hilbert_order
 from .john import john_bound_constructive, segment_domain, verify_john_certificate
 from .snumbers import (
     SNumberBound,
@@ -44,6 +44,7 @@ from .volterra import operator_norm_discrete
 KIND_LETTERS = {"a": "approximation", "c": "gelfand", "d": "kolmogorov",
                 "b": "bernstein", "i": "isomorphism"}
 CUBE_KIND_LETTERS = {"b": "bernstein", "i": "isomorphism"}  # what `snum cube` computes
+TABLE_BLOCK = 1 << 14  # ordering-table cells formatted per write
 
 
 @dataclass
@@ -119,14 +120,38 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_float(text: str) -> float:
+def _float_or_nan(text: str) -> float:
     try:
-        value = float(text)
+        return float(text)
     except ValueError:
-        value = math.nan
+        return math.nan
+
+
+def _nonnegative_float(text: str) -> float:
+    value = _float_or_nan(text)
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
     return value
+
+
+def _positive_float(text: str) -> float:
+    value = _float_or_nan(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _exponent_pair(text: str) -> tuple:
+    """``p,q`` as exact exponents; the empty default stands for (dim, 1)."""
+    if not text:
+        return ()
+    try:
+        pair = tuple(_parse_exponent(x) for x in text.split(","))
+    except (ValueError, ZeroDivisionError):
+        pair = ()
+    if len(pair) != 2:
+        raise argparse.ArgumentTypeError(f"must be two exponents p,q, got {text!r}")
+    return pair
 
 
 def _rng_for(config: RunConfig, kind: str, n: int):
@@ -280,44 +305,52 @@ def _run_hilbert(args) -> int:
         if status == 0:
             sys.stdout.write("check_face_adjacency: ok\ncheck_prefix_nesting: ok\n")
     if args.format == "json":
-        if args.out:
-            Path(args.out).write_text(_hilbert_json(ordering))
-        elif not args.check:
-            sys.stdout.write(_hilbert_json(ordering) + "\n")
-    else:
-        if args.out:
-            with open(args.out, "w", newline="") as fh:
-                fh.write(_hilbert_csv(ordering, "\r\n", header=True))
-        elif not args.check:
-            sys.stdout.write(_hilbert_csv(ordering, "\n", header=False))
+        chunks = _hilbert_json(ordering)
+    else:  # a file gets csv.writer's bytes, stdout bare rows
+        chunks = _hilbert_csv(ordering, "\r\n" if args.out else "\n", header=bool(args.out))
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            fh.writelines(chunks)
+    elif not args.check:
+        sys.stdout.writelines(chunks)
+        if args.format == "json":
+            sys.stdout.write("\n")
     return status
 
 
-def _table_values(ordering, index_last: bool) -> tuple:
-    """Each cell's 1-based index and coordinates, flattened to Python ints."""
-    index = np.arange(1, len(ordering) + 1)[:, None]
-    columns = [ordering.coords, index] if index_last else [index, ordering.coords]
-    return tuple(np.hstack(columns).ravel().tolist())
+def _table_blocks(ordering, index_last: bool):
+    """Per block of at most ``TABLE_BLOCK`` cells: the cell count and each
+    cell's 1-based index and coordinates, flattened to Python ints."""
+    for lo in range(0, len(ordering), TABLE_BLOCK):
+        coords = ordering.coords[lo:lo + TABLE_BLOCK]
+        index = np.arange(lo + 1, lo + len(coords) + 1)[:, None]
+        columns = [coords, index] if index_last else [index, coords]
+        yield len(coords), tuple(np.hstack(columns).ravel().tolist())
 
 
-def _hilbert_json(ordering) -> str:
+def _hilbert_json(ordering):
     """The bytes of ``json.dumps({"dim": d, "order": k, "cells": [{"index": i,
-    "coords": [...]}, ...]}, indent=2, sort_keys=True)``, formatted from the
-    arrays without building the cell dicts."""
+    "coords": [...]}, ...]}, indent=2, sort_keys=True)`` in blocks of cells,
+    formatted from the arrays without building the cell dicts."""
     coords = ",\n".join(["        %d"] * ordering.dim)
     cell = f'    {{\n      "coords": [\n{coords}\n      ],\n      "index": %d\n    }}'
-    cells = ",\n".join([cell] * len(ordering)) % _table_values(ordering, index_last=True)
-    return (f'{{\n  "cells": [\n{cells}\n  ],\n'
-            f'  "dim": {ordering.dim},\n  "order": {ordering.order}\n}}')
+    yield '{\n  "cells": [\n'
+    separator = ""
+    for count, values in _table_blocks(ordering, index_last=True):
+        yield separator + ",\n".join([cell] * count) % values
+        separator = ",\n"
+    yield f'\n  ],\n  "dim": {ordering.dim},\n  "order": {ordering.order}\n}}'
 
 
-def _hilbert_csv(ordering, newline: str, header: bool) -> str:
-    """Rows ``index,z0,...`` each ended by ``newline``; with the header and
-    "\\r\\n" these are the bytes ``csv.writer`` writes."""
+def _hilbert_csv(ordering, newline: str, header: bool):
+    """Rows ``index,z0,...`` each ended by ``newline``, in blocks of cells;
+    with the header and "\\r\\n" these are the bytes ``csv.writer`` writes."""
     names = ["index"] + [f"z{a}" for a in range(ordering.dim)]
     row = ",".join(["%d"] * len(names)) + newline
-    head = ",".join(names) + newline if header else ""
-    return head + (row * len(ordering)) % _table_values(ordering, index_last=False)
+    if header:
+        yield ",".join(names) + newline
+    for count, values in _table_blocks(ordering, index_last=False):
+        yield (row * count) % values
 
 
 def _run_john(args) -> int:
@@ -364,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vol.add_argument("--grid", type=_positive_int, default=240)
     p_vol.add_argument("--kinds", default="i,b,c,d,a")
     p_vol.add_argument("--seed", type=int, default=0)
-    p_vol.add_argument("--eps", type=float, default=1e-3,
+    p_vol.add_argument("--eps", type=_positive_float, default=1e-3,
                        help="functional quantization step")
     p_vol.add_argument("--zigzag-eps", type=_nonnegative_float, default=0.05)
     p_vol.add_argument("--subspaces", type=_positive_int, default=20)
@@ -375,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cube = sub.add_parser("cube", help="cube embedding estimators")
     p_cube.add_argument("--dim", type=_positive_int, default=2)
     p_cube.add_argument("--m", required=True, help="balls per side, e.g. 1,2,4")
-    p_cube.add_argument("--space", default="", help="Lorentz exponents p,q")
+    p_cube.add_argument("--space", type=_exponent_pair, default="",
+                        help="Lorentz exponents p,q")
     p_cube.add_argument("--curve-order", type=_positive_int, default=3)
     p_cube.add_argument("--grid", type=_positive_int, default=32)
     p_cube.add_argument("--kinds", default="i,b")
@@ -452,7 +486,9 @@ def main(argv=None) -> int:
             )
             return run(config)
         if args.command == "cube":
-            space = tuple(_parse_exponent(x) for x in args.space.split(",")) if args.space else ()
+            if args.dim * args.curve_order > MAX_CUBES.bit_length() - 1:  # log2(MAX_CUBES)
+                parser.error(f"argument --curve-order: 2^(dim*curve_order) = "
+                             f"2^{args.dim * args.curve_order} cubes exceed {MAX_CUBES}")
             config = RunConfig(
                 command="cube",
                 dimension=args.dim,
@@ -461,7 +497,7 @@ def main(argv=None) -> int:
                 kinds=_parse_kinds(args),
                 seed=args.seed,
                 zigzag_eps=args.zigzag_eps,
-                space=space,
+                space=args.space,
                 curve_order=args.curve_order,
                 out=args.out,
                 csv=args.csv,

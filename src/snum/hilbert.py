@@ -23,6 +23,7 @@ from functools import cached_property
 import numpy as np
 
 MAX_CUBES = 1 << 22
+DECODE_BLOCK = 1 << 16  # curve positions decoded per block of an ordering table
 
 
 class CapacityError(ValueError):
@@ -154,7 +155,7 @@ class HilbertOrdering:
     def __init__(self, dim: int, order: int, coords):
         self.dim = dim
         self.order = order
-        raw = np.asarray(coords, dtype=np.int64)
+        raw = np.asarray(coords)
         if raw.ndim != 2 or raw.shape[1] != dim:
             raise ValueError(f"coords must be an (N, {dim}) array, got shape {raw.shape}")
         if raw.size and (raw.min() < 0 or raw.max() >= 1 << order):
@@ -162,7 +163,7 @@ class HilbertOrdering:
         self.coords = raw.astype(np.int32)
         self.coords.flags.writeable = False
         self._strides = (1 << order) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-        flat = raw @ self._strides
+        flat = np.ravel_multi_index(tuple(self.coords.T), (1 << order,) * dim)
         positions = np.arange(len(raw), dtype=np.int32)
         self.inverse = np.full((1 << order) ** dim, -1, dtype=np.int32)
         self.inverse[flat] = positions
@@ -202,7 +203,11 @@ def hilbert_order(dim: int, order: int) -> HilbertOrdering:
     total = 1 << (dim * order)
     if total > MAX_CUBES:
         raise CapacityError(f"2^(dim*order) = {total} exceeds {MAX_CUBES}")
-    return HilbertOrdering(dim, order, decode(np.arange(total), dim, order))
+    coords = np.empty((total, dim), dtype=np.int32)
+    for lo in range(0, total, DECODE_BLOCK):
+        hi = min(lo + DECODE_BLOCK, total)
+        coords[lo:hi] = decode(np.arange(lo, hi), dim, order)
+    return HilbertOrdering(dim, order, coords)
 
 
 def check_face_adjacency(ordering: HilbertOrdering):

@@ -180,10 +180,11 @@ class CubeUnion:
                 f"grid with {cells_per_side} cells per side is not nested "
                 f"in the level-{k} cube family"
             )
-        idx = (np.arange(cells_per_side) << k) // cells_per_side
-        member = np.zeros((1 << k,) * self.dim, dtype=bool)
-        member[tuple(self.coords.T)] = True
-        return member[np.ix_(*([idx] * self.dim))]
+        mask = np.zeros((1 << k,) * self.dim, dtype=bool)
+        mask[tuple(self.coords.T)] = True
+        for axis in range(self.dim):  # a level-k cube spans R >> k cells per side
+            mask = np.repeat(mask, cells_per_side >> k, axis=axis)
+        return mask
 
 
 def _centers(coords, level: int) -> np.ndarray:

@@ -109,9 +109,14 @@ class Subspace:
             )
             self.piece_lengths = np.array([float(b - a) for a, b in zip(bps, bps[1:])])
             table = self.piece_values * np.sqrt(self.piece_lengths)  # L2 inner products
-        else:
-            table = np.stack([f.nodal_values.ravel() for f in self.basis])
-        gram = table @ table.T
+            gram = table @ table.T
+        else:  # summed over blocks of nodes, never one (dim, nodes) table
+            values = [f.nodal_values.ravel() for f in self.basis]
+            width = max(1, GRAM_BLOCK_ENTRIES // self.dim)
+            gram = np.zeros((self.dim, self.dim))
+            for lo in range(0, max(v.size for v in values), width):
+                block = np.stack([v[lo:lo + width] for v in values])
+                gram += block @ block.T
         if np.linalg.matrix_rank(gram) < self.dim:
             raise DegenerateBasisError("basis Gram matrix is singular")
 
@@ -205,6 +210,7 @@ KICKS = 24  # two-index perturbations of the incumbent per start
 MAX_SWEEPS = 80  # exchange sweeps per descent
 LP_BUDGET = 64  # singular index sets per batch handed to the LP
 BLOCK_ENTRIES = 1 << 22  # matrix entries per stacked block of index sets
+GRAM_BLOCK_ENTRIES = 1 << 20  # basis values stacked per block of a grid Gram
 
 # rank-one screening of exchange sweeps
 SCREEN_MIN_N = 8  # below this dimension the exact batch is the faster sweep

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import snum.cli as cli_mod
 import snum.selftest as selftest_mod
 from snum.cli import RunConfig, build_parser, main, run
 from snum.hilbert import HilbertOrdering, hilbert_order
@@ -45,6 +46,44 @@ def test_nonpositive_counts_rejected_up_front(argv, flag, capsys):
     message = capsys.readouterr().err
     assert f"argument {flag}: must be a positive integer" in message
     assert "Traceback" not in message
+
+
+@pytest.mark.parametrize("argv", [["--m", "2", "--curve-order", "30"],
+                                  ["--dim", "3", "--m", "1", "--curve-order", "8"]])
+def test_curve_order_capacity_checked_before_any_estimator(argv, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("an estimator ran before the curve order was checked")
+
+    monkeypatch.setattr(cli_mod, "hat_functions", never)
+    monkeypatch.setattr(cli_mod, "isomorphism_lower_ddim", never)
+    with pytest.raises(SystemExit) as err:
+        main(["cube", *argv])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "argument --curve-order: 2^(dim*curve_order)" in message
+    assert "Traceback" not in message
+
+
+@pytest.mark.parametrize("value", ["2", "2,1,3", "1/0,1", "p,q"])
+def test_space_needs_two_exponents(value, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["cube", "--m", "1", "--space", value])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "argument --space: must be two exponents p,q" in message
+    assert "Traceback" not in message
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "-inf", "0", "-0.5", "tiny"])
+def test_eps_must_be_finite_and_positive(value, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(["volterra", "--n", "2", "--kinds", "c", f"--eps={value}", "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "argument --eps: must be a finite number > 0" in message
+    assert "Traceback" not in message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [["volterra", "--n", "2", "--kinds", "b"],
@@ -116,7 +155,7 @@ def test_hilbert_table_emission(tmp_path):
     assert [r[1:] for r in rows[1:]] == [["0", "0"], ["0", "1"], ["1", "1"], ["1", "0"]]
 
 
-@pytest.mark.parametrize("dim,order", [(1, 1), (1, 3), (2, 3), (3, 2), (4, 2)])
+@pytest.mark.parametrize("dim,order", [(1, 1), (1, 3), (2, 3), (3, 2), (4, 2), (3, 5)])
 def test_hilbert_table_bytes_match_library_writers(tmp_path, capsys, dim, order):
     # the array formatter writes exactly what json.dumps and csv.writer write
     ordering = hilbert_order(dim, order)
@@ -141,6 +180,22 @@ def test_hilbert_table_bytes_match_library_writers(tmp_path, capsys, dim, order)
     assert capsys.readouterr().out == expected_json + "\n"
     assert main(base + ["--format", "csv"]) == 0
     assert capsys.readouterr().out == "".join(",".join(r) + "\n" for r in rows)
+
+
+@pytest.mark.parametrize("dim,order,block", [(2, 5, 1000), (3, 2, 7), (1, 3, 1)])
+def test_hilbert_table_blocks_join_seamlessly(tmp_path, capsys, monkeypatch, dim, order, block):
+    # a partial last block and one-cell blocks write the bytes of one block
+    base = ["hilbert", "--dim", str(dim), "--order", str(order)]
+    outputs = {}
+    for size in (cli_mod.TABLE_BLOCK, block):
+        monkeypatch.setattr(cli_mod, "TABLE_BLOCK", size)
+        for fmt in ("json", "csv"):
+            path = tmp_path / f"{size}.{fmt}"
+            assert main(base + ["--format", fmt, "--out", str(path)]) == 0
+            assert main(base + ["--format", fmt]) == 0
+            outputs[size, fmt] = path.read_bytes(), capsys.readouterr().out
+    for fmt in ("json", "csv"):
+        assert outputs[block, fmt] == outputs[cli_mod.TABLE_BLOCK, fmt]
 
 
 def test_john_command(tmp_path):

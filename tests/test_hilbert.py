@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import snum.hilbert as hilbert_mod
 from snum.hilbert import (
     CapacityError,
     DyadicCube,
@@ -76,6 +77,15 @@ class TestGenerator:
             assert len({tuple(row) for row in coords.tolist()}) == total
             grid = np.stack(np.unravel_index(np.arange(total), (side,) * dim), axis=-1)
             assert np.array_equal(decode(encode(grid, dim, order), dim, order), grid)
+
+    @pytest.mark.parametrize("dim,order,block", [(1, 5, 7), (2, 4, 16), (2, 5, 100), (3, 3, 1)])
+    def test_blocked_table_equals_one_shot_decode(self, monkeypatch, dim, order, block):
+        monkeypatch.setattr(hilbert_mod, "DECODE_BLOCK", block)
+        ordering = hilbert_order(dim, order)
+        expected = decode(np.arange(1 << (dim * order)), dim, order)
+        assert ordering.coords.dtype == np.int32
+        assert np.array_equal(ordering.coords, expected)
+        assert np.array_equal(ordering.positions(expected), np.arange(len(expected)))
 
     def test_scalar_positions(self):
         # one position decodes to one coordinate row, and encodes back

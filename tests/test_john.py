@@ -187,6 +187,22 @@ class TestSegmentDomain:
             x, y = ordering_k3.cube(k).coords
             assert mask[2 * x, 2 * y] == (k <= 8) and mask[2 * x + 1, 2 * y + 1] == (k <= 8)
 
+    @pytest.mark.parametrize("dim,order,cells", [(2, 3, 8), (2, 3, 32), (2, 2, 24),
+                                                 (3, 2, 4), (3, 2, 16), (3, 3, 64)])
+    def test_cell_mask_equals_gathered_member_grid(self, dim, order, cells):
+        # each fine cell reads the member flag of the level-k cube it lies in
+        ordering = hilbert_order(dim, order)
+        rng = np.random.default_rng(cells)
+        for _ in range(4):
+            i, j = sorted(rng.integers(1, len(ordering) + 1, 2).tolist())
+            omega = segment_domain(ordering, i, j)
+            member = np.zeros((1 << order,) * dim, dtype=bool)
+            member[tuple(omega.coords.T)] = True
+            idx = (np.arange(cells) << order) // cells
+            mask = omega.cell_mask(cells)
+            assert mask.dtype == bool and mask.flags.c_contiguous
+            assert np.array_equal(mask, member[np.ix_(*([idx] * dim))])
+
 
 class TestConstructiveCertificate:
     def test_single_cube_profile_is_diagonal_ratio(self, ordering_k3):

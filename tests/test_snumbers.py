@@ -88,6 +88,31 @@ class TestSubspace:
         rng = np.random.default_rng(0)
         assert random_mean_zero_step_subspace(rng, 3, 16).dim == 3
 
+    def test_grid_gram_in_blocks_keeps_rank_verdicts(self, monkeypatch):
+        # 7-value blocks split every basis function across many partial blocks
+        monkeypatch.setattr(snumbers_mod, "GRAM_BLOCK_ENTRIES", 7)
+        rng = np.random.default_rng(5)
+        basis = [GridFunction.random_interior(rng, 2, 8) for _ in range(3)]
+        assert Subspace(basis).dim == 3
+        with pytest.raises(DegenerateBasisError):
+            Subspace([*basis, basis[0].combine(basis[1:], [1.0, -2.0, 0.5])])
+        with pytest.raises(ValueError):  # unequal grids have no common Gram
+            Subspace([basis[0], GridFunction.random_interior(rng, 2, 6)])
+
+    def test_grid_gram_never_stacks_the_basis(self):
+        import tracemalloc
+
+        # 64 hats on 65^3 nodes: one stacked (64, 65^3) table would be 140.6 MB
+        hats = hat_functions(3, 4, 64)
+        dense = len(hats) * 65**3 * 8
+        tracemalloc.start()
+        try:
+            Subspace(hats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= dense / 4
+
 
 class TestZigzag:
     def test_single_direction(self):
