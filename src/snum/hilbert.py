@@ -230,14 +230,18 @@ def check_prefix_nesting(ordering: HilbertOrdering):
     the ancestor that the first re-entering run of cubes enters again.
     """
     k, d = ordering.order, ordering.dim
+    coords = ordering.coords
     for level in range(k):
-        ancestors = ordering.coords >> (k - level)
-        flat = ancestors @ ((1 << level) ** np.arange(d - 1, -1, -1, dtype=np.int64))
+        # flat ancestor ids, one axis at a time: no (N, d) copy
+        flat = np.zeros(len(coords), dtype=np.int64)
+        for a in range(d):
+            flat <<= level
+            flat |= coords[:, a] >> (k - level)
         run_starts = np.flatnonzero(np.diff(flat, prepend=-1))
         _, first = np.unique(flat[run_starts], return_index=True)
         reentry = np.ones(len(run_starts), dtype=bool)
         reentry[first] = False
         if reentry.any():
-            row = ancestors[run_starts[np.argmax(reentry)]]
+            row = coords[run_starts[np.argmax(reentry)]] >> (k - level)
             return False, DyadicCube(level, tuple(int(z) for z in row))
     return True, None

@@ -112,11 +112,17 @@ class Subspace:
             gram = table @ table.T
         else:  # summed over blocks of nodes, never one (dim, nodes) table
             values = [f.nodal_values.ravel() for f in self.basis]
+            if len({v.size for v in values}) > 1:
+                raise GridMismatchError("basis functions live on different grids")
             width = max(1, GRAM_BLOCK_ENTRIES // self.dim)
             gram = np.zeros((self.dim, self.dim))
-            for lo in range(0, max(v.size for v in values), width):
-                block = np.stack([v[lo:lo + width] for v in values])
-                gram += block @ block.T
+            for lo in range(0, values[0].size, width):
+                # a row that is zero on the block adds nothing
+                rows = [k for k, v in enumerate(values) if v[lo:lo + width].any()]
+                if not rows:
+                    continue
+                block = np.stack([values[k][lo:lo + width] for k in rows])
+                gram[np.ix_(rows, rows)] += block @ block.T
         if np.linalg.matrix_rank(gram) < self.dim:
             raise DegenerateBasisError("basis Gram matrix is singular")
 
@@ -196,6 +202,7 @@ class ZigzagResult:
     value: float
     evaluations: int
     rescored: int = 0  # index sets scored on every row; not serialized
+    solved: int = 0  # index sets factored by LAPACK; not serialized
 
 
 def _alternation_target(n: int) -> np.ndarray:
@@ -217,6 +224,10 @@ SCREEN_MIN_N = 8  # below this dimension the exact batch is the faster sweep
 SCREEN_COND_LIMIT = 1e6  # worse-conditioned incumbents are scored exactly
 SCREEN_TOL = 16  # safety factor on the screen's first-order rounding bounds
 SCREEN_BLOCK = 1 << 20  # interpolant entries per block of screened exchanges
+
+# closed-form first stage of the exact batches
+CRAMER_MAX_N = 3  # the cofactor formulas of ``_cofactors`` stop at 3 x 3
+LOG_RANGE = 746  # no positive double has |log x| above this
 
 BERNSTEIN_LOWER_MAX_N = 3  # vertex enumeration is exhaustive up to this n
 
@@ -304,7 +315,7 @@ def _minimax_for_sets(matrix, sets, alt, lp_fallback=False):
     return vals, coeffs
 
 
-def _row_lower_bounds(matrix, coeffs):
+def _row_lower_bounds(matrix, coeffs, slack=None):
     """(lower, least): for each row c of ``coeffs`` a lower bound on
     max |matrix @ c| as any product rounds it, and an upper bound on the
     least of those values; (empty, inf) for no rows.
@@ -316,13 +327,15 @@ def _row_lower_bounds(matrix, coeffs):
     m . c is within gamma_n sum_k |m_k c_k| <= gamma_n max|m| ||c||_1 of the
     exact one (gamma_n = n u / (1 - n u)).  A sampled value and the full
     product's value at the same row both carry that error, so each bound
-    moves by twice it, times the safety factor ``SCREEN_TOL``.
+    moves by twice it, times the safety factor ``SCREEN_TOL``: the default
+    ``slack`` of each set.
     """
     if not len(coeffs):
         return np.empty(0), math.inf
-    n = matrix.shape[1]
-    u = np.finfo(float).eps / 2
-    slack = 2 * SCREEN_TOL * n * u / (1 - n * u) * np.abs(matrix).max() * np.abs(coeffs).sum(axis=1)
+    if slack is None:
+        n = matrix.shape[1]
+        u = np.finfo(float).eps / 2
+        slack = 2 * SCREEN_TOL * n * u / (1 - n * u) * np.abs(matrix).max() * np.abs(coeffs).sum(axis=1)
     rows = np.unique(np.abs(matrix).argmax(axis=0))
     sampled = np.abs(matrix[rows] @ coeffs.T).max(axis=0)
     while True:
@@ -335,31 +348,170 @@ def _row_lower_bounds(matrix, coeffs):
         np.maximum(sampled, np.abs(coeffs @ matrix[peak]), out=sampled)
 
 
-def _best_of_sets(matrix, sets, alt, bound: float, lp_fallback=False):
+def _gamma(k: int) -> float:
+    """gamma_k = k u / (1 - k u): the relative error of k roundings."""
+    u = np.finfo(float).eps / 2
+    return k * u / (1 - k * u)
+
+
+def _cofactors(A):
+    """The cofactors C[j, k] of the matrices A[:, :, i] of an (n, n, m)
+    array, written out for n <= 3."""
+    n = len(A)
+    if n == 1:
+        return np.ones_like(A)
+    if n == 2:  # C[j, k] = (-1)^(j+k) A[1-j, 1-k]
+        return A[::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
+    # C[j, k] = A[j+1, k+1] A[j+2, k+2] - A[j+1, k+2] A[j+2, k+1], indices mod 3
+    nxt, far = [1, 2, 0], [2, 0, 1]
+    a, b = A[nxt], A[far]
+    return a[:, nxt] * b[:, far] - a[:, far] * b[:, nxt]
+
+
+class _CramerSets:
+    """Cramer's rule on each index set of an (m, n) array, n <= 3, with
+    rounding bounds: the first stage in front of ``_interpolants``.
+
+    The n^2 entries are gathered as contiguous (m,) columns of matrix.T; no
+    (m, n, n) stack is built.  The explicit cofactors C give each
+    determinant D and the numerators N = adj(A) b of c = N / D.  Only N
+    depends on the right-hand side, so one instance serves every sign
+    pattern b.  The bounds rest on the row norms r_j and their product H
+    (Hadamard): a cofactor C[j, k] and the sum of the absolute products it
+    is formed from are at most H / r_j, so the adjugate's absolute entries
+    sum to at most W = n^2 H / min r, and D's products to sqrt(n) H.
+
+    ``good``, ``bad`` and ``band`` sort the sets by the Hadamard-relative
+    singularity test of ``_interpolants``.  D and LAPACK's determinant differ
+    by at most, before the safety factor ``SCREEN_TOL``:
+    - gamma_{2n-1} sqrt(n) H, the cofactor formula's rounding (``det_err``);
+    - the LU backward error: with growth <= 2^(n-1) each row moves by at most
+      gamma_n n^1.5 2^(n-1) max|a| <= kappa rho times its norm, rho the
+      largest over the smallest row norm, so the determinant moves by at
+      most H ((1 + kappa rho)^n - 1);
+    - numpy's exp(sum log|u_ii|): (n + 3) n ``LOG_RANGE`` + 2 roundings
+      relative to |D|;
+    and both Hadamard products round by gamma_{2n+3}.  Outside that margin
+    the closed form gives LAPACK's verdict; inside it (``band``) LAPACK
+    decides.
+    """
+
+    def __init__(self, matrix, sets):
+        n = sets.shape[1]
+        cols = np.ascontiguousarray(matrix.T).take(sets.T, axis=1)  # [k, j] = matrix[sets[:, j], k]
+        A = cols.transpose(1, 0, 2)
+        self.n, self.scale = n, np.abs(matrix).max()
+        self.cof = _cofactors(A)
+        self.det = (A[0] * self.cof[0]).sum(axis=0)
+        norms = np.sqrt((cols * cols).sum(axis=0))  # row norms, (n, m)
+        hadamard = norms.prod(axis=0)
+        self.rmax, rmin = norms.max(axis=0), norms.min(axis=0)
+        self.det_err = _gamma(2 * n - 1) * math.sqrt(n) * hadamard
+        self.size = np.abs(self.det)
+        thr = 1e-12 * (hadamard + 1e-300)
+        kappa = _gamma(n) * n**1.5 * 2 ** (n - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):  # a zero row lands in the band
+            self.adj_total = n * n * hadamard / rmin
+            lu = hadamard * np.expm1(n * np.log1p(kappa * self.rmax / rmin))
+            margin = SCREEN_TOL * (self.det_err + lu + _gamma((n + 3) * n * LOG_RANGE + 2) * self.size
+                                   + 2 * _gamma(2 * n + 3) * thr)
+            self.good = self.size - margin > thr
+            self.bad = self.size + margin < thr
+        self.band = ~(self.good | self.bad)
+
+    def interpolants(self, alt):
+        """(coefficients, slack) of the ``good`` sets for the signs ``alt``
+        (entries +-1, so the products with them are exact).
+
+        The coefficients c are within err of the exact interpolant's and of
+        LAPACK's ``solve``, where, to first order and times ``SCREEN_TOL``,
+        sum(err) = u ||c||_1 + (gamma_{3n} (1 + n 2^(n-1) max|a| ||c||_1) W
+        + det_err ||c||_1) / (|D| - det_err): N carries gamma_{2n-2} W,
+        D carries ``det_err``, and ``solve``'s backward error
+        gamma_{3n} |L||U| <= gamma_{3n} n 2^(n-1) max|a| meets
+        |inv(A)| <= |adj(A)| / |D|.  ``slack`` bounds how far a row-sampled
+        value of c lies above the same sample of LAPACK's coefficients, less
+        that one's own ``_row_lower_bounds`` slack:
+        max|m| sum(err) + 2 (SCREEN_TOL + 1) gamma_n max|m| (||c||_1 + sum(err)).
+        """
+        n = self.n
+        u = np.finfo(float).eps / 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (self.cof * alt[:, None, None]).sum(axis=0) / self.det  # (n, m)
+            norm = np.abs(c).sum(axis=0)
+            lapack = _gamma(3 * n) * (1 + n * 2 ** (n - 1) * self.rmax * norm) * self.adj_total
+            spread = SCREEN_TOL * (u * norm + (lapack + self.det_err * norm) / (self.size - self.det_err))
+            slack = self.scale * spread + 2 * (SCREEN_TOL + 1) * _gamma(n) * self.scale * (norm + spread)
+        return c.T[self.good], slack[self.good]
+
+
+def _closed_form_survivors(matrix, sets, alt, bound: float, lp_fallback: bool):
+    """The mask of the index sets that the exact path of ``_best_of_sets``
+    must still see, in batch order.
+
+    Kept are the sets in the singularity ``band``; with ``lp_fallback`` the
+    first ``LP_BUDGET`` surely singular sets, so the LP sees the sets it sees
+    without this stage; and the good sets whose Cramer value sampled on each
+    column's peak row, less its slack, can reach min(``bound``, U).  The
+    slack keeps that bound below the exact path's first sample of every set,
+    and U, the least Cramer value (``_row_lower_bounds``) plus the largest
+    slack of a set that can reach it, lies above the least exact value and
+    above the exact path's threshold.  So the kept sets include every set
+    that the exact path's sampling picks, every set it scores in full and
+    its winner, and the exact path takes the same steps on them.
+    """
+    cramer = _CramerSets(matrix, sets)
+    coeffs, slack = cramer.interpolants(alt)
+    rows = np.unique(np.abs(matrix).argmax(axis=0))
+    lower = np.abs(matrix[rows] @ coeffs.T).max(axis=0) - slack
+    least = _row_lower_bounds(matrix, coeffs, slack)[1]
+    cap = least + slack[lower <= least].max(initial=0.0)
+    keep = cramer.band.copy()
+    keep[np.flatnonzero(cramer.good)[lower <= min(bound, cap)]] = True
+    if lp_fallback:
+        keep[np.flatnonzero(cramer.bad)[:LP_BUDGET]] = True
+    return keep
+
+
+class _BatchBest(tuple):
+    """(value, set, coefficients, rescored) of a batch, carrying ``solved``:
+    the number of its index sets that LAPACK factored."""
+
+    def __new__(cls, value, S, c, rescored: int, solved: int):
+        best = super().__new__(cls, (value, S, c, rescored))
+        best.solved = solved
+        return best
+
+
+def _best_of_sets(matrix, sets, alt, bound: float, lp_fallback=False) -> _BatchBest:
     """(value, set, coefficients, rescored) of the first index set with the
     least interpolation minimax, when that value is below ``bound``; value
     inf (and no set) otherwise.
 
     Coefficients, singularity verdicts and LP fallbacks are those of
-    ``_minimax_for_sets``.  Only the sets whose row-sampled lower bound
-    (``_row_lower_bounds``) can still reach min(``bound``, the least set's
-    value, the LP values) are scored on every row (``_sup_values``); their
-    number is ``rescored``.  Every other set's value exceeds that minimum or
-    reaches ``bound``, so the winner is the one the full table gives, its
-    value rescored in the smaller batch.
+    ``_minimax_for_sets``.  Up to ``CRAMER_MAX_N`` a closed-form stage
+    (``_closed_form_survivors``) first drops the sets that cannot win;
+    LAPACK solves the rest.  Of those, only the sets whose row-sampled lower
+    bound (``_row_lower_bounds``) can still reach min(``bound``, the least
+    set's value, the LP values) are scored on every row (``_sup_values``);
+    their number is ``rescored``.  Every other set's value exceeds that
+    minimum or reaches ``bound``, so the winner is the one the full table
+    gives, its value rescored in the smaller batch.
     """
+    if sets.shape[1] <= CRAMER_MAX_N:
+        sets = sets[_closed_form_survivors(matrix, sets, alt, bound, lp_fallback)]
     coeffs, good = _interpolants(matrix, sets, alt)
     vals = np.full(len(sets), np.inf)
     if lp_fallback:
         _lp_fallback(matrix, sets, alt, good, vals, coeffs)
     idx = np.flatnonzero(good)
     lower, least = _row_lower_bounds(matrix, coeffs[idx])
-    idx = idx[lower <= min(bound, least, vals.min())]
+    idx = idx[lower <= min(bound, least, vals.min(initial=math.inf))]
     vals[idx] = _sup_values(matrix, coeffs[idx])
+    if not vals.min(initial=math.inf) < bound:
+        return _BatchBest(math.inf, None, None, len(idx), len(sets))
     k = int(np.argmin(vals))
-    if not vals[k] < bound:
-        return math.inf, None, None, len(idx)
-    return float(vals[k]), sets[k], coeffs[k], len(idx)
+    return _BatchBest(float(vals[k]), sets[k], coeffs[k], len(idx), len(sets))
 
 
 def _combination_chunks(cands: np.ndarray, n: int):
@@ -472,25 +624,23 @@ def _best_exchange(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: float
     ``SCREEN_MIN_N`` on, a rank-one screen first drops the exchanges that
     cannot be that one or cannot go below ``bound``; otherwise the exchanges
     are scored by ``_best_of_sets``.  Value inf (and no set) when none is
-    left.  The number of exchanges scored on every row is appended to the
-    list ``tally`` when one is given."""
+    left.  The numbers of exchanges scored on every row and factored by
+    LAPACK are appended as a pair to the list ``tally`` when one is given."""
     sets = None
     if len(T) >= SCREEN_MIN_N:
         sets = _screened_exchanges(matrix, T, outside, alt, bound)
-    screened = sets is not None
-    if not screened:
-        sets = _exchanges(T, outside)
-    if not len(sets):
-        val, S, c, rescored = math.inf, None, None, 0
-    elif screened:
-        vals, coeffs = _minimax_for_sets(matrix, sets, alt)
-        k = int(np.argmin(vals))
-        val, S, c, rescored = float(vals[k]), sets[k], coeffs[k], len(sets)
-    else:
-        val, S, c, rescored = _best_of_sets(matrix, sets, alt, bound)
+    if sets is None:
+        best = _best_of_sets(matrix, _exchanges(T, outside), alt, bound)
+        if tally is not None:
+            tally.append((best[3], best.solved))
+        return best[:3]
     if tally is not None:
-        tally.append(rescored)
-    return val, S, c
+        tally.append((len(sets), len(sets)))
+    if not len(sets):
+        return math.inf, None, None
+    vals, coeffs = _minimax_for_sets(matrix, sets, alt)
+    k = int(np.argmin(vals))
+    return float(vals[k]), sets[k], coeffs[k]
 
 
 def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
@@ -525,7 +675,7 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
 
     best_val, best_T, best_c = math.inf, None, None
     evals = 0
-    tally = []  # index sets scored on every row, per batch
+    tally = []  # (index sets scored on every row, factored by LAPACK) per batch
 
     def improve(val, T, c):
         nonlocal best_val, best_T, best_c
@@ -535,15 +685,15 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     def exhaustive_sweep():
         nonlocal evals
         for sets in _combination_chunks(cands, n):
-            val, T, c, rescored = _best_of_sets(matrix, sets, alt, best_val - 1e-12, True)
+            best = _best_of_sets(matrix, sets, alt, best_val - 1e-12, True)
             evals += len(sets)
-            tally.append(rescored)
-            improve(val, T, c)
+            tally.append((best[3], best.solved))
+            improve(*best[:3])
 
     def descend(T):
         nonlocal evals
         vals, coeffs = _minimax_for_sets(matrix, T[None], alt, True)
-        tally.append(1)
+        tally.append((1, 1))
         cur_val, cur_c = float(vals[0]), coeffs[0]
         for _ in range(MAX_SWEEPS):
             outside = cands[~np.isin(cands, T)]
@@ -591,13 +741,14 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
             if len(np.unique(peaks)) == n:
                 improve(*descend(np.sort(peaks)))
 
+    rescored, solved = sum(r for r, _ in tally), sum(s for _, s in tally)
     if best_T is None:
-        return ZigzagResult(None, "inconclusive", math.inf, evals, sum(tally))
+        return ZigzagResult(None, "inconclusive", math.inf, evals, rescored, solved)
     g = matrix @ best_c
     # coefficients go back to the caller's basis
     witness = ZigzagWitness(g, best_T, float(np.abs(g).max()), best_c / col_scale)
     status = "certified" if witness.sup_norm_value <= 1.0 + eps else "inconclusive"
-    return ZigzagResult(witness, status, witness.sup_norm_value, evals, sum(tally))
+    return ZigzagResult(witness, status, witness.sup_norm_value, evals, rescored, solved)
 
 
 # -- one-dimensional estimators ------------------------------------------------
@@ -747,12 +898,17 @@ def bernstein_lower(subspace: Subspace) -> SNumberBound:
     combos = np.array(list(itertools.combinations(live.tolist(), n)))
     if combos.size == 0:
         raise DegenerateBasisError("not enough active nodes for a vertex")
+    cramer = _CramerSets(matrix, combos)  # nothing in it depends on the signs
+    good = np.flatnonzero(cramer.good)
     best_mass, best_c = 0.0, None
     for signs in itertools.product((1.0, -1.0), repeat=n - 1):
         sigma = np.array((1.0, *signs))  # global sign symmetry fixes the first
-        coeffs, good = _interpolants(matrix, combos, sigma)
+        # LAPACK solves the sets whose Cramer lower bound can pass the cut
+        keep = cramer.band.copy()
+        keep[good[_row_lower_bounds(matrix, *cramer.interpolants(sigma))[0] <= 1.0 + 1e-9]] = True
+        coeffs, ok = _interpolants(matrix, combos[keep], sigma)
         # the feasibility cut, on the sets whose lower bound does not exclude it
-        cs = coeffs[good]
+        cs = coeffs[ok]
         cs = cs[_row_lower_bounds(matrix, cs)[0] <= 1.0 + 1e-9]
         cs = cs[_sup_values(matrix, cs) <= 1.0 + 1e-9]
         if not len(cs):

@@ -258,3 +258,17 @@ class TestCheckers:
         for coords in ([(0, 0), (0, 2)], [(0, 0), (0, -1)], [(0, 0, 0)]):
             with pytest.raises(ValueError):
                 HilbertOrdering(2, 1, coords)
+
+    def test_prefix_nesting_makes_no_wide_copy(self):
+        import tracemalloc
+
+        # 2^21 cubes: an int64 (N, 3) copy of the ancestors alone is 48 MB
+        ordering = hilbert_order(3, 7)
+        tracemalloc.start()
+        try:
+            verdict = check_prefix_nesting(ordering)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == (True, None)
+        assert peak <= 60 * 2**20

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -518,6 +519,201 @@ class TestPrunedScoring:
             tracemalloc.stop()
         assert res.evaluations == math.comb(241, 2)
         assert peak <= 0.25 * 241 * math.comb(239, 2) * 8
+
+
+@functools.lru_cache(maxsize=None)
+def _interval_searches(n):
+    """The ``_best_of_sets`` batches and the search results of the bernstein
+    rows of the seed-1 interval command at ``n``."""
+    from snum.cli import RunConfig, _volterra_task
+
+    batches, results = [], []
+    best_of_sets, zigzag = snumbers_mod._best_of_sets, snumbers_mod.zigzag_find
+
+    def recorded_batch(*args):
+        batches.append(args)
+        return best_of_sets(*args)
+
+    def recorded_search(*args, **kwargs):
+        results.append(zigzag(*args, **kwargs))
+        return results[-1]
+
+    snumbers_mod._best_of_sets, snumbers_mod.zigzag_find = recorded_batch, recorded_search
+    try:
+        _volterra_task(RunConfig(command="volterra", grid=240, seed=1, subspaces=20), "bernstein", n)
+    finally:
+        snumbers_mod._best_of_sets, snumbers_mod.zigzag_find = best_of_sets, zigzag
+    return batches, results
+
+
+def _unstaged_best(matrix, sets, alt, bound, lp_fallback):
+    """The exact path alone: LAPACK on every set, then the row-sampled prune."""
+    coeffs, good = snumbers_mod._interpolants(matrix, sets, alt)
+    vals = np.full(len(sets), np.inf)
+    if lp_fallback:
+        snumbers_mod._lp_fallback(matrix, sets, alt, good, vals, coeffs)
+    idx = np.flatnonzero(good)
+    lower, least = snumbers_mod._row_lower_bounds(matrix, coeffs[idx])
+    idx = idx[lower <= min(bound, least, vals.min())]
+    vals[idx] = snumbers_mod._sup_values(matrix, coeffs[idx])
+    k = int(np.argmin(vals))
+    if not vals[k] < bound:
+        return math.inf, None, None
+    return float(vals[k]), sets[k], coeffs[k]
+
+
+def _assert_stage_parity(monkeypatch, matrix, sets, alt, bound=np.inf, lp_fallback=False):
+    """``_best_of_sets`` gives the value bits, set, coefficient bytes and LP
+    solves of the unstaged composition; returns the number of sets solved."""
+    lp = snumbers_mod._minimax_lp
+    picks = []
+    with monkeypatch.context() as patch:
+        for run in (_unstaged_best, snumbers_mod._best_of_sets):
+            calls = []
+
+            def counted_lp(m, T, a):
+                calls.append(T.tolist())
+                return lp(m, T, a)
+
+            patch.setattr(snumbers_mod, "_minimax_lp", counted_lp)
+            result = run(matrix, sets, alt, bound, lp_fallback)
+            val, best, c = result[:3]
+            picks.append((np.float64(val).tobytes(), best is None or best.tolist(),
+                          c is None or c.tobytes(), calls))
+    assert picks[0] == picks[1]
+    return result.solved
+
+
+def _lapack_verdicts(matrix, sets):
+    """The singularity verdicts of ``_interpolants``."""
+    return snumbers_mod._interpolants(matrix, sets, np.ones(sets.shape[1]))[1]
+
+
+def _threshold_family(scale):
+    """Rows (1, 0) and (1, delta) for deltas within 40 ulps of 1e-12, scaled:
+    each pair (0, i) has |det| over its Hadamard bound at 1e-12 +- ulps."""
+    deltas = 1e-12 * (1 + np.arange(-40, 41) * 2.0**-52)
+    matrix = scale * np.vstack([[1.0, 0.0], np.stack([np.ones_like(deltas), deltas], axis=1)])
+    return matrix, np.array([[0, i] for i in range(1, len(matrix))])
+
+
+def _small_rows_family(rng, eps, count=100):
+    """Triples of rows, two of them eps times the third, whose determinant is
+    zero but for its rounding; LU eliminates the small rows with multipliers
+    of about 1, so LAPACK's determinant errs by about u / eps times the
+    Hadamard product."""
+    rows = []
+    for _ in range(count):
+        big = np.array([eps, 1.0, 1.0]) * rng.uniform(0.5, 1, 3)
+        one = eps * np.array([0.7, *rng.standard_normal(2)])
+        two = eps * np.array([0.5, rng.standard_normal(), 0.0])
+        cof = np.cross(big, one)
+        two[2] = -(cof[0] * two[0] + cof[1] * two[1]) / cof[2]
+        rows += [big, one, two]
+    return np.array(rows), np.arange(3 * count).reshape(-1, 3)
+
+
+class TestClosedFormStage:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_interval_batches_match_the_unstaged_path(self, monkeypatch, n):
+        batches, _ = _interval_searches(n)
+        # the 20 exhaustive sweeps at n = 1 and 2; the n = 3 exchange sweeps
+        assert len(batches) == (20 if n < 3 else 332)
+        solved = [_assert_stage_parity(monkeypatch, *args) for args in batches]
+        assert sum(solved) <= 0.15 * sum(len(args[1]) for args in batches)
+
+    def test_search_solves_few_sets(self):
+        _, results = _interval_searches(2)
+        for res in results:
+            assert res.evaluations == math.comb(239, 2)
+            assert 1 <= res.solved <= 0.15 * res.evaluations
+
+    def test_symmetric_chebyshev_incumbents(self, monkeypatch):
+        # mirrored exchanges tie in exact arithmetic; at n = 8 no stage runs
+        P = 31
+        t = np.linspace(-1.0, 1.0, P)
+        rng = np.random.default_rng(0)
+        for n in (2, 3, 8):
+            matrix = np.stack([np.cos(k * np.arccos(t)) for k in range(n)], axis=1)
+            alt = snumbers_mod._alternation_target(n)
+            for _ in range(40):
+                half = rng.choice(P // 2, n // 2, replace=False)
+                T = np.sort(np.concatenate([half, P - 1 - half, np.arange(P // 2, P // 2 + n % 2)]))
+                outside = np.setdiff1d(np.arange(P), T)
+                _assert_stage_parity(monkeypatch, matrix, snumbers_mod._exchanges(T, outside), alt)
+
+    def test_exact_ties_and_bounds(self, monkeypatch):
+        matrix = np.random.default_rng(4).integers(-1, 2, (20, 3)).astype(float)
+        sets = np.array(list(itertools.combinations(range(20), 3)))
+        alt = snumbers_mod._alternation_target(3)
+        vals, _ = snumbers_mod._minimax_for_sets(matrix, sets, alt)
+        least = vals.min()
+        assert (vals == least).sum() > 10
+        for bound in (np.inf, np.nextafter(least, np.inf), least, least / 2):
+            for lp_fallback in (False, True):
+                _assert_stage_parity(monkeypatch, matrix, sets, alt, bound, lp_fallback)
+
+    def test_closed_form_verdicts_are_lapacks(self):
+        # outside the band the closed form gives LAPACK's verdict; the
+        # families below make a band-free or relative-only verdict wrong
+        rng = np.random.default_rng(6)
+        families = [_threshold_family(scale) for scale in (1.0, 3.7, 1e-3, 123.4)]
+        families += [_small_rows_family(rng, eps) for eps in (1e-6, 1e-8, 1e-10)]
+        duplicated = np.repeat(rng.standard_normal((8, 3)), 3, axis=0)
+        families.append((duplicated, np.array(list(itertools.combinations(range(24), 3)))))
+        generic = rng.standard_normal((30, 2)) * np.logspace(-6, 0, 30)[:, None]
+        families.append((generic, np.array(list(itertools.combinations(range(30), 2)))))
+        for matrix, sets in families:
+            stage = snumbers_mod._CramerSets(matrix, sets)
+            lapack = _lapack_verdicts(matrix, sets)
+            assert (stage.good <= lapack).all() and (stage.bad <= ~lapack).all()
+        # LAPACK calls some sets of each family nonsingular and others singular
+        for matrix, sets in families[:-2]:
+            assert 0 < _lapack_verdicts(matrix, sets).sum() < len(sets)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_slack_covers_lapack_coefficients(self, seed):
+        # on every row, the Cramer lower bound stays below the exact path's
+        # lower bound from LAPACK's coefficients, up to condition numbers 1e12
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 3):
+            matrix = rng.standard_normal((40, n))
+            matrix[20:] = matrix[:20] + 10.0 ** rng.uniform(-12, 0, (20, 1)) * rng.standard_normal((20, n))
+            sets = np.sort(rng.choice(40, (400, n)), axis=1)
+            sets = sets[(np.diff(sets, axis=1) > 0).all(axis=1)]
+            alt = snumbers_mod._alternation_target(n)
+            stage = snumbers_mod._CramerSets(matrix, sets)
+            coeffs, slack = stage.interpolants(alt)
+            exact, ok = snumbers_mod._interpolants(matrix, sets[stage.good], alt)
+            assert ok.all()
+            base = 2 * snumbers_mod.SCREEN_TOL * n * 2.0**-53 / (1 - n * 2.0**-53)
+            exact_slack = base * np.abs(matrix).max() * np.abs(exact).sum(axis=1)
+            assert (np.abs(matrix @ coeffs.T) - slack <= np.abs(matrix @ exact.T) - exact_slack).all()
+
+    def test_adversarial_batches(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        for scale in (1.0, 1e-3):
+            matrix, _ = _threshold_family(scale)
+            matrix = np.vstack([matrix, rng.standard_normal((10, 2))])
+            sets = np.array(list(itertools.combinations(range(len(matrix)), 2)))
+            _assert_stage_parity(monkeypatch, matrix, sets, snumbers_mod._alternation_target(2),
+                                 lp_fallback=True)
+        for eps in (1e-6, 1e-10):
+            matrix, sets = _small_rows_family(rng, eps)
+            sets = np.vstack([sets, np.sort(rng.choice(len(matrix), (50, 3), replace=True), axis=1)])
+            _assert_stage_parity(monkeypatch, matrix, sets, snumbers_mod._alternation_target(3),
+                                 lp_fallback=True)
+
+    def test_lp_sees_the_same_singular_sets(self, monkeypatch):
+        # six copies of one row: more than LP_BUDGET singular sets come first
+        rng = np.random.default_rng(3)
+        matrix = np.vstack([np.repeat(rng.standard_normal((1, 3)), 6, axis=0), rng.standard_normal((14, 3))])
+        sets = np.array(list(itertools.combinations(range(20), 3)))
+        alt = snumbers_mod._alternation_target(3)
+        _, best, _ = _unstaged_best(matrix, sets, alt, np.inf, False)
+        k = int(np.flatnonzero((sets == best).all(axis=1))[0])
+        assert (~_lapack_verdicts(matrix, sets[:k])).sum() > snumbers_mod.LP_BUDGET
+        _assert_stage_parity(monkeypatch, matrix, sets, alt, lp_fallback=True)
 
 
 class TestIsomorphism1d:
