@@ -215,7 +215,6 @@ ESCALATION_LIMIT = 20_000_000  # index sets swept when local search fails
 RESTARTS = 12  # local-search starting sets
 KICKS = 24  # two-index perturbations of the incumbent per start
 MAX_SWEEPS = 80  # exchange sweeps per descent
-LP_BUDGET = 64  # singular index sets per batch handed to the LP
 BLOCK_ENTRIES = 1 << 22  # matrix entries per stacked block of index sets
 GRAM_BLOCK_ENTRIES = 1 << 20  # basis values stacked per block of a grid Gram
 
@@ -230,30 +229,6 @@ CRAMER_MAX_N = 3  # the cofactor formulas of ``_cofactors`` stop at 3 x 3
 LOG_RANGE = 746  # no positive double has |log x| above this
 
 BERNSTEIN_LOWER_MAX_N = 3  # vertex enumeration is exhaustive up to this n
-
-
-def _minimax_lp(matrix: np.ndarray, T, alt) -> tuple:
-    """min ||g||_inf over g in span with g[T] = alt (degenerate index sets)."""
-    npts, n = matrix.shape
-    a_eq = np.hstack([matrix[T], np.zeros((n, 1))])
-    a_ub = np.vstack(
-        [
-            np.hstack([matrix, -np.ones((npts, 1))]),
-            np.hstack([-matrix, -np.ones((npts, 1))]),
-        ]
-    )
-    res = linprog(
-        c=[0.0] * n + [1.0],
-        A_ub=a_ub,
-        b_ub=np.zeros(2 * npts),
-        A_eq=a_eq,
-        b_eq=alt,
-        bounds=[(None, None)] * n + [(0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        return math.inf, None
-    return float(res.fun), res.x[:n]
 
 
 def _interpolants(matrix, sets, alt):
@@ -282,37 +257,10 @@ def _interpolants(matrix, sets, alt):
 
 
 def _sup_values(matrix, coeffs):
-    """max |matrix @ c| for each row c of ``coeffs``, from one product whose
-    absolute value is taken in place: one value table per batch.  BLAS may
-    round a column differently depending on where it sits in the product, so
-    a value's last bit depends on the batch."""
-    g = matrix @ coeffs.T  # (npts, sets)
-    return np.abs(g, out=g).max(axis=0)
-
-
-def _lp_fallback(matrix, sets, alt, good, vals, coeffs):
-    """Score the first ``LP_BUDGET`` singular sets by the LP, in place."""
-    for i in np.nonzero(~good)[0][:LP_BUDGET]:
-        v, c = _minimax_lp(matrix, sets[i], alt)
-        if c is not None:
-            vals[i], coeffs[i] = v, c
-
-
-def _minimax_for_sets(matrix, sets, alt, lp_fallback=False):
-    """Interpolation minimax per index set, batched.
-
-    With dim E = n and n constraints the interpolant is generically unique:
-    one square solve per set (``_interpolants``).  Singular sets are
-    infeasible or need the LP.  Returns (values, coefficient rows);
-    infeasible sets get +inf.  The values of all nonsingular sets come from
-    one product (``_sup_values``).
-    """
-    coeffs, good = _interpolants(matrix, sets, alt)
-    vals = np.full(len(sets), np.inf)
-    vals[good] = _sup_values(matrix, coeffs[good])
-    if lp_fallback:
-        _lp_fallback(matrix, sets, alt, good, vals, coeffs)
-    return vals, coeffs
+    """max |matrix @ c| for each row c of ``coeffs``, each from its own
+    product: a value does not depend on the batch it is scored in, and it is
+    the sup norm that ``zigzag_find`` reports for the same coefficients."""
+    return np.fromiter((np.abs(matrix @ c).max() for c in coeffs), float, len(coeffs))
 
 
 def _row_lower_bounds(matrix, coeffs, slack=None):
@@ -445,20 +393,19 @@ class _CramerSets:
         return c.T[self.good], slack[self.good]
 
 
-def _closed_form_survivors(matrix, sets, alt, bound: float, lp_fallback: bool):
+def _closed_form_survivors(matrix, sets, alt, bound: float):
     """The mask of the index sets that the exact path of ``_best_of_sets``
     must still see, in batch order.
 
-    Kept are the sets in the singularity ``band``; with ``lp_fallback`` the
-    first ``LP_BUDGET`` surely singular sets, so the LP sees the sets it sees
-    without this stage; and the good sets whose Cramer value sampled on each
-    column's peak row, less its slack, can reach min(``bound``, U).  The
-    slack keeps that bound below the exact path's first sample of every set,
-    and U, the least Cramer value (``_row_lower_bounds``) plus the largest
-    slack of a set that can reach it, lies above the least exact value and
-    above the exact path's threshold.  So the kept sets include every set
-    that the exact path's sampling picks, every set it scores in full and
-    its winner, and the exact path takes the same steps on them.
+    Kept are the sets in the singularity ``band`` and the good sets whose
+    Cramer value sampled on each column's peak row, less its slack, can
+    reach min(``bound``, U).  The slack keeps that bound below the exact
+    path's first sample of every set, and U, the least Cramer value
+    (``_row_lower_bounds``) plus the largest slack of a set that can reach
+    it, lies above the least exact value and above the exact path's
+    threshold.  So the kept sets include every set that the exact path's
+    sampling picks, every set it scores in full and its winner, and the
+    exact path takes the same steps on them.
     """
     cramer = _CramerSets(matrix, sets)
     coeffs, slack = cramer.interpolants(alt)
@@ -468,8 +415,6 @@ def _closed_form_survivors(matrix, sets, alt, bound: float, lp_fallback: bool):
     cap = least + slack[lower <= least].max(initial=0.0)
     keep = cramer.band.copy()
     keep[np.flatnonzero(cramer.good)[lower <= min(bound, cap)]] = True
-    if lp_fallback:
-        keep[np.flatnonzero(cramer.bad)[:LP_BUDGET]] = True
     return keep
 
 
@@ -483,30 +428,29 @@ class _BatchBest(tuple):
         return best
 
 
-def _best_of_sets(matrix, sets, alt, bound: float, lp_fallback=False) -> _BatchBest:
+def _best_of_sets(matrix, sets, alt, bound: float) -> _BatchBest:
     """(value, set, coefficients, rescored) of the first index set with the
     least interpolation minimax, when that value is below ``bound``; value
-    inf (and no set) otherwise.
+    inf (and no set) otherwise.  This is the search's one exact scorer.
 
-    Coefficients, singularity verdicts and LP fallbacks are those of
-    ``_minimax_for_sets``.  Up to ``CRAMER_MAX_N`` a closed-form stage
+    With dim E = n and n constraints the interpolant is generically unique:
+    one square solve per set (``_interpolants``); a singular set has no
+    interpolant and cannot win.  Up to ``CRAMER_MAX_N`` a closed-form stage
     (``_closed_form_survivors``) first drops the sets that cannot win;
     LAPACK solves the rest.  Of those, only the sets whose row-sampled lower
     bound (``_row_lower_bounds``) can still reach min(``bound``, the least
-    set's value, the LP values) are scored on every row (``_sup_values``);
-    their number is ``rescored``.  Every other set's value exceeds that
-    minimum or reaches ``bound``, so the winner is the one the full table
-    gives, its value rescored in the smaller batch.
+    set's value) are scored on every row (``_sup_values``); their number is
+    ``rescored``.  Every other set's value exceeds that minimum or reaches
+    ``bound``, and each set is scored on its own, so the winner and its
+    value are those of the full value table.
     """
     if sets.shape[1] <= CRAMER_MAX_N:
-        sets = sets[_closed_form_survivors(matrix, sets, alt, bound, lp_fallback)]
+        sets = sets[_closed_form_survivors(matrix, sets, alt, bound)]
     coeffs, good = _interpolants(matrix, sets, alt)
     vals = np.full(len(sets), np.inf)
-    if lp_fallback:
-        _lp_fallback(matrix, sets, alt, good, vals, coeffs)
     idx = np.flatnonzero(good)
     lower, least = _row_lower_bounds(matrix, coeffs[idx])
-    idx = idx[lower <= min(bound, least, vals.min(initial=math.inf))]
+    idx = idx[lower <= min(bound, least)]
     vals[idx] = _sup_values(matrix, coeffs[idx])
     if not vals.min(initial=math.inf) < bound:
         return _BatchBest(math.inf, None, None, len(idx), len(sets))
@@ -620,33 +564,30 @@ def _screened_exchanges(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: 
 def _best_exchange(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: float,
                    tally=None):
     """(value, set, coefficients) of the first exchange of ``T`` with the
-    least exact interpolation minimax, in ``_exchanges`` order.  From
+    least exact interpolation minimax, in ``_exchanges`` order, when that
+    value is below ``bound``; value inf (and no set) otherwise.  From
     ``SCREEN_MIN_N`` on, a rank-one screen first drops the exchanges that
-    cannot be that one or cannot go below ``bound``; otherwise the exchanges
-    are scored by ``_best_of_sets``.  Value inf (and no set) when none is
-    left.  The numbers of exchanges scored on every row and factored by
-    LAPACK are appended as a pair to the list ``tally`` when one is given."""
+    cannot be that one or cannot go below ``bound``; ``_best_of_sets``
+    scores the rest.  The numbers of exchanges scored on every row and
+    factored by LAPACK are appended as a pair to the list ``tally`` when one
+    is given."""
     sets = None
     if len(T) >= SCREEN_MIN_N:
         sets = _screened_exchanges(matrix, T, outside, alt, bound)
     if sets is None:
-        best = _best_of_sets(matrix, _exchanges(T, outside), alt, bound)
-        if tally is not None:
-            tally.append((best[3], best.solved))
-        return best[:3]
+        sets = _exchanges(T, outside)
+    best = _best_of_sets(matrix, sets, alt, bound)
     if tally is not None:
-        tally.append((len(sets), len(sets)))
-    if not len(sets):
-        return math.inf, None, None
-    vals, coeffs = _minimax_for_sets(matrix, sets, alt)
-    k = int(np.argmin(vals))
-    return float(vals[k]), sets[k], coeffs[k]
+        tally.append((best[3], best.solved))
+    return best[:3]
 
 
 def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     """Find g in the column span of ``matrix`` with g(t_j) = (-1)^j at n
     increasing positions and near-minimal sup norm.
 
+    Every candidate is the interpolant of the signs on a nonsingular index
+    set, scored by ``_best_of_sets``; a singular set is never a candidate.
     Exhaustive over index sets (lexicographic, ties to the first = smallest
     optimum) when the count fits ``EXHAUSTIVE_LIMIT``; otherwise iterated
     local search (one-index exchange descent, see ``_best_exchange``, with
@@ -685,16 +626,16 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     def exhaustive_sweep():
         nonlocal evals
         for sets in _combination_chunks(cands, n):
-            best = _best_of_sets(matrix, sets, alt, best_val - 1e-12, True)
+            best = _best_of_sets(matrix, sets, alt, best_val - 1e-12)
             evals += len(sets)
             tally.append((best[3], best.solved))
             improve(*best[:3])
 
     def descend(T):
         nonlocal evals
-        vals, coeffs = _minimax_for_sets(matrix, T[None], alt, True)
-        tally.append((1, 1))
-        cur_val, cur_c = float(vals[0]), coeffs[0]
+        start = _best_of_sets(matrix, T[None], alt, math.inf)
+        tally.append((start[3], start.solved))
+        cur_val, cur_c = start[0], start[2]
         for _ in range(MAX_SWEEPS):
             outside = cands[~np.isin(cands, T)]
             evals += n * len(outside)
