@@ -13,6 +13,7 @@ import csv
 import json
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -358,30 +359,25 @@ def _run_john(args) -> int:
     rng = np.random.default_rng(args.seed)
     total = len(ordering)
     if args.exhaustive:
-        pairs = [(i, j) for i in range(1, total + 1) for j in range(i, total + 1)]
-    else:
+        pairs = ((i, j) for i in range(1, total + 1) for j in range(i, total + 1))
+    else:  # all drawn before the first domain's samples
         pairs = []
         for _ in range(args.pairs):
             i = int(rng.integers(1, total + 1))
             pairs.append((i, int(rng.integers(i, total + 1))))
-    rows = []
     status = 0
-    for i, j in pairs:
-        omega = segment_domain(ordering, i, j)
-        cert = john_bound_constructive(omega)
-        ok, worst = verify_john_certificate(omega, cert, args.samples, rng=rng)
-        if not ok:
-            status = 1
-        rows.append([i, j, f"{cert.constant:.12g}", f"{cert.profile_bound:.12g}",
-                     f"{worst:.12g}", "pass" if ok else "fail"])
-    target = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
+    # opened first: an unwritable path fails before any domain is measured
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as target:
         writer = csv.writer(target)
         writer.writerow(["i", "j", "constant", "profile_bound", "worst_ratio", "verdict"])
-        writer.writerows(rows)
-    finally:
-        if args.out:
-            target.close()
+        for i, j in pairs:
+            omega = segment_domain(ordering, i, j)
+            cert = john_bound_constructive(omega)
+            ok, worst = verify_john_certificate(omega, cert, args.samples, rng=rng)
+            if not ok:
+                status = 1
+            writer.writerow([i, j, f"{cert.constant:.12g}", f"{cert.profile_bound:.12g}",
+                             f"{worst:.12g}", "pass" if ok else "fail"])
     return status
 
 
@@ -511,7 +507,7 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             names = {s.strip() for s in args.only.split(",") if s.strip()} or None
             return selftest_mod.run_selftest(names)
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, OSError) as exc:  # OSError names the path
         parser.error(str(exc))
     return 0
 

@@ -20,7 +20,7 @@ from itertools import product
 
 import numpy as np
 
-from .hilbert import DyadicCube, HilbertOrdering
+from .hilbert import HilbertOrdering
 from .spaces import GridFunction, GridMismatchError, LorentzParams, grid_gradient_lorentz_norm
 
 
@@ -120,29 +120,36 @@ class CubeUnion:
         merged into one run.  IEEE subtraction is monotone, so a run's gap to a
         point on that axis is the least of its pieces' gaps and its other gaps
         are theirs: the nearest run is exactly as near as the nearest face.
+
+        Each unit face (cell, direction 2a or 2a + 1 for the step -1 or +1
+        along axis a) gets one integer key: the direction, then the other
+        coordinates, then the first tangent axis t in base n + 1, so one sort
+        groups the faces by plane line and a run is where the key steps by 1.
         """
-        side = 1.0 / (1 << self.level)
-        lows, highs = [], []
-        for a in range(self.dim):
-            for step in (-1, 1):
-                nb = self.coords.astype(np.int64)
-                nb[:, a] += step
-                z = self.coords[self.positions(nb) < 0].astype(np.int64)
-                first = last = z
-                if self.dim > 1:  # runs along the first tangent axis t
-                    t = 1 if a == 0 else 0
-                    others = [b for b in range(self.dim) if b != t]
-                    z = z[np.lexsort(z.T[[t, *others]])]
-                    breaks = (np.diff(z[:, others], axis=0) != 0).any(axis=1)
-                    breaks |= np.diff(z[:, t]) != 1
-                    starts = np.flatnonzero(np.concatenate([[True], breaks]))
-                    first = z[starts]
-                    last = z[np.append(starts[1:], len(z)) - 1]
-                lo, hi = first * side, (last + 1) * side
-                lo[:, a] = hi[:, a] = (first[:, a] + (1 if step == 1 else 0)) * side
-                lows.append(lo)
-                highs.append(hi)
-        return np.concatenate(lows), np.concatenate(highs)
+        d, n = self.dim, 1 << self.level
+        side = 1.0 / n
+        z = self.coords.astype(np.int64)
+        steps = np.repeat(np.eye(d, dtype=np.int64), 2, axis=0) * np.tile([-1, 1], d)[:, None]
+        cells, dirs = np.nonzero(self.positions(z[:, None, :] + steps) < 0)
+        weights = np.zeros((2 * d, d), dtype=np.int64)
+        per_direction = 2  # d = 1: keys 0 and 2 never step by 1, so no face merges
+        if d > 1:
+            for a in range(d):
+                t = 1 if a == 0 else 0
+                others = [b for b in range(d) if b != t]
+                weights[2 * a : 2 * a + 2, others] = (n + 1) * n ** np.arange(d - 1)
+                weights[2 * a : 2 * a + 2, t] = 1
+            per_direction = (n + 1) * n ** (d - 1)
+        keys = dirs * per_direction + (z[cells] * weights[dirs]).sum(axis=1)
+        order = np.argsort(keys, kind="stable")
+        starts = np.flatnonzero(np.concatenate([[True], np.diff(keys[order]) != 1]))
+        ends = np.append(starts[1:], len(order)) - 1
+        first, last = z[cells[order[starts]]], z[cells[order[ends]]]
+        a, up = np.divmod(dirs[order[starts]], 2)
+        lo, hi = first * side, (last + 1) * side
+        rows = np.arange(len(starts))
+        lo[rows, a] = hi[rows, a] = (first[rows, a] + up) * side
+        return lo, hi
 
     def boundary_distance(self, points) -> np.ndarray:
         """Exact Euclidean distance to the boundary, via the face decomposition."""
@@ -187,13 +194,11 @@ class CubeUnion:
         return mask
 
 
-def _centers(coords, level: int) -> np.ndarray:
-    """Centers 2^-level (z + 1/2) of level cubes; exact, since they are dyadic."""
-    return (2 * np.asarray(coords, dtype=np.int64) + 1) / float(1 << (level + 1))
-
-
-def _block_center(cube: DyadicCube) -> np.ndarray:
-    return _centers(cube.coords, cube.level)
+def _centers(coords, level) -> np.ndarray:
+    """Centers 2^-level (z + 1/2) of level cubes, at one level or at one level
+    per row; exact, since they are dyadic."""
+    doubled = 2 * np.asarray(coords, dtype=np.int64) + 1.0
+    return np.ldexp(doubled, -1 - np.asarray(level)[..., None])
 
 
 def segment_domain(ordering: HilbertOrdering, i: int, j: int) -> CubeUnion:
@@ -215,28 +220,20 @@ def _maximal_blocks(lo: int, hi: int, base: int):
     return blocks
 
 
-def _gate(a: DyadicCube, b: DyadicCube):
-    """Midpoint of the shared face rectangle of two face-adjacent boxes."""
-    alo, ahi = a.box()
-    blo, bhi = b.box()
-    gate = []
-    for lo1, hi1, lo2, hi2 in zip(alo, ahi, blo, bhi):
-        lo, hi = max(lo1, lo2), min(hi1, hi2)
-        if hi < lo:
-            raise ConstructionError("blocks are not adjacent")
-        gate.append(0.5 * (lo + hi))
-    return gate
-
-
 @dataclass
 class JohnCertificate:
     """Certified curve construction: for sampled x and curve parameter t,
-    dist(gamma(t), boundary) >= constant^-1 |x - gamma(t)|."""
+    dist(gamma(t), boundary) >= constant^-1 |x - gamma(t)|.
+
+    Block b of the domain's maximal-block tiling is the dyadic cube
+    ``2^-block_levels[b] * (block_coords[b] + [0, 1]^d)``.
+    """
 
     union: CubeUnion
     center: np.ndarray
     constant: float
-    blocks: list
+    block_levels: np.ndarray
+    block_coords: np.ndarray
     center_block: int
     runs_left: list
     runs_right: list
@@ -244,22 +241,33 @@ class JohnCertificate:
 
     def block_of_index(self, index):
         """Maximal-block position of 1-based cube indices (an int or an
-        array), clamped to ``[0, len(blocks) - 1]``."""
+        array), clamped to ``[0, len(block_levels) - 1]``."""
         found = np.searchsorted(self._block_starts, np.asarray(index) - 1, side="right") - 1
-        return np.clip(found, 0, len(self.blocks) - 1)
+        return np.clip(found, 0, len(self.block_levels) - 1)
+
+    @cached_property
+    def block_centers(self) -> np.ndarray:
+        """One exact center per block."""
+        return _centers(self.block_coords, self.block_levels)
 
     @cached_property
     def _walks(self) -> tuple:
         """The walks out of the center block toward the first and toward the
         last block: block centers alternating with shared-face midpoints, so
         a block m steps out is vertex 2m of its side's walk."""
+        sides = np.ldexp(1.0, -self.block_levels)[:, None]
+        lows, highs = self.block_coords * sides, (self.block_coords + 1) * sides
+        # the shared face of blocks b and b + 1, and its midpoint
+        lo, hi = np.maximum(lows[:-1], lows[1:]), np.minimum(highs[:-1], highs[1:])
+        if (hi < lo).any():
+            raise ConstructionError("blocks are not adjacent")
+        gates = 0.5 * (lo + hi)
+        c, centers = self.center_block, self.block_centers
         walks = []
-        for step, stop in ((-1, -1), (1, len(self.blocks))):
-            path = [_block_center(self.blocks[self.center_block])]
-            for outer in range(self.center_block + step, stop, step):
-                path.append(np.array(_gate(self.blocks[outer], self.blocks[outer - step])))
-                path.append(_block_center(self.blocks[outer]))
-            walks.append(np.array(path))
+        for ring, doors in ((centers[c::-1], gates[:c][::-1]), (centers[c:], gates[c:])):
+            path = np.empty((2 * len(ring) - 1, self.union.dim))
+            path[0::2], path[1::2] = ring, doors
+            walks.append(path)
         return tuple(walks)
 
     def chain_vertices(self, block_idx: int) -> np.ndarray:
@@ -278,19 +286,15 @@ class JohnCertificate:
         """
         half = 0.5 * math.sqrt(self.union.dim)
         bound = math.sqrt(self.union.dim)
-        sides = (range(self.center_block, -1, -1), range(self.center_block, len(self.blocks)))
-        for walk, idxs in zip(self._walks, sides):
-            # path length from each block's center to x0, one leg per block
-            legs = [
-                float(np.linalg.norm(walk[k + 1] - walk[k]) + np.linalg.norm(walk[k] - walk[k - 1]))
-                for k in range(1, len(walk), 2)
-            ]
-            pref = np.cumsum([0.0, *legs])
-            h = np.array([float(self.blocks[b].side) for b in idxs])
-            # row t: gamma(t) in block idxs[t]; column x > t: x in an outer block
+        c, sides = self.center_block, np.ldexp(1.0, -self.block_levels)
+        for walk, h in zip(self._walks, (sides[c::-1], sides[c:])):
+            # path length from each block's center to x0, one leg per block;
+            # the walk is dyadic, so every squared segment length is exact
+            segments = np.sqrt((np.diff(walk, axis=0) ** 2).sum(axis=1))
+            pref = np.cumsum(np.concatenate([[0.0], segments[1::2] + segments[0::2]]))
+            # row t: gamma(t) in block t; column x > t: x in an outer block
             reach = half * h + (pref - pref[:, None]) + half * h[:, None]
-            outer = np.triu_indices(len(h), 1)
-            bound = float((4.0 * reach / h[:, None])[outer].max(initial=bound))
+            bound = float(np.triu(4.0 * reach / h[:, None], 1).max(initial=bound))
         return bound
 
     def polyline(self, x) -> np.ndarray:
@@ -320,24 +324,20 @@ def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
             "construction needs a face-adjacent, prefix-nested ordering"
         )
     d, k = omega.dim, omega.level
-    base = 1 << d
-    raw = _maximal_blocks(omega.i - 1, omega.j - 1, base)
-    blocks = []
-    for pos, size in raw:
-        t = (size.bit_length() - 1) // d  # size = (2^d)^t
-        blocks.append(ordering.cube(pos + 1).ancestor(k - t))
+    raw = _maximal_blocks(omega.i - 1, omega.j - 1, 1 << d)
+    starts = np.array([pos for pos, _ in raw])
+    t = np.array([(size.bit_length() - 1) // d for _, size in raw])  # size = (2^d)^t
+    levels = k - t
+    coords = ordering.coords[starts].astype(np.int64) >> t[:, None]
 
-    min_level = min(c.level for c in blocks)
-    oldest = [idx for idx, c in enumerate(blocks) if c.level == min_level]
-    if oldest != list(range(oldest[0], oldest[-1] + 1)):
+    oldest = np.flatnonzero(levels == levels.min())
+    if oldest[-1] - oldest[0] != len(oldest) - 1:
         raise ConstructionError("largest filled cubes are not consecutive")
-    center_block = oldest[0] + (len(oldest) - 1) // 2
-    x0 = _block_center(blocks[center_block])
+    center_block = int(oldest[0] + (len(oldest) - 1) // 2)
 
     def runs(indices):
         out = []
-        for idx in indices:
-            lvl = blocks[idx].level
+        for lvl in levels[indices].tolist():
             if out and out[-1][0] == lvl:
                 out[-1] = (lvl, out[-1][1] + 1)
             else:
@@ -346,13 +346,14 @@ def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
 
     return JohnCertificate(
         union=omega,
-        center=x0,
+        center=_centers(coords[center_block], levels[center_block]),
         constant=uniform_john_constant(d),
-        blocks=blocks,
+        block_levels=levels,
+        block_coords=coords,
         center_block=center_block,
-        runs_left=runs(range(center_block - 1, -1, -1)),
-        runs_right=runs(range(center_block + 1, len(blocks))),
-        _block_starts=np.array([pos for pos, _ in raw]),
+        runs_left=runs(np.arange(center_block - 1, -1, -1)),
+        runs_right=runs(np.arange(center_block + 1, len(levels))),
+        _block_starts=starts,
     )
 
 
@@ -369,7 +370,7 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
         raise ValueError("need samples >= 1")
     if rng is None:
         rng = np.random.default_rng(0)
-    nblocks = len(cert.blocks)
+    nblocks = len(cert.block_levels)
 
     # each walk sampled at its vertices and segment midpoints, in walk order:
     # the curve points of a block m steps out are the first 4m + 1 of its side
@@ -386,39 +387,52 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
     steps = np.arange(nblocks) - cert.center_block
     counts = 4 * np.abs(steps) + 1
 
-    # start points: member-cube centers first, then random interior fills
+    # start points: member-cube centers first, then random interior fills;
+    # a fill's cell maps to its block through the member cells' table, and
+    # cells outside the union clamp to its ends as block_of_index does
     blocks_of_cells = cert.block_of_index(np.arange(omega.i, omega.j + 1))
+    pair_cost = counts + 1
+    cell_cost = pair_cost[blocks_of_cells]
     xs = [_centers(omega.coords, omega.level)]
     x_blocks = [blocks_of_cells]
-    pair_cost = counts + 1
-    total = int(pair_cost[blocks_of_cells].sum())
+    total = int(cell_cost.sum())
+    per_point = int(pair_cost.mean()) + 1
+    n = 1 << omega.level
+    strides = n ** np.arange(omega.dim - 1, -1, -1)
     while total < samples:
-        need = max(64, (samples - total) // (int(pair_cost.mean()) + 1) + 1)
+        need = max(64, (samples - total) // per_point + 1)
         extra = omega.random_points(rng, need)
-        n = 1 << omega.level
         cells = np.minimum((extra * n).astype(int), n - 1)
-        eb = cert.block_of_index(omega.ordering.positions(cells) + 1)
+        where = omega.ordering.inverse[cells @ strides] - (omega.i - 1)
+        where = np.minimum(np.maximum(where, 0), omega.cube_count - 1)
         xs.append(extra)
-        x_blocks.append(eb)
-        total += int(pair_cost[eb].sum())
+        x_blocks.append(blocks_of_cells[where])
+        total += int(cell_cost[where].sum())
 
     X = np.vstack(xs)
     XB = np.concatenate(x_blocks)
-    worst = 0.0
     by_block = np.argsort(XB, kind="stable")
     edges = np.searchsorted(XB[by_block], np.arange(nblocks + 1))
+    XT = X[by_block].T.copy()  # (dim, points), grouped by block
+    worst = 0.0
     for b in range(nblocks):
-        pts_x = X[by_block[edges[b] : edges[b + 1]]]
-        if not len(pts_x):
+        lo, hi = edges[b], edges[b + 1]
+        if lo == hi:
             continue
         side = int(steps[b] > 0)
         P, D = walk_pts[side][: counts[b]], walk_dist[side][: counts[b]]
-        diff = pts_x[:, None, :] - P[None, :, :]
-        ratios = np.sqrt((diff**2).sum(axis=2)) / D[None, :]
-        worst = max(worst, float(ratios.max()))
+        for a in range(omega.dim):  # (points, curve points), summed axis by axis in place
+            gap = XT[a, lo:hi, None] - P[:, a]
+            gap *= gap
+            if a == 0:
+                squared = gap
+            else:
+                squared += gap
+        # sqrt and the division are correctly rounded and monotone, so the
+        # column maxima give the table's maximum ratio exactly
+        worst = max(worst, float((np.sqrt(squared.max(axis=0)) / D).max()))
     # the first leg, from x straight to its block's center
-    heads = np.array([cert.chain_vertices(b)[0] for b in range(nblocks)])
-    mid = 0.5 * (X + heads[XB])
+    mid = 0.5 * (X + cert.block_centers[XB])
     dq = omega.boundary_distance(mid)
     worst = max(worst, float((np.linalg.norm(X - mid, axis=1) / dq).max()))
     return worst <= cert.constant * (1 + 1e-9), worst

@@ -210,6 +210,33 @@ def test_john_command(tmp_path):
     assert len({r["constant"] for r in rows}) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["john", "--dim", "2", "--order", "2", "--pairs", "4"],
+    ["hilbert", "--dim", "2", "--order", "2"],
+    ["volterra", "--n", "1", "--kinds", "i", "--subspaces", "2"],
+])
+def test_unwritable_out_path_is_a_usage_error(argv, tmp_path, capsys):
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(plain / "out")])
+    assert err.value.code == 2
+    assert str(plain) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["plain/john.csv", "."])
+def test_john_out_opened_before_any_domain(name, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("a domain was measured before --out was opened")
+
+    (tmp_path / "plain").write_text("")
+    monkeypatch.setattr(cli_mod, "verify_john_certificate", never)
+    with pytest.raises(SystemExit) as err:
+        main(["john", "--dim", "2", "--order", "2", "--out", str(tmp_path / name)])
+    assert err.value.code == 2
+    assert str(tmp_path / name) in capsys.readouterr().err
+
+
 def test_volterra_results_and_exit(tmp_path):
     out = tmp_path / "res.json"
     csv_path = tmp_path / "res.csv"

@@ -5,12 +5,10 @@ from itertools import product
 import numpy as np
 import pytest
 
-from snum.hilbert import HilbertOrdering, hilbert_order
+from snum.hilbert import DyadicCube, HilbertOrdering, hilbert_order
 from snum.john import (
     CertificateInvalidError,
     ConstructionError,
-    _block_center,
-    _gate,
     john_bound_constructive,
     oscillation_check,
     segment_domain,
@@ -211,7 +209,7 @@ class TestConstructiveCertificate:
 
     def test_full_cube_collapses_to_single_generation(self, ordering_k3):
         cert = john_bound_constructive(segment_domain(ordering_k3, 1, 64))
-        assert len(cert.blocks) == 1 and cert.blocks[0].level == 0
+        assert len(cert.block_levels) == 1 and cert.block_levels[0] == 0
         assert cert.profile_bound == pytest.approx(math.sqrt(2), rel=1e-12)
         assert np.allclose(cert.center, [0.5, 0.5])
 
@@ -236,7 +234,7 @@ class TestConstructiveCertificate:
             for i in range(1, total + 1):
                 for j in range(i, total + 1):
                     cert = john_bound_constructive(segment_domain(ordering, i, j))
-                    top = cert.blocks[cert.center_block].level
+                    top = cert.block_levels[cert.center_block]
                     for runs in (cert.runs_left, cert.runs_right):
                         for pos, (level, count) in enumerate(runs):
                             if pos == 0 and level == top:
@@ -262,14 +260,39 @@ class TestConstructiveCertificate:
             assert omega.contains(p)
 
 
+def _cubes(cert):
+    """The certificate's blocks as dyadic cubes."""
+    return [DyadicCube(int(level), tuple(int(v) for v in z))
+            for level, z in zip(cert.block_levels, cert.block_coords)]
+
+
+def _block_center(cube):
+    """Reference center of one block, from its level and coordinates."""
+    return (2 * np.asarray(cube.coords, dtype=np.int64) + 1) / float(1 << (cube.level + 1))
+
+
+def _gate(a, b):
+    """Reference midpoint of the shared face rectangle of two face-adjacent boxes."""
+    alo, ahi = a.box()
+    blo, bhi = b.box()
+    gate = []
+    for lo1, hi1, lo2, hi2 in zip(alo, ahi, blo, bhi):
+        lo, hi = max(lo1, lo2), min(hi1, hi2)
+        if hi < lo:
+            raise ConstructionError("blocks are not adjacent")
+        gate.append(0.5 * (lo + hi))
+    return gate
+
+
 def _chain_by_walking(cert, block_idx):
     """Reference chain: walk block by block from the block to the center."""
+    blocks = _cubes(cert)
     step = 1 if block_idx < cert.center_block else -1
-    path = [_block_center(cert.blocks[block_idx])]
+    path = [_block_center(blocks[block_idx])]
     b = block_idx
     while b != cert.center_block:
-        path.append(np.array(_gate(cert.blocks[b], cert.blocks[b + step])))
-        path.append(_block_center(cert.blocks[b + step]))
+        path.append(np.array(_gate(blocks[b], blocks[b + step])))
+        path.append(_block_center(blocks[b + step]))
         b += step
     return np.array(path)
 
@@ -277,23 +300,24 @@ def _chain_by_walking(cert, block_idx):
 def _profile_bound_by_pairs(cert):
     """Reference profile bound: one leg and one start/target pair at a time."""
     d = cert.union.dim
+    blocks = _cubes(cert)
     bound = math.sqrt(d)
     sides = [
         range(cert.center_block - 1, -1, -1),
-        range(cert.center_block + 1, len(cert.blocks)),
+        range(cert.center_block + 1, len(blocks)),
     ]
     for side in sides:
         idxs = [cert.center_block, *side]
         pref = [0.0]
         for inner, outer in zip(idxs, idxs[1:]):
-            a, b = cert.blocks[outer], cert.blocks[inner]
+            a, b = blocks[outer], blocks[inner]
             ca, cb = _block_center(a), _block_center(b)
             g = np.array(_gate(a, b))
             pref.append(pref[-1] + float(np.linalg.norm(ca - g) + np.linalg.norm(g - cb)))
         for t_pos in range(len(idxs)):
-            h_t = float(cert.blocks[idxs[t_pos]].side)
+            h_t = float(blocks[idxs[t_pos]].side)
             for x_pos in range(t_pos + 1, len(idxs)):
-                h_x = float(cert.blocks[idxs[x_pos]].side)
+                h_x = float(blocks[idxs[x_pos]].side)
                 reach = (
                     0.5 * math.sqrt(d) * h_x
                     + (pref[x_pos] - pref[t_pos])
@@ -325,7 +349,7 @@ class TestBlockLookup:
             i = int(rng.integers(1, 257))
             j = int(rng.integers(i, 257))
             cert = john_bound_constructive(segment_domain(ordering, i, j))
-            nblocks = len(cert.blocks)
+            nblocks = len(cert.block_levels)
             # the domain, and positions before and after it
             indices = np.arange(max(1, i - 5), min(256, j + 5) + 1)
             indices = np.concatenate([[-3, 0], indices, [300]])
@@ -336,10 +360,9 @@ class TestBlockLookup:
 
     def test_block_centers_are_exact(self, ordering_k3):
         cert = john_bound_constructive(segment_domain(ordering_k3, 3, 50))
-        for b, cube in enumerate(cert.blocks):
+        for b, cube in enumerate(_cubes(cert)):
             head = cert.chain_vertices(b)[0]
             assert [Fraction(v) for v in head] == list(cube.center())
-
 
     def test_walks_match_block_by_block_chains(self, ordering_k3):
         # every order-3 domain in d = 2: the same vertices and the same
@@ -348,12 +371,158 @@ class TestBlockLookup:
         for i in range(1, total + 1):
             for j in range(i, total + 1):
                 cert = john_bound_constructive(segment_domain(ordering_k3, i, j))
-                for b in range(len(cert.blocks)):
+                for b in range(len(cert.block_levels)):
                     chain = cert.chain_vertices(b)
                     expected = _chain_by_walking(cert, b)
                     assert chain.shape == expected.shape
                     assert chain.tobytes() == expected.tobytes(), (i, j, b)
                 assert cert.profile_bound.hex() == _profile_bound_by_pairs(cert).hex(), (i, j)
+
+
+def _face_arrays_reference(omega):
+    """Reference face runs: one neighbour lookup and one lexsort per direction."""
+    side = 1.0 / (1 << omega.level)
+    lows, highs = [], []
+    for a in range(omega.dim):
+        for step in (-1, 1):
+            nb = omega.coords.astype(np.int64)
+            nb[:, a] += step
+            z = omega.coords[omega.positions(nb) < 0].astype(np.int64)
+            first = last = z
+            if omega.dim > 1:  # runs along the first tangent axis t
+                t = 1 if a == 0 else 0
+                others = [b for b in range(omega.dim) if b != t]
+                z = z[np.lexsort(z.T[[t, *others]])]
+                breaks = (np.diff(z[:, others], axis=0) != 0).any(axis=1)
+                breaks |= np.diff(z[:, t]) != 1
+                starts = np.flatnonzero(np.concatenate([[True], breaks]))
+                first = z[starts]
+                last = z[np.append(starts[1:], len(z)) - 1]
+            lo, hi = first * side, (last + 1) * side
+            lo[:, a] = hi[:, a] = (first[:, a] + (1 if step == 1 else 0)) * side
+            lows.append(lo)
+            highs.append(hi)
+    return np.concatenate(lows), np.concatenate(highs)
+
+
+def _walks_reference(cert):
+    """Reference walks out of the center block, one gate at a time."""
+    blocks = _cubes(cert)
+    walks = []
+    for step, stop in ((-1, -1), (1, len(blocks))):
+        path = [_block_center(blocks[cert.center_block])]
+        for outer in range(cert.center_block + step, stop, step):
+            path.append(np.array(_gate(blocks[outer], blocks[outer - step])))
+            path.append(_block_center(blocks[outer]))
+        walks.append(np.array(path))
+    return tuple(walks)
+
+
+def _profile_bound_reference(cert):
+    """Reference profile bound: per-leg norms and an index-list upper triangle."""
+    blocks = _cubes(cert)
+    half = 0.5 * math.sqrt(cert.union.dim)
+    bound = math.sqrt(cert.union.dim)
+    sides = (range(cert.center_block, -1, -1), range(cert.center_block, len(blocks)))
+    for walk, idxs in zip(_walks_reference(cert), sides):
+        legs = [
+            float(np.linalg.norm(walk[k + 1] - walk[k]) + np.linalg.norm(walk[k] - walk[k - 1]))
+            for k in range(1, len(walk), 2)
+        ]
+        pref = np.cumsum([0.0, *legs])
+        h = np.array([float(blocks[b].side) for b in idxs])
+        reach = half * h + (pref - pref[:, None]) + half * h[:, None]
+        outer = np.triu_indices(len(h), 1)
+        bound = float((4.0 * reach / h[:, None])[outer].max(initial=bound))
+    return bound
+
+
+def _verify_reference(omega, cert, samples, rng):
+    """Reference verifier: a block lookup per random batch and one
+    (points, curve points, dim) table per block."""
+    blocks = _cubes(cert)
+    nblocks = len(blocks)
+    walk_pts = []
+    for W in _walks_reference(cert):
+        Q = np.empty((2 * len(W) - 1, omega.dim))
+        Q[0::2] = W
+        Q[1::2] = 0.5 * (W[:-1] + W[1:])
+        walk_pts.append(Q)
+    curve_pts = np.vstack(walk_pts)
+    if not omega.contains_points(curve_pts).all():
+        raise CertificateInvalidError("polyline exits the domain")
+    walk_dist = np.split(omega.boundary_distance(curve_pts), [len(walk_pts[0])])
+    steps = np.arange(nblocks) - cert.center_block
+    counts = 4 * np.abs(steps) + 1
+
+    blocks_of_cells = cert.block_of_index(np.arange(omega.i, omega.j + 1))
+    xs = [(2 * omega.coords.astype(np.int64) + 1) / float(1 << (omega.level + 1))]
+    x_blocks = [blocks_of_cells]
+    pair_cost = counts + 1
+    total = int(pair_cost[blocks_of_cells].sum())
+    while total < samples:
+        need = max(64, (samples - total) // (int(pair_cost.mean()) + 1) + 1)
+        extra = omega.random_points(rng, need)
+        n = 1 << omega.level
+        cells = np.minimum((extra * n).astype(int), n - 1)
+        eb = cert.block_of_index(omega.ordering.positions(cells) + 1)
+        xs.append(extra)
+        x_blocks.append(eb)
+        total += int(pair_cost[eb].sum())
+
+    X = np.vstack(xs)
+    XB = np.concatenate(x_blocks)
+    worst = 0.0
+    by_block = np.argsort(XB, kind="stable")
+    edges = np.searchsorted(XB[by_block], np.arange(nblocks + 1))
+    for b in range(nblocks):
+        pts_x = X[by_block[edges[b] : edges[b + 1]]]
+        if not len(pts_x):
+            continue
+        side = int(steps[b] > 0)
+        P, D = walk_pts[side][: counts[b]], walk_dist[side][: counts[b]]
+        diff = pts_x[:, None, :] - P[None, :, :]
+        ratios = np.sqrt((diff**2).sum(axis=2)) / D[None, :]
+        worst = max(worst, float(ratios.max()))
+    heads = np.array([_block_center(cube) for cube in blocks])
+    mid = 0.5 * (X + heads[XB])
+    dq = omega.boundary_distance(mid)
+    worst = max(worst, float((np.linalg.norm(X - mid, axis=1) / dq).max()))
+    return worst <= cert.constant * (1 + 1e-9), worst
+
+
+class TestReferenceParity:
+    @pytest.mark.parametrize("dim,order,count", [
+        (1, 5, None), (2, 3, None), (2, 5, 200), (3, 3, 200),
+    ])
+    def test_bits_and_draws_match_the_reference(self, dim, order, count):
+        # every domain of the small orderings, sampled ones of the larger:
+        # the same face runs, bound, verdict, worst ratio and random draws;
+        # every fifth certificate claims too small a constant, so fails
+        ordering = hilbert_order(dim, order)
+        total = len(ordering)
+        if count is None:
+            pairs = [(i, j) for i in range(1, total + 1) for j in range(i, total + 1)]
+        else:
+            draw = np.random.default_rng(10 * dim + order)
+            starts = draw.integers(1, total + 1, count)
+            pairs = [(int(i), int(draw.integers(i, total + 1))) for i in starts]
+        rng, rng_ref = np.random.default_rng(order), np.random.default_rng(order)
+        for n, (i, j) in enumerate(pairs):
+            omega = segment_domain(ordering, i, j)
+            lows, highs = omega._face_arrays
+            ref_lows, ref_highs = _face_arrays_reference(omega)
+            assert lows.shape == ref_lows.shape, (i, j)
+            assert (lows.tobytes(), highs.tobytes()) == (ref_lows.tobytes(), ref_highs.tobytes())
+            cert = john_bound_constructive(omega)
+            assert cert.profile_bound.hex() == _profile_bound_reference(cert).hex(), (i, j)
+            if n % 5 == 4:
+                cert.constant = 1.5
+            samples = (200, 1000, 4000)[n % 3]
+            ok, worst = verify_john_certificate(omega, cert, samples, rng=rng)
+            ref_ok, ref_worst = _verify_reference(omega, cert, samples, rng_ref)
+            assert (ok, worst.hex()) == (ref_ok, ref_worst.hex()), (i, j)
+            assert rng.bit_generator.state == rng_ref.bit_generator.state, (i, j)
 
 
 class TestVerification:
