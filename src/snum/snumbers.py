@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -224,6 +225,8 @@ SCREEN_COND_LIMIT = 1e6  # worse-conditioned incumbents are scored exactly
 SCREEN_TOL = 16  # safety factor on the screen's first-order rounding bounds
 SCREEN_BLOCK = 1 << 20  # interpolant entries per block of screened exchanges
 
+SINGULAR_DET = 1e-12  # a set is singular when |det| of its unit rows is at most this
+
 # closed-form first stage of the exact batches
 CRAMER_MAX_N = 3  # the cofactor formulas of ``_cofactors`` stop at 3 x 3
 LOG_RANGE = 746  # no positive double has |log x| above this
@@ -231,10 +234,18 @@ LOG_RANGE = 746  # no positive double has |log x| above this
 BERNSTEIN_LOWER_MAX_N = 3  # vertex enumeration is exhaustive up to this n
 
 
+def _unit_row_dets(stack):
+    """LAPACK's |det| of each (n, n) matrix of ``stack`` with every row
+    divided by its norm, which no row's scale changes; nan for a zero row."""
+    norms = np.sqrt((stack * stack).sum(axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(np.linalg.det(stack / norms[..., None]))
+
+
 def _interpolants(matrix, sets, alt):
     """(coefficients, good) of the interpolant of ``alt`` on each index set:
-    one square solve per set, for the sets that pass the Hadamard-relative
-    singularity test (``good``); the others keep zero coefficients.
+    one square solve of the set's own rows, for the sets whose unit-row
+    |det| exceeds ``SINGULAR_DET`` (``good``); the others keep zeros.
 
     ``sets`` is an (m, n) integer array.  The (sets, n, n) stack is built,
     tested and solved in blocks of at most ``BLOCK_ENTRIES`` entries; each set
@@ -246,9 +257,7 @@ def _interpolants(matrix, sets, alt):
     step = max(1, BLOCK_ENTRIES // (n * n))
     for start in range(0, m, step):
         sub = matrix[sets[start:start + step]]  # (block, n, n)
-        # Hadamard-relative singularity test: |det| <= product of row norms
-        hadamard = np.sqrt((sub**2).sum(axis=2)).prod(axis=1) + 1e-300
-        ok = np.abs(np.linalg.det(sub)) > 1e-12 * hadamard
+        ok = _unit_row_dets(sub) > SINGULAR_DET
         good[start:start + step] = ok
         if ok.any():
             rhs = np.broadcast_to(alt, (int(ok.sum()), n))[..., None]
@@ -329,19 +338,19 @@ class _CramerSets:
     is formed from are at most H / r_j, so the adjugate's absolute entries
     sum to at most W = n^2 H / min r, and D's products to sqrt(n) H.
 
-    ``good``, ``bad`` and ``band`` sort the sets by the Hadamard-relative
-    singularity test of ``_interpolants``.  D and LAPACK's determinant differ
-    by at most, before the safety factor ``SCREEN_TOL``:
-    - gamma_{2n-1} sqrt(n) H, the cofactor formula's rounding (``det_err``);
-    - the LU backward error: with growth <= 2^(n-1) each row moves by at most
-      gamma_n n^1.5 2^(n-1) max|a| <= kappa rho times its norm, rho the
-      largest over the smallest row norm, so the determinant moves by at
-      most H ((1 + kappa rho)^n - 1);
-    - numpy's exp(sum log|u_ii|): (n + 3) n ``LOG_RANGE`` + 2 roundings
-      relative to |D|;
-    and both Hadamard products round by gamma_{2n+3}.  Outside that margin
-    the closed form gives LAPACK's verdict; inside it (``band``) LAPACK
-    decides.
+    ``good``, ``bad`` and ``band`` sort the sets by the verdict of
+    ``_interpolants``: is |D| / H, the |det| of the unit rows, above
+    ``SINGULAR_DET``?  To first order and before the safety factor
+    ``SCREEN_TOL``, the closed form's |D| / H and LAPACK's differ by at most:
+    - gamma_{2n-1} sqrt(n), the cofactor formula's rounding;
+    - (1 + kappa)^n - 1, the LU backward error on unit rows: with growth
+      <= 2^(n-1) a row moves by gamma_n n^1.5 2^(n-1), and by u more from
+      its division by the row norm (kappa);
+    - (n + 3) n (``LOG_RANGE`` + 2) + 2 roundings relative to |D| / H:
+      (n + 3) n ``LOG_RANGE`` + 2 in numpy's exp(sum log|u_ii|), n + 1 in
+      each row norm on either side, and n in H and the division by it.
+    Outside that margin the closed form gives LAPACK's verdict; inside it
+    (``band``) LAPACK decides.
     """
 
     def __init__(self, matrix, sets):
@@ -352,19 +361,18 @@ class _CramerSets:
         self.cof = _cofactors(A)
         self.det = (A[0] * self.cof[0]).sum(axis=0)
         norms = np.sqrt((cols * cols).sum(axis=0))  # row norms, (n, m)
-        hadamard = norms.prod(axis=0)
+        H = norms.prod(axis=0)
         self.rmax, rmin = norms.max(axis=0), norms.min(axis=0)
-        self.det_err = _gamma(2 * n - 1) * math.sqrt(n) * hadamard
+        self.det_err = _gamma(2 * n - 1) * math.sqrt(n) * H
         self.size = np.abs(self.det)
-        thr = 1e-12 * (hadamard + 1e-300)
-        kappa = _gamma(n) * n**1.5 * 2 ** (n - 1)
+        kappa = _gamma(n) * n**1.5 * 2 ** (n - 1) + np.finfo(float).eps / 2
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero row lands in the band
-            self.adj_total = n * n * hadamard / rmin
-            lu = hadamard * np.expm1(n * np.log1p(kappa * self.rmax / rmin))
-            margin = SCREEN_TOL * (self.det_err + lu + _gamma((n + 3) * n * LOG_RANGE + 2) * self.size
-                                   + 2 * _gamma(2 * n + 3) * thr)
-            self.good = self.size - margin > thr
-            self.bad = self.size + margin < thr
+            self.adj_total = n * n * H / rmin
+            rel = self.size / H
+            margin = SCREEN_TOL * (_gamma(2 * n - 1) * math.sqrt(n) + math.expm1(n * math.log1p(kappa))
+                                   + _gamma((n + 3) * n * (LOG_RANGE + 2) + 2) * rel)
+            self.good = rel - margin > SINGULAR_DET
+            self.bad = rel + margin < SINGULAR_DET
         self.band = ~(self.good | self.bad)
 
     def interpolants(self, alt):
@@ -418,20 +426,20 @@ def _closed_form_survivors(matrix, sets, alt, bound: float):
     return keep
 
 
-class _BatchBest(tuple):
-    """(value, set, coefficients, rescored) of a batch, carrying ``solved``:
-    the number of its index sets that LAPACK factored."""
+class _BatchResult(NamedTuple):
+    """A batch's winner (value inf and no set if none) and its counts."""
 
-    def __new__(cls, value, S, c, rescored: int, solved: int):
-        best = super().__new__(cls, (value, S, c, rescored))
-        best.solved = solved
-        return best
+    value: float
+    set: np.ndarray | None
+    coeffs: np.ndarray | None
+    rescored: int  # index sets scored on every row
+    solved: int  # index sets factored by LAPACK
 
 
-def _best_of_sets(matrix, sets, alt, bound: float) -> _BatchBest:
-    """(value, set, coefficients, rescored) of the first index set with the
-    least interpolation minimax, when that value is below ``bound``; value
-    inf (and no set) otherwise.  This is the search's one exact scorer.
+def _best_of_sets(matrix, sets, alt, bound: float) -> _BatchResult:
+    """The first index set with the least interpolation minimax, its value
+    and coefficients, when that value is below ``bound``; value inf (and no
+    set) otherwise.  This is the search's one exact scorer.
 
     With dim E = n and n constraints the interpolant is generically unique:
     one square solve per set (``_interpolants``); a singular set has no
@@ -453,9 +461,9 @@ def _best_of_sets(matrix, sets, alt, bound: float) -> _BatchBest:
     idx = idx[lower <= min(bound, least)]
     vals[idx] = _sup_values(matrix, coeffs[idx])
     if not vals.min(initial=math.inf) < bound:
-        return _BatchBest(math.inf, None, None, len(idx), len(sets))
+        return _BatchResult(math.inf, None, None, len(idx), len(sets))
     k = int(np.argmin(vals))
-    return _BatchBest(float(vals[k]), sets[k], coeffs[k], len(idx), len(sets))
+    return _BatchResult(float(vals[k]), sets[k], coeffs[k], len(idx), len(sets))
 
 
 def _combination_chunks(cands: np.ndarray, n: int):
@@ -494,16 +502,15 @@ def _screened_exchanges(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: 
     re-sorting shifts.  Prefix sums of alt[j] K[:, j] give g' in O(npts).
     Each screened quantity carries a first-order rounding bound scaled by
     n eps cond(A); an exchange is kept when its bound does not settle it: its
-    Hadamard ratio is near the 1e-12 singularity threshold, or its value may
-    be the smallest and below ``bound``.
+    unit-row determinant, the incumbent's (``_unit_row_dets``) times
+    |K[r, pos]| r_pos / r_r with r the row norms, is near ``SINGULAR_DET``,
+    or its value may be the smallest and below ``bound``.
     """
     npts, n = matrix.shape
     m = len(outside)
     A = matrix[T]
-    norms = np.sqrt((A**2).sum(axis=1))
-    hadamard = norms.prod()
-    det = abs(np.linalg.det(A))
-    if not (np.isfinite(hadamard) and det > 1e-12 * (hadamard + 1e-300)):
+    det = _unit_row_dets(A)
+    if not det > SINGULAR_DET:
         return None
     cond = np.linalg.cond(A)
     if not cond <= SCREEN_COND_LIMIT:
@@ -512,11 +519,12 @@ def _screened_exchanges(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: 
     X = np.linalg.inv(A)
     kt = X.T @ matrix.T  # K transposed, (n, npts); K[T[j]] = e_j
     ko = kt[:, outside]
-    out_norms = np.sqrt((matrix[outside] ** 2).sum(axis=1))
-    # |det| of each exchange over its Hadamard bound, position-major (n, m)
-    ratio = det * np.abs(ko) / (hadamard / norms[:, None] * out_norms + 1e-300)
-    good = ratio > 1e-12 + tol
-    near = ~good & (ratio >= 1e-12 - tol)
+    norms = np.sqrt((matrix**2).sum(axis=1))  # of every row
+    out_norms = norms[outside]
+    # the unit-row |det| of each exchange, position-major (n, m)
+    ratio = det * np.abs(ko) * norms[T, None] / out_norms
+    good = ratio > SINGULAR_DET + tol
+    near = ~good & (ratio >= SINGULAR_DET - tol)
 
     pos, j = np.nonzero(good)  # proposal order
     q = np.searchsorted(T, outside)[j]  # entries of T below the new row
@@ -548,10 +556,9 @@ def _screened_exchanges(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: 
 
     # first-order bound on |g'_screened - g'_exact| over all rows
     xc = np.sqrt((X**2).sum(axis=0))
-    row_max = np.sqrt((matrix**2).sum(axis=1)).max()
     col_max = np.abs(kt).max(axis=1)
     err = tol * (xc.sum() + np.abs(coef) * xc[pos]) * (
-        row_max + col_max[pos] * out_norms[j] / np.abs(kr))
+        norms.max() + col_max[pos] * out_norms[j] / np.abs(kr))
     keep = (vals - err <= (vals + err).min(initial=np.inf)) & (vals - err < bound)
 
     flat = np.sort(np.concatenate([pos[keep] * m + j[keep], np.flatnonzero(near)]))
@@ -561,25 +568,17 @@ def _screened_exchanges(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: 
     return sets
 
 
-def _best_exchange(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: float,
-                   tally=None):
-    """(value, set, coefficients) of the first exchange of ``T`` with the
-    least exact interpolation minimax, in ``_exchanges`` order, when that
-    value is below ``bound``; value inf (and no set) otherwise.  From
-    ``SCREEN_MIN_N`` on, a rank-one screen first drops the exchanges that
-    cannot be that one or cannot go below ``bound``; ``_best_of_sets``
-    scores the rest.  The numbers of exchanges scored on every row and
-    factored by LAPACK are appended as a pair to the list ``tally`` when one
-    is given."""
+def _best_exchange(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: float) -> _BatchResult:
+    """``_best_of_sets`` of the one-index exchanges of ``T``, in
+    ``_exchanges`` order.  From ``SCREEN_MIN_N`` on, a rank-one screen
+    first drops the exchanges that cannot be the first best one or cannot go
+    below ``bound``; ``_best_of_sets`` scores the rest."""
     sets = None
     if len(T) >= SCREEN_MIN_N:
         sets = _screened_exchanges(matrix, T, outside, alt, bound)
     if sets is None:
         sets = _exchanges(T, outside)
-    best = _best_of_sets(matrix, sets, alt, bound)
-    if tally is not None:
-        tally.append((best[3], best.solved))
-    return best[:3]
+    return _best_of_sets(matrix, sets, alt, bound)
 
 
 def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
@@ -610,13 +609,18 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
         raise ValueError("a basis column is identically zero")
     matrix = matrix / col_scale
     row_scale = np.abs(matrix).max(axis=1)
-    cands = np.nonzero(row_scale > 1e-12 * (row_scale.max() + 1e-300))[0]
+    cands = np.nonzero(row_scale > 1e-12)[0]  # the largest entry is now 1
     if len(cands) < n:
         raise ValueError("not enough nonzero evaluation points")
 
     best_val, best_T, best_c = math.inf, None, None
-    evals = 0
-    tally = []  # (index sets scored on every row, factored by LAPACK) per batch
+    evals = rescored = solved = 0
+
+    def counted(batch):
+        nonlocal rescored, solved
+        rescored += batch.rescored
+        solved += batch.solved
+        return batch[:3]
 
     def improve(val, T, c):
         nonlocal best_val, best_T, best_c
@@ -626,20 +630,16 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     def exhaustive_sweep():
         nonlocal evals
         for sets in _combination_chunks(cands, n):
-            best = _best_of_sets(matrix, sets, alt, best_val - 1e-12)
             evals += len(sets)
-            tally.append((best[3], best.solved))
-            improve(*best[:3])
+            improve(*counted(_best_of_sets(matrix, sets, alt, best_val - 1e-12)))
 
     def descend(T):
         nonlocal evals
-        start = _best_of_sets(matrix, T[None], alt, math.inf)
-        tally.append((start[3], start.solved))
-        cur_val, cur_c = start[0], start[2]
+        cur_val, _, cur_c = counted(_best_of_sets(matrix, T[None], alt, math.inf))
         for _ in range(MAX_SWEEPS):
             outside = cands[~np.isin(cands, T)]
             evals += n * len(outside)
-            val, S, c = _best_exchange(matrix, T, outside, alt, cur_val - 1e-12, tally)
+            val, S, c = counted(_best_exchange(matrix, T, outside, alt, cur_val - 1e-12))
             if not val < cur_val - 1e-12:
                 break
             cur_val, T, cur_c = val, S, c
@@ -682,7 +682,6 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
             if len(np.unique(peaks)) == n:
                 improve(*descend(np.sort(peaks)))
 
-    rescored, solved = sum(r for r, _ in tally), sum(s for _, s in tally)
     if best_T is None:
         return ZigzagResult(None, "inconclusive", math.inf, evals, rescored, solved)
     g = matrix @ best_c

@@ -339,7 +339,7 @@ class TestExchangeScreen:
             picks = []
             for min_n in (1, math.inf):
                 monkeypatch.setattr(snumbers_mod, "SCREEN_MIN_N", min_n)
-                val, best, c = snumbers_mod._best_exchange(matrix, T, outside, alt, np.inf)
+                val, best, c = snumbers_mod._best_exchange(matrix, T, outside, alt, np.inf)[:3]
                 picks.append((best.tolist(), c.tobytes()))
             assert picks[0] == picks[1]
             # a bound one ulp above the exact minimum still keeps the winner
@@ -388,7 +388,7 @@ class TestExchangeScreen:
         tracemalloc.start()
         try:
             sets = snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf)
-            val, best, _ = snumbers_mod._best_exchange(matrix, T, outside, alt, np.inf)
+            val, best, _ = snumbers_mod._best_exchange(matrix, T, outside, alt, np.inf)[:3]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -416,7 +416,7 @@ def _assert_table_winner(matrix, sets, alt, bound=np.inf):
     """The pruned step picks the full table's first argmin below ``bound``:
     same index, set, coefficient bytes and value bits."""
     vals, coeffs = _full_table(matrix, sets, alt)
-    val, best, c, rescored = snumbers_mod._best_of_sets(matrix, sets, alt, bound)
+    val, best, c, rescored, _ = snumbers_mod._best_of_sets(matrix, sets, alt, bound)
     k = int(np.argmin(vals))
     assert 0 <= rescored <= len(sets)
     if not vals[k] < bound:
@@ -574,9 +574,9 @@ def _threshold_family(scale):
 
 def _small_rows_family(rng, eps, count=100):
     """Triples of rows, two of them eps times the third, whose determinant is
-    zero but for its rounding; LU eliminates the small rows with multipliers
-    of about 1, so LAPACK's determinant errs by about u / eps times the
-    Hadamard product."""
+    zero but for its rounding; on these raw rows LU eliminates the small rows
+    with multipliers of about 1, so LAPACK's determinant errs by about u / eps
+    times the Hadamard product, and on the unit rows by about u."""
     rows = []
     for _ in range(count):
         big = np.array([eps, 1.0, 1.0]) * rng.uniform(0.5, 1, 3)
@@ -630,7 +630,7 @@ class TestClosedFormStage:
 
     def test_closed_form_verdicts_are_lapacks(self):
         # outside the band the closed form gives LAPACK's verdict; the
-        # families below make a band-free or relative-only verdict wrong
+        # threshold families make a band-free verdict wrong
         rng = np.random.default_rng(6)
         families = [_threshold_family(scale) for scale in (1.0, 3.7, 1e-3, 123.4)]
         families += [_small_rows_family(rng, eps) for eps in (1e-6, 1e-8, 1e-10)]
@@ -642,9 +642,27 @@ class TestClosedFormStage:
             stage = snumbers_mod._CramerSets(matrix, sets)
             lapack = _lapack_verdicts(matrix, sets)
             assert (stage.good <= lapack).all() and (stage.bad <= ~lapack).all()
-        # LAPACK calls some sets of each family nonsingular and others singular
-        for matrix, sets in families[:-2]:
+        # the threshold families straddle SINGULAR_DET: LAPACK calls some of
+        # their sets nonsingular and others singular
+        for matrix, sets in families[:4]:
             assert 0 < _lapack_verdicts(matrix, sets).sum() < len(sets)
+
+    def test_verdicts_do_not_depend_on_row_scale(self):
+        # singular triples with two small rows, then every row rescaled by a
+        # power of two: each stage calls every triple singular at both scales
+        rng = np.random.default_rng(8)
+        alt = snumbers_mod._alternation_target(3)
+        for eps in (1e-6, 1e-8, 1e-10):
+            matrix, sets = _small_rows_family(rng, eps)
+            scaled = matrix * 2.0 ** rng.integers(-40, 41, (len(matrix), 1))
+            verdicts = [_lapack_verdicts(m, sets) for m in (matrix, scaled)]
+            assert verdicts[0].tolist() == verdicts[1].tolist()
+            assert not verdicts[0].any()
+            for m in (matrix, scaled):
+                assert not snumbers_mod._CramerSets(m, sets).good.any()
+                for T in sets:
+                    outside = np.setdiff1d(np.arange(len(m)), T)
+                    assert snumbers_mod._screened_exchanges(m, T, outside, alt, np.inf) is None
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_slack_covers_lapack_coefficients(self, seed):
