@@ -482,6 +482,8 @@ def main(argv=None) -> int:
             )
             return run(config)
         if args.command == "cube":
+            if args.dim < 2:
+                parser.error("argument --dim: the cube construction needs dim >= 2")
             if args.dim * args.curve_order > MAX_CUBES.bit_length() - 1:  # log2(MAX_CUBES)
                 parser.error(f"argument --curve-order: 2^(dim*curve_order) = "
                              f"2^{args.dim * args.curve_order} cubes exceed {MAX_CUBES}")

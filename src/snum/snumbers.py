@@ -218,12 +218,8 @@ KICKS = 24  # two-index perturbations of the incumbent per start
 MAX_SWEEPS = 80  # exchange sweeps per descent
 BLOCK_ENTRIES = 1 << 22  # matrix entries per stacked block of index sets
 GRAM_BLOCK_ENTRIES = 1 << 20  # basis values stacked per block of a grid Gram
-
-# rank-one screening of exchange sweeps
-SCREEN_MIN_N = 8  # below this dimension the exact batch is the faster sweep
-SCREEN_COND_LIMIT = 1e6  # worse-conditioned incumbents are scored exactly
-SCREEN_TOL = 16  # safety factor on the screen's first-order rounding bounds
-SCREEN_BLOCK = 1 << 20  # interpolant entries per block of screened exchanges
+FLOOR = 1.0 + 1e-12  # no set scores below 1 (|g| = 1 at its own points): a search here is done
+SCREEN_TOL = 16  # safety factor on the prune stages' first-order rounding bounds
 
 SINGULAR_DET = 1e-12  # a set is singular when |det| of its unit rows is at most this
 
@@ -489,98 +485,6 @@ def _exchanges(T: np.ndarray, outside: np.ndarray) -> np.ndarray:
     return np.sort(swapped, axis=2).reshape(n * m, n)
 
 
-def _screened_exchanges(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: float):
-    """The one-index exchanges of ``T`` that the exact scoring must see to
-    find the first best one if its value is below ``bound``, in
-    ``_exchanges`` order; None when the incumbent is singular or worse
-    conditioned than ``SCREEN_COND_LIMIT``.
-
-    With A = matrix[T] and K = matrix @ inv(A), exchange (pos -> r) is a
-    rank-one change of A with determinant ratio K[r, pos] (Sherman-Morrison),
-    and its interpolant is g' = K b' - K[:, pos] (K[r] b' - b'[pos]) / K[r, pos],
-    where b' is ``alt`` with the sign flipped over the positions that
-    re-sorting shifts.  Prefix sums of alt[j] K[:, j] give g' in O(npts).
-    Each screened quantity carries a first-order rounding bound scaled by
-    n eps cond(A); an exchange is kept when its bound does not settle it: its
-    unit-row determinant, the incumbent's (``_unit_row_dets``) times
-    |K[r, pos]| r_pos / r_r with r the row norms, is near ``SINGULAR_DET``,
-    or its value may be the smallest and below ``bound``.
-    """
-    npts, n = matrix.shape
-    m = len(outside)
-    A = matrix[T]
-    det = _unit_row_dets(A)
-    if not det > SINGULAR_DET:
-        return None
-    cond = np.linalg.cond(A)
-    if not cond <= SCREEN_COND_LIMIT:
-        return None
-    tol = SCREEN_TOL * n * np.finfo(float).eps * cond
-    X = np.linalg.inv(A)
-    kt = X.T @ matrix.T  # K transposed, (n, npts); K[T[j]] = e_j
-    ko = kt[:, outside]
-    norms = np.sqrt((matrix**2).sum(axis=1))  # of every row
-    out_norms = norms[outside]
-    # the unit-row |det| of each exchange, position-major (n, m)
-    ratio = det * np.abs(ko) * norms[T, None] / out_norms
-    good = ratio > SINGULAR_DET + tol
-    near = ~good & (ratio >= SINGULAR_DET - tol)
-
-    pos, j = np.nonzero(good)  # proposal order
-    q = np.searchsorted(T, outside)[j]  # entries of T below the new row
-    left = q <= pos  # the new row sorts in before T[pos]
-    lo = np.where(left, q, pos + 1)  # the shifted positions lo..hi-1 flip sign
-    hi = np.where(left, pos, q)
-    new_alt = alt[np.where(left, q, q - 1)] - alt[pos]  # b'[pos] - alt[pos]
-    csum = np.zeros((n + 1, npts))  # csum[k] = sum_{i<k} alt[i] K[:, i]
-    np.cumsum(kt * alt[:, None], axis=0, out=csum[1:])
-    kr = ko[pos, j]
-    co = csum[:, outside[j]]
-    span = np.arange(len(j))
-    kb_r = co[n] - 2 * (co[hi, span] - co[lo, span]) + new_alt * kr  # (K b')[r]
-    coef = (kb_r - new_alt - alt[pos]) / kr
-    beta = new_alt - coef  # g' = K alt - 2 (flipped prefix) + beta K[:, pos]
-
-    vals = np.empty(len(j))
-    step = max(1, SCREEN_BLOCK // npts)
-    for s in range(0, len(j), step):
-        b = slice(s, s + step)
-        g = csum[lo[b]]
-        g -= csum[hi[b]]
-        g *= 2
-        g += csum[n]
-        kp = kt[pos[b]]
-        kp *= beta[b, None]
-        g += kp
-        vals[b] = np.abs(g, out=g).max(axis=1)
-
-    # first-order bound on |g'_screened - g'_exact| over all rows
-    xc = np.sqrt((X**2).sum(axis=0))
-    col_max = np.abs(kt).max(axis=1)
-    err = tol * (xc.sum() + np.abs(coef) * xc[pos]) * (
-        norms.max() + col_max[pos] * out_norms[j] / np.abs(kr))
-    keep = (vals - err <= (vals + err).min(initial=np.inf)) & (vals - err < bound)
-
-    flat = np.sort(np.concatenate([pos[keep] * m + j[keep], np.flatnonzero(near)]))
-    sets = np.repeat(T[None], len(flat), axis=0)
-    sets[np.arange(len(flat)), flat // m] = outside[flat % m]
-    sets.sort(axis=1)
-    return sets
-
-
-def _best_exchange(matrix, T: np.ndarray, outside: np.ndarray, alt, bound: float) -> _BatchResult:
-    """``_best_of_sets`` of the one-index exchanges of ``T``, in
-    ``_exchanges`` order.  From ``SCREEN_MIN_N`` on, a rank-one screen
-    first drops the exchanges that cannot be the first best one or cannot go
-    below ``bound``; ``_best_of_sets`` scores the rest."""
-    sets = None
-    if len(T) >= SCREEN_MIN_N:
-        sets = _screened_exchanges(matrix, T, outside, alt, bound)
-    if sets is None:
-        sets = _exchanges(T, outside)
-    return _best_of_sets(matrix, sets, alt, bound)
-
-
 def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     """Find g in the column span of ``matrix`` with g(t_j) = (-1)^j at n
     increasing positions and near-minimal sup norm.
@@ -589,12 +493,13 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     set, scored by ``_best_of_sets``; a singular set is never a candidate.
     Exhaustive over index sets (lexicographic, ties to the first = smallest
     optimum) when the count fits ``EXHAUSTIVE_LIMIT``; otherwise iterated
-    local search (one-index exchange descent, see ``_best_exchange``, with
-    random two-index kicks and restarts).  If the search cannot certify sup norm <= 1 + eps and the set
-    count fits ``ESCALATION_LIMIT``, the exhaustive sweep settles it.  If no
-    incumbent is left after that, one descent starts from each column's peak
-    row.  Never returns a false witness: a failed search reports
-    ``inconclusive`` with the best element found.
+    local search (one-index exchange descent, which stops at ``FLOOR``,
+    with random two-index kicks and restarts).  If the search cannot certify
+    sup norm <= 1 + eps and the set count fits ``ESCALATION_LIMIT``, the
+    exhaustive sweep settles it.  If no incumbent is left after that, one
+    descent starts from each column's peak row.  Never returns a false
+    witness: a failed search reports ``inconclusive`` with the best element
+    found.
     """
     matrix = np.asarray(matrix, dtype=float)
     npts, n = matrix.shape
@@ -637,9 +542,11 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
         nonlocal evals
         cur_val, _, cur_c = counted(_best_of_sets(matrix, T[None], alt, math.inf))
         for _ in range(MAX_SWEEPS):
+            if cur_val <= FLOOR:
+                break
             outside = cands[~np.isin(cands, T)]
             evals += n * len(outside)
-            val, S, c = counted(_best_exchange(matrix, T, outside, alt, cur_val - 1e-12))
+            val, S, c = counted(_best_of_sets(matrix, _exchanges(T, outside), alt, cur_val - 1e-12))
             if not val < cur_val - 1e-12:
                 break
             cur_val, T, cur_c = val, S, c
@@ -663,7 +570,7 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
             # iterated local search: random two-index kicks off the incumbent;
             # C(P, n) > EXHAUSTIVE_LIMIT leaves at least two candidates outside
             for _ in range(KICKS):
-                if best_T is None or best_val <= 1.0 + 1e-12:
+                if best_T is None or best_val <= FLOOR:
                     break
                 T = best_T.copy()
                 outside = cands[~np.isin(cands, T)]
@@ -671,7 +578,7 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
                     T[pos] = rng.choice(outside)
                     outside = outside[outside != T[pos]]
                 improve(*descend(np.sort(T)))
-            if best_val <= 1.0 + 1e-12:
+            if best_val <= FLOOR:
                 break
         if best_val > 1.0 + eps and total_sets <= ESCALATION_LIMIT:
             exhaustive_sweep()
@@ -1403,6 +1310,8 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
     if not isinstance(u0, GridFunction):
         raise GridMismatchError("needs a subspace of grid functions")
     d, R = u0.dim, u0.cells_per_side
+    if d < 2:
+        raise ValueError("the cube construction needs dim >= 2")
     if R % (1 << (curve_order + 1)):
         raise GridMismatchError(
             f"cube centers at order {curve_order} need "

@@ -64,6 +64,21 @@ def test_curve_order_capacity_checked_before_any_estimator(argv, monkeypatch, ca
     assert "Traceback" not in message
 
 
+@pytest.mark.parametrize("kinds", ["b", "i"])
+def test_cube_needs_dimension_two(kinds, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("an estimator ran before --dim was checked")
+
+    monkeypatch.setattr(cli_mod, "hat_functions", never)
+    monkeypatch.setattr(cli_mod, "isomorphism_lower_ddim", never)
+    with pytest.raises(SystemExit) as err:
+        main(["cube", "--dim", "1", "--m", "2", "--kinds", kinds])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "argument --dim: the cube construction needs dim >= 2" in message
+    assert "Traceback" not in message
+
+
 @pytest.mark.parametrize("value", ["2", "2,1,3", "1/0,1", "p,q"])
 def test_space_needs_two_exponents(value, capsys):
     with pytest.raises(SystemExit) as err:

@@ -194,10 +194,10 @@ class TestZigzag:
          [0, 6, 9], 0.9999999999999999, "certified", 2024),
         # local search: C(24, 7) > EXHAUSTIVE_LIMIT, seven kicks off the incumbent
         (np.random.default_rng(0).standard_normal((24, 7)), 0, 0.05,
-         [6, 8, 11, 12, 16, 18, 21], 1.0, "certified", 2975),
+         [6, 8, 11, 12, 16, 18, 21], 1.0, "certified", 2856),
         # eps = 0 is missed by one ulp, so the C(30, 5) = 142506 sets are swept
         (np.random.default_rng(0).standard_normal((30, 5)), 0, 0.0,
-         [1, 4, 13, 15, 19], 1.0000000000000002, "inconclusive", 2000 + 142506),
+         [1, 4, 13, 15, 19], 1.0000000000000002, "inconclusive", 1875 + 142506),
     ], ids=["exhaustive", "exhaustive-lp", "kicks", "escalation"])
     def test_search_path_pinned(self, monkeypatch, matrix, seed, eps, indices, value,
                                 status, evaluations):
@@ -260,142 +260,6 @@ class TestZigzag:
             alone = [snumbers_mod._sup_values(matrix, c[None])[0] for c in coeffs]
             assert snumbers_mod._sup_values(matrix, coeffs).tobytes() == np.array(alone).tobytes()
 
-
-def _hat_like(rng, rows, n, noise=0.0):
-    """One unit entry per row, ``rows // n`` rows per column, plus noise."""
-    matrix = np.zeros((rows, n))
-    matrix[np.arange(rows), np.arange(rows) * n // rows] = 1.0
-    return matrix + noise * rng.standard_normal((rows, n))
-
-
-def _screen_cases():
-    rng = np.random.default_rng(12)
-    near_singular = np.repeat(rng.standard_normal((21, 8)), 2, axis=0)
-    near_singular += 1e-9 * rng.standard_normal(near_singular.shape)
-    return [
-        pytest.param(rng.standard_normal((36, 8)), "screened", id="dense-8"),
-        pytest.param(rng.standard_normal((44, 12)), "screened", id="dense-12"),
-        pytest.param(rng.standard_normal((34, 16)), "screened", id="dense-16"),
-        # most exchanges put two rows of one column together: singular
-        pytest.param(_hat_like(rng, 48, 12), "screened", id="hat-like"),
-        # small integers: many exchanges tie exactly
-        pytest.param(rng.integers(-2, 3, (40, 9)).astype(float), "screened", id="ties"),
-        # pairs of nearly equal rows: ill-conditioned incumbents are scored exactly
-        pytest.param(near_singular, "fallback", id="near-singular"),
-    ]
-
-
-class TestExchangeScreen:
-    @pytest.mark.parametrize("matrix,path", _screen_cases())
-    def test_screened_descent_matches_exact(self, monkeypatch, matrix, path):
-        screened = []
-
-        def recorded(*args):
-            sets = screen(*args)
-            screened.append(sets is not None)
-            return sets
-
-        screen = snumbers_mod._screened_exchanges
-        monkeypatch.setattr(snumbers_mod, "_screened_exchanges", recorded)
-        results = []
-        for min_n in (math.inf, 1):  # exact sweeps, then screened sweeps
-            monkeypatch.setattr(snumbers_mod, "SCREEN_MIN_N", min_n)
-            results.append(zigzag_find(matrix, rng=np.random.default_rng(3)))
-        exact, fast = results
-        assert fast.witness.indices.tolist() == exact.witness.indices.tolist()
-        assert (fast.value, fast.status, fast.evaluations) == (
-            exact.value, exact.status, exact.evaluations)
-        assert fast.witness.coefficients.tobytes() == exact.witness.coefficients.tobytes()
-        assert any(screened)
-        if path == "fallback":
-            assert not all(screened)
-
-    def test_screen_keeps_the_first_exact_argmin(self):
-        # one sweep of exact ties: the screen hands every tied exchange over
-        rng = np.random.default_rng(5)
-        matrix = _hat_like(rng, 40, 8)
-        T = np.arange(8) * 5 + 2
-        outside = np.setdiff1d(np.arange(40), T)
-        alt = snumbers_mod._alternation_target(8)
-        sets = snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf)
-        proposals = snumbers_mod._exchanges(T, outside)
-        vals, _ = _full_table(matrix, proposals, alt)
-        finite = proposals[np.isfinite(vals)]  # the 8 * 4 in-column exchanges
-        assert sets.tolist() == finite.tolist()
-        assert snumbers_mod._screened_exchanges(matrix, T, outside, alt, 1.0 - 1e-12).size == 0
-
-    def test_near_ties_are_settled_exactly(self, monkeypatch):
-        # symmetric incumbents on a Chebyshev basis: mirrored exchanges tie in
-        # exact arithmetic and differ by rounding, in either order
-        P, n = 31, 8
-        t = np.linspace(-1.0, 1.0, P)
-        matrix = np.stack([np.cos(k * np.arccos(t)) for k in range(n)], axis=1)
-        alt = snumbers_mod._alternation_target(n)
-        rng = np.random.default_rng(0)
-        for _ in range(40):
-            half = np.sort(rng.choice(P // 2, n // 2, replace=False))
-            T = np.sort(np.concatenate([half, P - 1 - half]))
-            outside = np.setdiff1d(np.arange(P), T)
-            picks = []
-            for min_n in (1, math.inf):
-                monkeypatch.setattr(snumbers_mod, "SCREEN_MIN_N", min_n)
-                val, best, c = snumbers_mod._best_exchange(matrix, T, outside, alt, np.inf)[:3]
-                picks.append((best.tolist(), c.tobytes()))
-            assert picks[0] == picks[1]
-            # a bound one ulp above the exact minimum still keeps the winner
-            bound = np.nextafter(val, np.inf)
-            sets = snumbers_mod._screened_exchanges(matrix, T, outside, alt, bound)
-            assert best.tolist() in sets.tolist()
-
-    def test_exchange_near_the_singularity_threshold_is_scored_exactly(self):
-        rng = np.random.default_rng(7)
-        n = 8
-        matrix = rng.standard_normal((30, n))
-        T = np.arange(n) * 3
-        A = matrix[T]
-        norms = np.sqrt((A**2).sum(axis=1))
-        v = rng.standard_normal(n)
-        # row 29 = A[1] + delta v: swapped for T[0], its determinant over the
-        # Hadamard bound is |det A| |delta (v inv(A))[0]| / prod(other norms)
-        w = (v @ np.linalg.inv(A))[0]
-        delta = 1e-12 * norms[1:].prod() * norms[1] / abs(np.linalg.det(A) * w)
-        matrix[29] = A[1] + delta * v
-        outside = np.setdiff1d(np.arange(30), T)
-        alt = snumbers_mod._alternation_target(n)
-        sets = snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf)
-        assert [*T[1:].tolist(), 29] in sets.tolist()
-
-    def test_ill_conditioned_incumbent_is_not_screened(self):
-        # orthogonal rows pass the Hadamard test at any row scaling
-        q = np.linalg.qr(np.random.default_rng(1).standard_normal((8, 8)))[0]
-        matrix = np.vstack([q * np.logspace(0, -7, 8)[:, None], np.eye(8)])
-        T, outside = np.arange(8), np.arange(8, 16)
-        alt = snumbers_mod._alternation_target(8)
-        assert snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf) is None
-        matrix[:8] = q
-        assert snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf) is not None
-
-    def test_one_wide_sweep_stays_small(self):
-        import tracemalloc
-
-        # n = 64, P = 512: the exact batch stacks 28,672 matrices of 64 x 64
-        rng = np.random.default_rng(0)
-        matrix = _hat_like(rng, 512, 64, noise=0.05)
-        matrix /= np.abs(matrix).max(axis=0)
-        T = np.arange(64) * 8 + rng.integers(0, 8, 64)
-        outside = np.setdiff1d(np.arange(512), T)
-        alt = snumbers_mod._alternation_target(64)
-        tracemalloc.start()
-        try:
-            sets = snumbers_mod._screened_exchanges(matrix, T, outside, alt, np.inf)
-            val, best, _ = snumbers_mod._best_exchange(matrix, T, outside, alt, np.inf)[:3]
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sets is not None and 0 < len(sets) < 100
-        assert best is not None and math.isfinite(val)
-        assert peak < 64 * 2**20
-
     def test_minimax_blocks_match_one_block(self, monkeypatch):
         # a 100 000-set chunk stays one block up to n = 6
         assert snumbers_mod.BLOCK_ENTRIES // 6**2 >= 100_000
@@ -410,6 +274,72 @@ class TestExchangeScreen:
             results.append((vals.tobytes(), coeffs.tobytes()))
         assert results[0] == results[1]
         assert np.isinf(vals).any() and np.isfinite(vals).any()
+
+
+def _hat_like(rng, rows, n, noise=0.0):
+    """One unit entry per row, ``rows // n`` rows per column, plus noise."""
+    matrix = np.zeros((rows, n))
+    matrix[np.arange(rows), np.arange(rows) * n // rows] = 1.0
+    return matrix + noise * rng.standard_normal((rows, n))
+
+
+def _descent_cases():
+    rng = np.random.default_rng(12)
+    near_singular = np.repeat(rng.standard_normal((21, 8)), 2, axis=0)
+    near_singular += 1e-9 * rng.standard_normal(near_singular.shape)
+    return [
+        pytest.param(rng.standard_normal((36, 8)), id="dense-8"),
+        pytest.param(rng.standard_normal((44, 12)), id="dense-12"),
+        pytest.param(rng.standard_normal((34, 16)), id="dense-16"),
+        # most exchanges put two rows of one column together: singular
+        pytest.param(_hat_like(rng, 48, 12), id="hat-like"),
+        # small integers: many exchanges tie exactly
+        pytest.param(rng.integers(-2, 3, (40, 9)).astype(float), id="ties"),
+        # pairs of nearly equal rows: ill-conditioned incumbents
+        pytest.param(near_singular, id="near-singular"),
+    ]
+
+
+class TestFloorStop:
+    def test_start_at_the_floor_makes_no_exchange(self, monkeypatch):
+        # one unit row per column in the first start: its interpolant is
+        # +-1 everywhere, value 1, and the search ends without a sweep
+        batches = []
+
+        def recorded(*args):
+            batches.append(args)
+            return best_of_sets(*args)
+
+        best_of_sets = snumbers_mod._best_of_sets
+        monkeypatch.setattr(snumbers_mod, "_best_of_sets", recorded)
+        matrix = _hat_like(np.random.default_rng(0), 48, 12)
+        res = zigzag_find(matrix, rng=np.random.default_rng(0))
+        assert math.comb(48, 12) > snumbers_mod.ESCALATION_LIMIT  # local search only
+        assert (res.value, res.status, res.evaluations) == (1.0, "certified", 0)
+        assert [len(args[1]) for args in batches] == [1]
+        assert (np.abs(matrix[res.witness.indices]).argmax(axis=1) == np.arange(12)).all()
+
+    @pytest.mark.parametrize("matrix", _descent_cases())
+    def test_skipped_sweeps_cannot_improve(self, monkeypatch, matrix):
+        # every set that scores at most FLOOR ends its descent; the sweep it
+        # skips finds no exchange below its value - 1e-12
+        at_floor = []
+
+        def recorded(scaled, sets, alt, bound):
+            result = best_of_sets(scaled, sets, alt, bound)
+            if result.value <= snumbers_mod.FLOOR:
+                at_floor.append((scaled, result.set, alt, result.value))
+            return result
+
+        best_of_sets = snumbers_mod._best_of_sets
+        monkeypatch.setattr(snumbers_mod, "_best_of_sets", recorded)
+        res = zigzag_find(matrix, rng=np.random.default_rng(3))
+        monkeypatch.undo()
+        assert res.witness is not None and at_floor
+        for scaled, T, alt, val in at_floor:
+            cands = np.flatnonzero(np.abs(scaled).max(axis=1) > 1e-12)
+            sets = snumbers_mod._exchanges(T, np.setdiff1d(cands, T))
+            assert best_of_sets(scaled, sets, alt, val - 1e-12).set is None
 
 
 def _assert_table_winner(matrix, sets, alt, bound=np.inf):
@@ -450,8 +380,8 @@ class TestPrunedScoring:
             assert _assert_table_winner(matrix, sets, alt, bound) <= 3
 
     def test_symmetric_chebyshev_incumbents(self):
-        # the 40 incumbents of test_near_ties_are_settled_exactly, whose
-        # mirrored exchanges tie in exact arithmetic and differ by rounding
+        # 40 symmetric incumbents on a Chebyshev basis: mirrored exchanges
+        # tie in exact arithmetic and differ by rounding, in either order
         P, n = 31, 8
         t = np.linspace(-1.0, 1.0, P)
         matrix = np.stack([np.cos(k * np.arccos(t)) for k in range(n)], axis=1)
@@ -505,6 +435,26 @@ class TestPrunedScoring:
             tracemalloc.stop()
         assert res.evaluations == math.comb(241, 2)
         assert peak <= 0.25 * 241 * math.comb(239, 2) * 8
+
+    def test_one_wide_sweep_stays_small(self):
+        import tracemalloc
+
+        # n = 64 on 192 rows: one unblocked (8192, 64, 64) stack is 256 MiB
+        rng = np.random.default_rng(0)
+        matrix = _hat_like(rng, 192, 64, noise=0.05)
+        matrix /= np.abs(matrix).max(axis=0)
+        T = np.arange(64) * 3 + rng.integers(0, 3, 64)
+        sets = snumbers_mod._exchanges(T, np.setdiff1d(np.arange(192), T))
+        alt = snumbers_mod._alternation_target(64)
+        assert len(sets) == 8192
+        tracemalloc.start()
+        try:
+            val, best, *_ = snumbers_mod._best_of_sets(matrix, sets, alt, np.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert best is not None and math.isfinite(val)
+        assert peak <= 3 * snumbers_mod.BLOCK_ENTRIES * 8
 
 
 @functools.lru_cache(maxsize=None)
@@ -594,7 +544,7 @@ class TestClosedFormStage:
         batches, _ = _interval_searches(n)
         # the 20 exhaustive sweeps at n = 1 and 2; the n = 3 descent starts
         # and exchange sweeps
-        assert len(batches) == (20 if n < 3 else 384)
+        assert len(batches) == (20 if n < 3 else 364)
         solved = [_assert_stage_parity(*args) for args in batches]
         assert sum(solved) <= 0.15 * sum(len(args[1]) for args in batches)
 
@@ -651,7 +601,6 @@ class TestClosedFormStage:
         # singular triples with two small rows, then every row rescaled by a
         # power of two: each stage calls every triple singular at both scales
         rng = np.random.default_rng(8)
-        alt = snumbers_mod._alternation_target(3)
         for eps in (1e-6, 1e-8, 1e-10):
             matrix, sets = _small_rows_family(rng, eps)
             scaled = matrix * 2.0 ** rng.integers(-40, 41, (len(matrix), 1))
@@ -660,9 +609,6 @@ class TestClosedFormStage:
             assert not verdicts[0].any()
             for m in (matrix, scaled):
                 assert not snumbers_mod._CramerSets(m, sets).good.any()
-                for T in sets:
-                    outside = np.setdiff1d(np.arange(len(m)), T)
-                    assert snumbers_mod._screened_exchanges(m, T, outside, alt, np.inf) is None
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_slack_covers_lapack_coefficients(self, seed):
@@ -947,6 +893,8 @@ class TestDdim:
     def test_dimension_at_least_two(self):
         with pytest.raises(ValueError):
             isomorphism_lower_ddim(1, 2, LorentzParams(1, 1))
+        with pytest.raises(ValueError, match="dim >= 2"):
+            bernstein_upper_ddim(Subspace(hat_functions(1, 2, 16)), curve_order=2)
 
     def test_hat_sandwich_n_four(self):
         hats = hat_functions(2, 2, 32)
