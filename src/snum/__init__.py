@@ -1,6 +1,12 @@
 """Certified s-number bounds for the interval integration operator and for
 grid Sobolev embeddings of the cube, with inspectable witnesses."""
 
+# numpy 2 imports these two on first use (np.random, and numpy.ma inside
+# np.unique); the volterra, cube and john commands use both, so they load
+# with the package rather than inside the first command
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .hilbert import (
     CapacityError,
     DyadicCube,

@@ -17,7 +17,6 @@ from math import comb
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .hilbert import hilbert_order
 from .john import segment_domain, uniform_john_constant
@@ -1054,27 +1053,113 @@ def shipped_adversaries(n: int, rng) -> list:
     return out
 
 
-def _chebyshev_distance_lp(ts, y, columns) -> float:
-    """min over the subspace of the sampled sup distance (<= the true one)."""
-    B = columns(ts)
-    npts, m = B.shape
-    a_ub = np.vstack(
-        [
-            np.hstack([-B, -np.ones((npts, 1))]),
-            np.hstack([B, -np.ones((npts, 1))]),
-        ]
-    )
-    b_ub = np.concatenate([-y, y])
-    res = linprog(
-        c=[0.0] * m + [1.0],
-        A_ub=a_ub,
-        b_ub=b_ub,
-        bounds=[(None, None)] * m + [(0.0, None)],
-        method="highs",
-    )
-    if not res.success:
-        raise RuntimeError(f"distance LP failed: {res.message}")
-    return float(res.fun)
+RANK_TOL = 1e-10  # a pivot at most this times max|B| ends the column basis
+EXCHANGE_TOL = 2.0**-40  # relative violation at which the exchange stops
+MAX_EXCHANGES = 1000  # exchange steps per distance before giving up
+
+
+def _pivot_basis(B):
+    """(rows, cols) of a complete-pivoting elimination of B: the pivot rows
+    and the columns that span B's column space, stopping at RANK_TOL."""
+    A = B.copy()
+    scale = np.abs(B).max(initial=0.0)
+    rows, cols = [], []
+    for _ in range(min(A.shape)):
+        i, j = np.unravel_index(np.argmax(np.abs(A)), A.shape)
+        if abs(A[i, j]) <= RANK_TOL * scale:
+            break
+        rows.append(int(i))
+        cols.append(int(j))
+        A -= np.outer(A[:, j] / A[i, j], A[i])
+    return rows, cols
+
+
+def _solve_fraction(M, rhs):
+    """The solution of the square system M x = rhs in Fraction arithmetic,
+    or None when M is singular; floats enter exactly."""
+    rows = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(M.tolist(), rhs)]
+    n = len(rows)
+    for k in range(n):
+        p = next((i for i in range(k, n) if rows[i][k]), None)
+        if p is None:
+            return None
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(k + 1, n):
+            f = rows[i][k] / rows[k][k]
+            if f:
+                for j in range(k, n + 1):
+                    rows[i][j] -= f * rows[k][j]
+    x = [Fraction(0)] * n
+    for k in reversed(range(n)):
+        x[k] = (rows[k][n] - sum(rows[k][j] * x[j] for j in range(k + 1, n))) / rows[k][k]
+    return x
+
+
+def _chebyshev_certificate(B, y):
+    """Dual weights for min_c max_i |y_i - B_i c|: (points, signs, weights)
+    with exact Fraction weights >= 0 summing to 1, such that
+    lam = signs * weights on ``points`` satisfies B^T lam = 0 exactly.  By
+    weak duality y . lam is then a lower bound on the distance.
+
+    Stiefel's exchange, the simplex method on the dual max y.lam subject to
+    B^T lam = 0 and ||lam||_1 <= 1.  The reference is r + 1 signed points,
+    r = rank B: the pivot rows of ``_pivot_basis`` plus the point of largest
+    |y|.  Each step solves the (r+1)-square system for the levelled
+    coefficients c and error t, enters the point of largest violation
+    |y_i - B_i c| - t and leaves by the ratio test, ties to the lowest index.
+    The final reference's weights are then solved again in Fraction
+    arithmetic (the samples are floats, so exact rationals) and checked.
+    """
+    rows, cols = _pivot_basis(B)
+    r = len(rows)
+    Bk = B[:, cols]
+    rest = np.abs(y)
+    rest[rows] = -1.0
+    ref = np.array(rows + [int(np.argmax(rest))])
+    # the reference rows' null vector: the last row in terms of the pivot rows
+    null = np.append(np.linalg.solve(Bk[rows].T, -Bk[ref[-1]]) if r else [], 1.0)
+    sig = np.where(null < 0, -1.0, 1.0)
+    if null @ y[ref] < 0:
+        sig = -sig
+    for _ in range(MAX_EXCHANGES):
+        M = np.vstack([(sig[:, None] * Bk[ref]).T, np.ones(r + 1)])
+        Minv = np.linalg.inv(M)
+        ct = Minv.T @ (sig * y[ref])
+        Bc = Bk @ ct[:-1]
+        err = y - Bc
+        excess = np.abs(err) - ct[-1]
+        j = int(np.argmax(excess))
+        if excess[j] <= EXCHANGE_TOL * (np.abs(y).max() + np.abs(Bc).max()):
+            break
+        sj = 1.0 if err[j] > 0 else -1.0
+        step = Minv @ np.append(sj * Bk[j], 1.0)
+        up = np.flatnonzero(step > 0)
+        ratios = Minv[up, -1] / step[up]
+        ties = up[ratios == ratios.min()]
+        k = ties[np.argmin(ref[ties])]
+        ref[k], sig[k] = j, sj
+    else:
+        raise RuntimeError("Chebyshev exchange did not converge")
+    weights = _solve_fraction(M, [0] * r + [1])
+    if weights is None or min(weights) < 0:
+        raise RuntimeError("Chebyshev certificate failed: negative or no weights")
+    lam = [w * int(s) for w, s in zip(weights, sig)]
+    dropped = [col for col in range(B.shape[1]) if col not in cols]
+    if any(sum(l * Fraction(b) for l, b in zip(lam, B[ref, col].tolist())) for col in dropped):
+        raise RuntimeError("Chebyshev certificate failed: a dropped column is not annihilated")
+    return ref, sig, weights
+
+
+def _chebyshev_distance(ts, y, columns) -> float:
+    """The sampled sup distance from y to the span of columns(ts), from below:
+    the exact value y . lam of ``_chebyshev_certificate``, rounded down.  It
+    is <= the sampled distance, which is <= the true one."""
+    y = np.asarray(y, dtype=float)
+    points, signs, weights = _chebyshev_certificate(np.asarray(columns(ts), dtype=float), y)
+    value = sum(w * int(s) * Fraction(v) for w, s, v in zip(weights, signs, y[points].tolist()))
+    value = max(Fraction(0), value)
+    bound = float(value)
+    return bound if Fraction(bound) <= value else math.nextafter(bound, -math.inf)
 
 
 def _kolmogorov_sample_points(k_max: int, adversary: Adversary) -> list:
@@ -1097,8 +1182,9 @@ def kolmogorov_lower_witness(k_max: int, n: int = 2, adversaries=None, rng=None)
     subspace can track them; the two-point gap 2^-k_max is the resolution.
 
     ``adversaries`` are candidate subspaces of dimension < n.  Per adversary
-    the distance max_k dist(Vf_k, N) is certified by a sampled Chebyshev LP
-    (sampling only lowers it).  The returned lower bound is
+    the distance max_k dist(Vf_k, N) is certified by the exact dual weights
+    of a sampled Chebyshev exchange (``_chebyshev_distance``; sampling and
+    rounding down only lower it).  The returned lower bound is
     min(1/4 - 2^-k_max, the per-adversary distances).
     """
     if k_max < 2:
@@ -1133,7 +1219,7 @@ def kolmogorov_lower_witness(k_max: int, n: int = 2, adversaries=None, rng=None)
         pts = _kolmogorov_sample_points(k_max, adv)
         dist = 0.0
         for curve in family:
-            dist = max(dist, _chebyshev_distance_lp(pts, curve.sample(pts), adv.columns))
+            dist = max(dist, _chebyshev_distance(pts, curve.sample(pts), adv.columns))
         per_adversary[adv.name] = dist
         if dist < lower:
             lower = dist

@@ -1,11 +1,15 @@
 import csv
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import snum
 import snum.cli as cli_mod
 import snum.selftest as selftest_mod
 from snum.cli import RunConfig, build_parser, main, run
@@ -374,6 +378,25 @@ def test_kolmogorov_first_scale_is_operator_norm(tmp_path):
     assert first[0]["lower"] == "1/2" and first[0]["upper"] == "1/2"
     uppers = [r["upper"] for r in payload["results"] if r["n"] == 2 and r["upper"]]
     assert "1/4" in uppers
+
+
+def test_no_scipy_on_the_import_or_run_path(tmp_path):
+    # a fresh interpreter: importing the command line and running the
+    # Kolmogorov kind leave no scipy module loaded
+    code = (
+        "import json, sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import snum.cli\n"
+        "imported = scipy_modules()\n"
+        "status = snum.cli.main(['volterra', '--n', '1..3', '--kinds', 'd', '--out', 'r.json'])\n"
+        "print(json.dumps([imported, status, scipy_modules()]))\n"
+    )
+    src = str(Path(snum.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
 
 
 def test_run_config_roundtrip():

@@ -50,6 +50,32 @@ from snum.spaces import (
 from snum.volterra import dipole, volterra_apply
 
 
+def _dual_value(B, y):
+    """The exact value y . lam of ``_chebyshev_certificate``'s weights, after
+    checking them independently: >= 0, summing to 1, B^T lam = 0 exactly."""
+    points, signs, weights = snumbers_mod._chebyshev_certificate(B, y)
+    assert len(points) == len(set(points.tolist())) == len(weights)
+    assert all(w >= 0 for w in weights) and sum(weights) == 1
+    lam = [w * int(s) for w, s in zip(weights, signs)]
+    for col in B.T:
+        assert sum(l * Fraction(b) for l, b in zip(lam, col[points].tolist())) == 0
+    return sum(l * Fraction(v) for l, v in zip(lam, y[points].tolist()))
+
+
+def _chebyshev_problems(rng):
+    """Small (B, y) Chebyshev problems: generic, y in the span, a duplicated
+    and an all-zero column, and symmetric data with tied violations."""
+    npts, m = int(rng.integers(6, 40)), int(rng.integers(0, 5))
+    ts = np.sort(rng.uniform(-1, 1, npts))
+    B = rng.standard_normal((npts, m))
+    yield B, rng.standard_normal(npts)
+    yield B, B @ rng.standard_normal(m)
+    B2 = np.hstack([B, B[:, :1], np.zeros((npts, 1))])
+    yield B2, rng.standard_normal(npts)
+    sym = np.concatenate([-ts[::-1], ts])
+    yield np.vander(sym, m + 1, increasing=True)[:, ::2], np.abs(sym) ** rng.integers(1, 4)
+
+
 def _full_table(matrix, sets, alt):
     """The unpruned reference of ``_best_of_sets``: (values, coefficients)
     of every set, inf for a singular set, from ``_interpolants`` and then
@@ -58,10 +84,6 @@ def _full_table(matrix, sets, alt):
     vals = np.full(len(sets), np.inf)
     vals[good] = snumbers_mod._sup_values(matrix, coeffs[good])
     return vals, coeffs
-
-
-def _refuse_lp(*args, **kwargs):
-    raise AssertionError("the alternation search solves no LP")
 
 
 class TestSNumberBound:
@@ -199,9 +221,7 @@ class TestZigzag:
         (np.random.default_rng(0).standard_normal((30, 5)), 0, 0.0,
          [1, 4, 13, 15, 19], 1.0000000000000002, "inconclusive", 1875 + 142506),
     ], ids=["exhaustive", "exhaustive-lp", "kicks", "escalation"])
-    def test_search_path_pinned(self, monkeypatch, matrix, seed, eps, indices, value,
-                                status, evaluations):
-        monkeypatch.setattr(snumbers_mod, "linprog", _refuse_lp)
+    def test_search_path_pinned(self, matrix, seed, eps, indices, value, status, evaluations):
         res = zigzag_find(matrix, eps=eps, rng=np.random.default_rng(seed))
         assert res.witness.indices.tolist() == indices
         assert (res.value, res.status, res.evaluations) == (value, status, evaluations)
@@ -219,12 +239,11 @@ class TestZigzag:
         assert res.witness.indices.tolist() == planted.tolist()
         assert res.evaluations > math.comb(45, 4)  # the escalation sweep ran
 
-    def test_disjoint_supports_start_from_the_column_peaks(self, monkeypatch):
+    def test_disjoint_supports_start_from_the_column_peaks(self):
         # tents on disjoint row blocks: nine one-row columns, then one tent on
         # 30 rows peaking at row 21.  Every start misses two or more columns,
         # so all its exchanges are singular and no start finds an incumbent;
         # one peak row per column interpolates the signs with value 1
-        monkeypatch.setattr(snumbers_mod, "linprog", _refuse_lp)
         matrix = np.zeros((39, 10))
         matrix[np.arange(9), np.arange(9)] = 1.0
         matrix[9:, 9] = 1.0 - np.abs(np.arange(30) - 12) / 20
@@ -855,6 +874,55 @@ class TestKolmogorov:
         assert bound.witness["adversary_distances"]["constants"] == pytest.approx(
             0.25, abs=1e-9
         )
+
+    def test_linear_adversary_distance_is_at_most_a_quarter(self):
+        # the span of 1 and t holds the constants, whose distance is the
+        # midrange bound 1/4; the LP it replaced recorded 0.25000000000000006
+        for seed in (1, 2, 3):
+            bound = kolmogorov_lower_witness(10, n=3, rng=np.random.default_rng(seed))
+            assert bound.witness["adversary_distances"]["polynomials<= 1"] == 0.25
+        alone = kolmogorov_lower_witness(10, n=3, adversaries=[snumbers_mod.polynomial_adversary(1)])
+        assert alone.witness["adversary_distances"] == {"polynomials<= 1": 0.25}
+
+    def test_distances_are_their_dual_values_rounded_down(self):
+        family = [volterra_apply(two_sided_spike(k)) for k in range(1, 11)]
+        for n in (2, 3, 4, 5):
+            for adv in shipped_adversaries(n, np.random.default_rng(1)):
+                pts = snumbers_mod._kolmogorov_sample_points(10, adv)
+                for curve in family:
+                    y = curve.sample(pts)
+                    dist = snumbers_mod._chebyshev_distance(pts, y, adv.columns)
+                    exact = _dual_value(adv.columns(pts), y)
+                    assert Fraction(dist) <= exact < Fraction(math.nextafter(dist, math.inf))
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_exchange_matches_linprog(self, seed):
+        linprog = pytest.importorskip("scipy.optimize").linprog
+        for B, y in _chebyshev_problems(np.random.default_rng(seed)):
+            dist = snumbers_mod._chebyshev_distance(None, y, lambda ts: B)
+            assert Fraction(dist) <= max(Fraction(0), _dual_value(B, y))
+            npts, m = B.shape
+            res = linprog(
+                c=[0.0] * m + [1.0],
+                A_ub=np.vstack([np.hstack([-B, -np.ones((npts, 1))]),
+                                np.hstack([B, -np.ones((npts, 1))])]),
+                b_ub=np.concatenate([-y, y]),
+                bounds=[(None, None)] * m + [(0.0, None)],
+                method="highs",
+            )
+            assert res.success
+            assert dist == pytest.approx(res.fun, abs=1e-10)
+
+    def test_failed_certificate_raises(self, monkeypatch):
+        ts = np.linspace(0.5, 1.0, 9)
+        # a column within RANK_TOL of another is dropped, but it is not
+        # annihilated exactly by the weights that annihilate the first
+        near = lambda t: np.stack([t, t + 2.0**-40 * t**2], axis=1)
+        with pytest.raises(RuntimeError, match="dropped column"):
+            snumbers_mod._chebyshev_distance(ts, ts**2, near)
+        monkeypatch.setattr(snumbers_mod, "MAX_EXCHANGES", 0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            snumbers_mod._chebyshev_distance(ts, ts**2, constants_adversary().columns)
 
     def test_lower_validations(self):
         with pytest.raises(ValueError):
