@@ -9,7 +9,6 @@ import numpy.random  # noqa: F401
 
 from .hilbert import (
     CapacityError,
-    DyadicCube,
     HilbertOrdering,
     check_face_adjacency,
     check_prefix_nesting,
@@ -59,10 +58,8 @@ from .spaces import (
     MeanZeroTag,
     StepFunction1D,
     UnsupportedRegimeError,
-    distribution_function,
     grid_gradient_lorentz_norm,
     lorentz_norm,
-    sup_norm,
 )
 from .volterra import (
     VolterraCurve,

@@ -22,7 +22,12 @@ import numpy as np
 
 from . import selftest as selftest_mod
 from .hilbert import MAX_CUBES, check_face_adjacency, check_prefix_nesting, hilbert_order
-from .john import john_bound_constructive, segment_domain, verify_john_certificate
+from .john import (
+    CertificateInvalidError,
+    john_bound_constructive,
+    segment_domain,
+    verify_john_certificate,
+)
 from .snumbers import (
     SNumberBound,
     Subspace,
@@ -39,7 +44,14 @@ from .snumbers import (
     random_mean_zero_step_subspace,
     snumber_axiom_suite,
 )
-from .spaces import EXACT, LorentzParams, random_step_function, step_to_json_dict
+from .spaces import (
+    EXACT,
+    LorentzParams,
+    _num_from_json,
+    _num_to_json,
+    random_step_function,
+    step_to_json_dict,
+)
 from .volterra import operator_norm_discrete
 
 KIND_LETTERS = {"a": "approximation", "c": "gelfand", "d": "kolmogorov",
@@ -71,10 +83,7 @@ class RunConfig:
         d = asdict(self)
         d["n_list"] = list(self.n_list)
         d["kinds"] = list(self.kinds)
-        d["space"] = [
-            f"{x.numerator}/{x.denominator}" if isinstance(x, Fraction) else x
-            for x in self.space
-        ]
+        d["space"] = [_num_to_json(x) for x in self.space]
         return d
 
 
@@ -278,12 +287,7 @@ def _emit(config: RunConfig, payload: dict) -> None:
 
 
 def _as_float(x):
-    if x is None:
-        return None
-    if isinstance(x, str):
-        num, den = x.split("/")
-        return int(num) / int(den)
-    return float(x)
+    return None if x is None else float(_num_from_json(x))
 
 
 def _fmt(x):
@@ -296,12 +300,14 @@ def _run_hilbert(args) -> int:
     status = 0
     if args.check:
         ok_adj, where = check_face_adjacency(ordering)
-        ok_nest, cube = check_prefix_nesting(ordering)
+        ok_nest, reentered = check_prefix_nesting(ordering)
         if not ok_adj:
             sys.stderr.write(f"check_face_adjacency: FAIL at index {where}\n")
             status = 1
         if not ok_nest:
-            sys.stderr.write(f"check_prefix_nesting: FAIL at cube {cube}\n")
+            level, coords = reentered
+            sys.stderr.write(f"check_prefix_nesting: FAIL at level {level} cube "
+                             f"({', '.join(map(str, coords))})\n")
             status = 1
         if status == 0:
             sys.stdout.write("check_face_adjacency: ok\ncheck_prefix_nesting: ok\n")
@@ -373,7 +379,11 @@ def _run_john(args) -> int:
         for i, j in pairs:
             omega = segment_domain(ordering, i, j)
             cert = john_bound_constructive(omega)
-            ok, worst = verify_john_certificate(omega, cert, args.samples, rng=rng)
+            try:
+                ok, worst = verify_john_certificate(omega, cert, args.samples, rng=rng)
+            except CertificateInvalidError as exc:  # a failed certificate, not a usage error
+                sys.stderr.write(f"snum john: domain {i}..{j}: {exc}\n")
+                ok, worst = False, math.inf
             if not ok:
                 status = 1
             writer.writerow([i, j, f"{cert.constant:.12g}", f"{cert.profile_bound:.12g}",

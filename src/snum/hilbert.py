@@ -16,8 +16,6 @@ interchangeable with this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -28,49 +26,6 @@ DECODE_BLOCK = 1 << 16  # curve positions decoded per block of an ordering table
 
 class CapacityError(ValueError):
     """The requested table of 2^(dim*order) cubes exceeds the supported size."""
-
-
-@dataclass(frozen=True)
-class DyadicCube:
-    """The open cube 2^-level * (coords + (0,1)^d); side 2^-level."""
-
-    level: int
-    coords: tuple
-
-    def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("level must be >= 0")
-        for z in self.coords:
-            if not 0 <= z < (1 << self.level):
-                raise ValueError("coords outside the level's index range")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    @property
-    def side(self) -> Fraction:
-        return Fraction(1, 1 << self.level)
-
-    @property
-    def volume(self) -> Fraction:
-        return self.side**self.dim
-
-    def center(self) -> tuple:
-        return tuple(Fraction(2 * z + 1, 1 << (self.level + 1)) for z in self.coords)
-
-    def box(self):
-        """(lows, highs) as exact dyadic floats."""
-        h = 1.0 / (1 << self.level)
-        lows = tuple(z * h for z in self.coords)
-        highs = tuple((z + 1) * h for z in self.coords)
-        return lows, highs
-
-    def ancestor(self, level: int) -> "DyadicCube":
-        if level > self.level:
-            raise ValueError("ancestor level must be coarser")
-        shift = self.level - level
-        return DyadicCube(level, tuple(z >> shift for z in self.coords))
 
 
 # -- Gray-code travel frames --------------------------------------------------
@@ -174,11 +129,6 @@ class HilbertOrdering:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def cube(self, index: int) -> DyadicCube:
-        if not 1 <= index <= len(self):
-            raise IndexError(f"index {index} outside 1..{len(self)}")
-        return DyadicCube(self.order, tuple(int(z) for z in self.coords[index - 1]))
-
     def positions(self, cells) -> np.ndarray:
         """0-based curve position of each cell of an integer array of shape
         S + (dim,); -1 for cells off the grid or not numbered."""
@@ -226,8 +176,9 @@ def check_face_adjacency(ordering: HilbertOrdering):
 def check_prefix_nesting(ordering: HilbertOrdering):
     """True iff every coarser cube's descendants occupy one contiguous block.
 
-    Returns ``(ok, first_violating_cube)``: at the coarsest violating level,
-    the ancestor that the first re-entering run of cubes enters again.
+    Returns ``(True, None)`` or ``(False, (level, coords))``: at the coarsest
+    violating level, the ancestor cube that the first re-entering run of
+    cubes enters again, its coordinates a tuple of ints.
     """
     k, d = ordering.order, ordering.dim
     coords = ordering.coords
@@ -243,5 +194,5 @@ def check_prefix_nesting(ordering: HilbertOrdering):
         reentry[first] = False
         if reentry.any():
             row = coords[run_starts[np.argmax(reentry)]] >> (k - level)
-            return False, DyadicCube(level, tuple(int(z) for z in row))
+            return False, (level, tuple(int(z) for z in row))
     return True, None

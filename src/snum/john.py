@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 
@@ -64,9 +63,6 @@ class CubeUnion:
     def cube_count(self) -> int:
         return self.j - self.i + 1
 
-    def volume(self) -> Fraction:
-        return self.cube_count * Fraction(1, 1 << (self.dim * self.level))
-
     def positions(self, cells) -> np.ndarray:
         """0-based position within the union of each cell (shape S + (dim,));
         -1 for cells outside it."""
@@ -92,25 +88,6 @@ class CubeUnion:
     def contains_points(self, points, tol: float = 1e-9) -> np.ndarray:
         """Membership of each point in the closed union (faces belong)."""
         return (self._incident_positions(points, tol) >= 0).any(axis=1)
-
-    def contains(self, point, tol: float = 1e-9) -> bool:
-        """Membership in the closed union (faces belong)."""
-        return bool(self.contains_points([point], tol)[0])
-
-    @cached_property
-    def is_connected(self) -> bool:
-        d = self.dim
-        steps = np.concatenate([np.eye(d, dtype=np.int64), -np.eye(d, dtype=np.int64)])
-        seen = np.zeros(self.cube_count, dtype=bool)
-        seen[0] = True
-        frontier = self.coords[:1]
-        while len(frontier):  # breadth-first over face neighbours
-            pos = self.positions(frontier[:, None, :] + steps[None]).ravel()
-            pos = np.unique(pos[pos >= 0])
-            pos = pos[~seen[pos]]
-            seen[pos] = True
-            frontier = self.coords[pos]
-        return bool(seen.all())
 
     @cached_property
     def _face_arrays(self):
@@ -270,11 +247,6 @@ class JohnCertificate:
             walks.append(path)
         return tuple(walks)
 
-    def chain_vertices(self, block_idx: int) -> np.ndarray:
-        """Polyline from the block's center to the domain center x0."""
-        m = block_idx - self.center_block
-        return self._walks[m > 0][2 * abs(m) :: -1]
-
     @cached_property
     def profile_bound(self) -> float:
         """The chain estimate evaluated on the actual generation profile.
@@ -296,17 +268,6 @@ class JohnCertificate:
             reach = half * h + (pref - pref[:, None]) + half * h[:, None]
             bound = float(np.triu(4.0 * reach / h[:, None], 1).max(initial=bound))
         return bound
-
-    def polyline(self, x) -> np.ndarray:
-        """John curve from x to the center: x, block centers, face midpoints."""
-        x = np.asarray(x, dtype=float)
-        incident = self.union._incident_positions(x, 1e-9)[0]
-        incident = incident[incident >= 0]
-        if not incident.size:
-            raise CertificateInvalidError("start point outside the domain")
-        # a boundary point lies in several cells: take the first along the curve
-        chain = self.chain_vertices(int(self.block_of_index(self.union.i + incident.min())))
-        return np.vstack([x[None, :], chain])
 
 
 def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
@@ -362,7 +323,7 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
 
     ``samples`` counts evaluated (start point, curve point) pairs.  Start
     points are all member-cube centers plus uniform interior points until the
-    budget is met; curve points are the polyline vertices and segment
+    budget is met; curve points are the walk vertices and segment
     midpoints.  Passes iff max |x - gamma(t)| / dist(gamma(t), boundary) stays
     within the certified constant.
     """

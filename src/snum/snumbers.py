@@ -285,9 +285,7 @@ def _row_lower_bounds(matrix, coeffs, slack=None):
     if not len(coeffs):
         return np.empty(0), math.inf
     if slack is None:
-        n = matrix.shape[1]
-        u = np.finfo(float).eps / 2
-        slack = 2 * SCREEN_TOL * n * u / (1 - n * u) * np.abs(matrix).max() * np.abs(coeffs).sum(axis=1)
+        slack = 2 * SCREEN_TOL * _gamma(matrix.shape[1]) * np.abs(matrix).max() * np.abs(coeffs).sum(axis=1)
     rows = np.unique(np.abs(matrix).argmax(axis=0))
     sampled = np.abs(matrix[rows] @ coeffs.T).max(axis=0)
     while True:

@@ -175,12 +175,6 @@ class StepFunction1D:
         bps.append(one)
         return cls(bps, vals)
 
-    @classmethod
-    def zero(cls, exact: bool = False):
-        if exact:
-            return cls((Fraction(0), Fraction(1)), (Fraction(0),))
-        return cls((0.0, 1.0), (0.0,))
-
     # -- structure ----------------------------------------------------------
 
     @property
@@ -224,15 +218,6 @@ class StepFunction1D:
         bps = sorted(set(f.breakpoints) | set(g.breakpoints))
         return f.refine(bps), g.refine(bps)
 
-    def __call__(self, t):
-        """Value at t (right-continuous; left-continuous at 1)."""
-        if not 0 <= t <= 1:
-            raise ValueError("t outside [0, 1]")
-        for i in range(self.piece_count):
-            if t < self.breakpoints[i + 1]:
-                return self.values[i]
-        return self.values[-1]
-
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):
@@ -248,9 +233,6 @@ class StepFunction1D:
     def __mul__(self, c):
         return self.__rmul__(c)
 
-    def __neg__(self):
-        return (-1) * self
-
     def __eq__(self, other):
         if not isinstance(other, StepFunction1D):
             return NotImplemented
@@ -258,7 +240,10 @@ class StepFunction1D:
         return a.breakpoints == b.breakpoints and a.values == b.values
 
     def __hash__(self):
-        return hash((self.breakpoints, self.values))
+        # equal functions share one canonical form, and equal numbers of any
+        # type share one hash
+        c = self.canonicalize()
+        return hash((c.breakpoints, c.values))
 
     # -- integrals ----------------------------------------------------------
 
@@ -294,21 +279,7 @@ def _value_measure_pairs(f):
         )
     if isinstance(f, CellField):
         return f.value_measure_pairs()
-    if isinstance(f, GridFunction):
-        return f.gradient_field().value_measure_pairs()
     raise TypeError(f"no distribution data for {type(f).__name__}")
-
-
-def distribution_function(f, t):
-    """Measure of {x : |f(x)| > t}; right-continuous and non-increasing in t."""
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
-    if isinstance(f, StepFunction1D) and f.is_exact and _is_rational(t):
-        return sum(
-            l for v, l in zip(f.values, f.lengths()) if abs(v) > t
-        )
-    vals, meas = _value_measure_pairs(f)
-    return float(meas[vals > float(t)].sum())
 
 
 def _layer_intervals(f):
@@ -404,11 +375,6 @@ class GridFunction:
         raise AttributeError("GridFunction is immutable")
 
     @classmethod
-    def zeros(cls, dim, cells_per_side, boundary_zero=True):
-        shape = (cells_per_side + 1,) * dim
-        return cls(dim, cells_per_side, np.zeros(shape), boundary_zero)
-
-    @classmethod
     def random_interior(cls, rng, dim, cells_per_side, scale=1.0):
         """Gaussian nodal values on interior nodes, zero trace."""
         shape = (cells_per_side + 1,) * dim
@@ -445,17 +411,8 @@ class GridFunction:
             sq = g**2 if sq is None else sq + g**2
         return CellField(np.sqrt(sq), h**self.dim)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "type": "grid",
-            "dim": self.dim,
-            "cells_per_side": self.cells_per_side,
-            "boundary_zero": self.boundary_zero,
-            "nodal_values": [float(v) for v in self.nodal_values.ravel()],
-        }
 
-
-def grid_gradient_lorentz_norm(field: CellField, params, cell_mask=None, mode=FLOAT):
+def grid_gradient_lorentz_norm(field: CellField, params, cell_mask=None):
     """Lorentz norm of a cellwise-constant |gradient| field, as returned by
     ``GridFunction.gradient_field`` (computed once, it serves every mask).
 
@@ -469,14 +426,7 @@ def grid_gradient_lorentz_norm(field: CellField, params, cell_mask=None, mode=FL
         if mask.shape != field.values.shape:
             raise GridMismatchError("cell mask shape differs from the cell grid")
         field = CellField(field.values[mask], field.cell_measure)
-    return lorentz_norm(field, params, mode=mode)
-
-
-def sup_norm(u):
-    """Exact supremum norm of a grid function or a piecewise-linear curve."""
-    if hasattr(u, "sup_norm"):
-        return u.sup_norm()
-    raise TypeError(f"no sup norm for {type(u).__name__}")
+    return lorentz_norm(field, params)
 
 
 # -- serialization -----------------------------------------------------------
@@ -512,20 +462,7 @@ def from_json_dict(d: dict):
             [_num_from_json(b) for b in d["breakpoints"]],
             [_num_from_json(v) for v in d["values"]],
         )
-    if kind == "grid":
-        return GridFunction(
-            d["dim"], d["cells_per_side"], np.array(d["nodal_values"]),
-            boundary_zero=d.get("boundary_zero", False),
-        )
     raise ValueError(f"unknown serialized type {kind!r}")
-
-
-def to_json_dict(obj) -> dict:
-    if isinstance(obj, StepFunction1D):
-        return step_to_json_dict(obj)
-    if isinstance(obj, GridFunction):
-        return obj.to_json_dict()
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def random_step_function(rng, max_pieces=12, exact=False, value_scale=4):

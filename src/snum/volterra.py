@@ -84,26 +84,18 @@ def dipole(cell_a: int, cell_b: int, cells: int) -> StepFunction1D:
     return StepFunction1D([Fraction(i, cells) for i in range(cells + 1)], values)
 
 
-def operator_norm_discrete(cells: int, mean_zero: bool = True):
-    """Supremum of ||Vf||_inf over unit-mass step functions on the uniform grid.
+def operator_norm_discrete(cells: int):
+    """Supremum of ||Vf||_inf over mean-zero unit-mass step functions on the
+    uniform grid.
 
     The feasible set {sum f_i = 0, ||f||_1 <= 1} is a polytope and ||Vf||_inf
-    is convex, so the supremum is attained at an extreme point.  With the mean
-    zero constraint the extreme points are the two-cell dipoles, every one of
-    which attains exactly 1/2; without it they are single-cell spikes, which
-    attain 1 at t = 1.
+    is convex, so the supremum is attained at an extreme point: the two-cell
+    dipoles, every one of which attains exactly 1/2.
 
     Returns ``(value, witness)`` with the value exact.
     """
     if cells < 2:
         raise ValueError("mean-zero nontrivial functions need at least 2 cells")
-    if not mean_zero:
-        spike = StepFunction1D.indicator(
-            Fraction(cells - 1, cells), Fraction(1), height=Fraction(cells), exact=True
-        )
-        assert volterra_apply(spike).sup_norm() == 1
-        return Fraction(1), spike
-
     witness = dipole(0, 1, cells)
     attained = volterra_apply(witness).sup_norm()
     assert attained == Fraction(1, 2) and witness.l1_norm() == 1

@@ -14,6 +14,7 @@ import snum.cli as cli_mod
 import snum.selftest as selftest_mod
 from snum.cli import RunConfig, build_parser, main, run
 from snum.hilbert import HilbertOrdering, hilbert_order
+from snum.john import CertificateInvalidError
 
 
 def test_usage_error_on_bad_flags(capsys):
@@ -163,6 +164,18 @@ def test_hilbert_check_ok():
     assert main(["hilbert", "--dim", "2", "--order", "4", "--check"]) == 0
 
 
+def test_hilbert_check_failure_names_the_reentered_cube(monkeypatch, capsys):
+    # serpentine columns at order 2 are face-adjacent, but they leave the
+    # level-1 quadrant (0, 0) and come back into it
+    snake = [(x, y if x % 2 == 0 else 3 - y) for x in range(4) for y in range(4)]
+    monkeypatch.setattr(cli_mod, "hilbert_order",
+                        lambda dim, order: HilbertOrdering(dim, order, snake))
+    assert main(["hilbert", "--dim", "2", "--order", "2", "--check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "check_prefix_nesting: FAIL at level 1 cube (0, 0)\n"
+    assert "ok" not in captured.out
+
+
 def test_hilbert_table_emission(tmp_path):
     out = tmp_path / "table.csv"
     assert main([
@@ -227,6 +240,30 @@ def test_john_command(tmp_path):
     assert len(rows) == 8
     assert {r["verdict"] for r in rows} == {"pass"}
     assert len({r["constant"] for r in rows}) == 1
+
+
+def test_john_invalid_certificate_is_a_failed_row(tmp_path, monkeypatch, capsys):
+    # the third of five certificates leaves its domain: that row fails, the
+    # others are still measured, and the run exits 1 rather than 2
+    verify = cli_mod.verify_john_certificate
+    calls = []
+
+    def third_invalid(omega, cert, samples, rng=None):
+        calls.append((omega.i, omega.j))
+        if len(calls) == 3:
+            raise CertificateInvalidError("polyline exits the domain")
+        return verify(omega, cert, samples, rng=rng)
+
+    monkeypatch.setattr(cli_mod, "verify_john_certificate", third_invalid)
+    out = tmp_path / "john.csv"
+    assert main(["john", "--dim", "2", "--order", "2", "--pairs", "5",
+                 "--samples", "200", "--out", str(out)]) == 1
+    rows = list(csv.DictReader(out.open()))
+    assert [(int(r["i"]), int(r["j"])) for r in rows] == calls
+    assert [r["verdict"] for r in rows] == ["pass", "pass", "fail", "pass", "pass"]
+    assert rows[2]["worst_ratio"] == "inf"
+    i, j = calls[2]
+    assert f"domain {i}..{j}: polyline exits the domain" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

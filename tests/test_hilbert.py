@@ -6,7 +6,6 @@ import pytest
 import snum.hilbert as hilbert_mod
 from snum.hilbert import (
     CapacityError,
-    DyadicCube,
     HilbertOrdering,
     check_face_adjacency,
     check_prefix_nesting,
@@ -16,28 +15,12 @@ from snum.hilbert import (
 )
 
 
-def _index_of(ordering, cube):
-    """1-based curve index of a level-``order`` cube of the ordering."""
-    position = int(ordering.positions(np.array(cube.coords)))
-    if cube.level != ordering.order or position < 0:
-        raise KeyError(cube.coords)
+def _index_of(ordering, coords):
+    """1-based curve index of the level-``order`` cube with these coordinates."""
+    position = int(ordering.positions(np.array(coords)))
+    if position < 0:
+        raise KeyError(coords)
     return position + 1
-
-
-class TestDyadicCube:
-    def test_geometry(self):
-        c = DyadicCube(2, (1, 3))
-        assert c.side == Fraction(1, 4)
-        assert c.volume == Fraction(1, 16)
-        assert c.center() == (Fraction(3, 8), Fraction(7, 8))
-
-    def test_coordinate_range_checked(self):
-        with pytest.raises(ValueError):
-            DyadicCube(1, (0, 2))
-
-    def test_ancestor(self):
-        c = DyadicCube(3, (5, 6))
-        assert c.ancestor(1).coords == (1, 1)
 
 
 class TestGenerator:
@@ -97,18 +80,14 @@ class TestGenerator:
     def test_index_lookup_roundtrip(self):
         ordering = hilbert_order(2, 3)
         for idx in (1, 17, 64):
-            assert _index_of(ordering, ordering.cube(idx)) == idx
-        with pytest.raises(IndexError):
-            ordering.cube(0)
-        with pytest.raises(IndexError):
-            ordering.cube(65)
+            assert _index_of(ordering, ordering.coords[idx - 1]) == idx
 
     def test_positions_match_index_of(self):
         ordering = hilbert_order(2, 3)
         cells = np.array([[0, 0], [7, 7], [-1, 0], [8, 3]])
         pos = ordering.positions(cells)
-        assert pos[0] == _index_of(ordering, DyadicCube(3, (0, 0))) - 1
-        assert pos[1] == _index_of(ordering, DyadicCube(3, (7, 7))) - 1
+        assert pos[0] == _index_of(ordering, (0, 0)) - 1
+        assert pos[1] == _index_of(ordering, (7, 7)) - 1
         assert pos[2] == pos[3] == -1  # off the grid
         assert np.array_equal(ordering.positions(ordering.coords), np.arange(64))
 
@@ -125,19 +104,14 @@ class TestGenerator:
                 (fine.coords >> 1).reshape(len(coarse), block, dim),
                 np.broadcast_to(parents[:, None, :], (len(coarse), block, dim)),
             )
-            if (dim, order) in [(2, 4), (3, 2)]:  # the same via DyadicCube.ancestor
-                assert [
-                    fine.cube(i * block + 1).ancestor(order - 1).coords
-                    for i in range(len(coarse))
-                ] == [tuple(row) for row in coarse.coords.tolist()]
 
     def test_consecutive_center_distance(self):
         # locality: consecutive cube centers are exactly one side length apart
         ordering = hilbert_order(2, 4)
         side = Fraction(1, 16)
-        cubes = [ordering.cube(i) for i in range(1, len(ordering) + 1)]
-        for a, b in zip(cubes, cubes[1:]):
-            delta = [abs(x - y) for x, y in zip(a.center(), b.center())]
+        centers = [[Fraction(2 * z + 1, 32) for z in row] for row in ordering.coords.tolist()]
+        for a, b in zip(centers, centers[1:]):
+            delta = [abs(x - y) for x, y in zip(a, b)]
             assert sorted(delta) == [0, side]
 
     def test_capacity_error(self):
@@ -189,7 +163,7 @@ def _nesting_by_loop(cells, order):
             if anc == current:
                 continue
             if anc in seen:
-                return False, DyadicCube(level, anc)
+                return False, (level, anc)
             seen.add(anc)
             current = anc
     return True, None
@@ -228,9 +202,7 @@ class TestCheckers:
         # (0,0) into (0,1) and back down into (0,0), the first re-entry
         ordering = HilbertOrdering(2, 2, _boustrophedon(2))
         assert check_face_adjacency(ordering)[0]
-        ok, cube = check_prefix_nesting(ordering)
-        assert not ok and cube.level == 1
-        assert cube == DyadicCube(1, (0, 0))
+        assert check_prefix_nesting(ordering) == (False, (1, (0, 0)))
 
     def test_first_nesting_violation_at_level_two(self):
         # level-1 quadrants are visited one at a time (nested at level 1), but
@@ -241,8 +213,7 @@ class TestCheckers:
         inner = sorted(range(16), key=lambda p: tuple(quadrant[p].tolist()))
         coords = np.vstack([quadrant[inner], fine[16:]])
         ordering = HilbertOrdering(2, 3, coords)
-        ok, cube = check_prefix_nesting(ordering)
-        assert not ok and cube == DyadicCube(2, (0, 0))
+        assert check_prefix_nesting(ordering) == (False, (2, (0, 0)))
         ok, where = check_face_adjacency(ordering)
         assert not ok and where == 4  # row wrap from (0,3) to (1,0)
 

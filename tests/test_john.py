@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from snum.hilbert import DyadicCube, HilbertOrdering, hilbert_order
+from snum.hilbert import HilbertOrdering, hilbert_order
 from snum.john import (
     CertificateInvalidError,
     ConstructionError,
@@ -43,20 +43,20 @@ def ordering_k3():
 class TestSegmentDomain:
     def test_single_cube_center_distance(self, ordering_k3):
         omega = segment_domain(ordering_k3, 5, 5)
-        center = np.array([float(c) for c in ordering_k3.cube(5).center()])
+        center = (ordering_k3.coords[4] + 0.5) / 8
         assert omega.boundary_distance([center])[0] == pytest.approx(1 / 16, abs=0)
 
     def test_full_cube(self, ordering_k3):
         omega = segment_domain(ordering_k3, 1, 64)
         assert omega.boundary_distance([[0.5, 0.5]])[0] == pytest.approx(0.5, abs=0)
-        assert omega.volume() == 1
+        assert omega.cube_count == len(ordering_k3)
 
     def test_four_cell_union_connected(self):
         ordering = hilbert_order(2, 2)
         omega = segment_domain(ordering, 2, 5)
         assert omega.cube_count == 4
-        assert omega.is_connected
-        assert omega.volume() == Fraction(4, 16)
+        # consecutive cubes share a face, so the union is connected
+        assert np.abs(np.diff(omega.coords, axis=0)).sum(axis=1).tolist() == [1, 1, 1]
 
     def test_index_range_checked(self, ordering_k3):
         with pytest.raises(IndexError):
@@ -68,9 +68,8 @@ class TestSegmentDomain:
 
     def test_membership_includes_faces(self, ordering_k3):
         omega = segment_domain(ordering_k3, 1, 4)  # the first coarse quadrant
-        assert omega.contains([0.0, 0.0])
-        assert omega.contains([0.25, 0.25])
-        assert not omega.contains([0.75, 0.75])
+        pts = [[0.0, 0.0], [0.25, 0.25], [0.75, 0.75]]
+        assert omega.contains_points(pts).tolist() == [True, True, False]
 
     def test_boundary_distance_exact_on_l_shape(self):
         # three cells of the first-order curve: (0,0),(0,1),(1,1)
@@ -119,18 +118,12 @@ class TestSegmentDomain:
         assert (expected == 0).any() and (expected > 0).any()
         assert omega.boundary_distance(pts).tobytes() == expected.tobytes()
 
-    def test_disconnected_union(self):
-        # cells (0,1) and (1,0) of the row-major order touch only at a corner
-        row_major = HilbertOrdering(2, 1, [(i, j) for i in range(2) for j in range(2)])
-        assert not segment_domain(row_major, 2, 3).is_connected
-        assert segment_domain(row_major, 1, 3).is_connected
-
     def test_membership_matches_cell_set(self, ordering_k3):
         # a point belongs iff some member cell's closure holds it; grid
         # points on faces and corners included, and points off the unit
         # square, which belong to no cell
         omega = segment_domain(ordering_k3, 6, 29)
-        members = {ordering_k3.cube(k).coords for k in range(6, 30)}
+        members = [tuple(z) for z in ordering_k3.coords[5:29].tolist()]
         ticks = np.arange(-2, 19) / 16
         pts = np.array([(x, y) for x in ticks for y in ticks]
                        + [(-0.3, 0.1), (0.1, -5.0), (1.2, 0.5), (0.5, 7.0)])
@@ -139,13 +132,12 @@ class TestSegmentDomain:
             for p in pts
         ]
         assert omega.contains_points(pts).tolist() == expected
-        assert [omega.contains(p) for p in pts] == expected
 
     def test_positions_within_union(self, ordering_k3):
         omega = segment_domain(ordering_k3, 10, 20)
         assert np.array_equal(omega.positions(omega.coords), np.arange(11))
-        outside = [ordering_k3.cube(k).coords for k in (9, 21)]
-        assert omega.positions(np.array(outside)).tolist() == [-1, -1]
+        outside = ordering_k3.coords[[8, 20]]  # cubes 9 and 21
+        assert omega.positions(outside).tolist() == [-1, -1]
 
     @pytest.mark.parametrize("dim,order,i,j", [
         (1, 4, 3, 11), (2, 3, 3, 40), (2, 4, 17, 200), (3, 2, 5, 50),
@@ -172,8 +164,7 @@ class TestSegmentDomain:
     def test_random_points_inside(self, ordering_k3):
         omega = segment_domain(ordering_k3, 3, 17)
         rng = np.random.default_rng(0)
-        for p in omega.random_points(rng, 200):
-            assert omega.contains(p)
+        assert omega.contains_points(omega.random_points(rng, 200)).all()
 
     def test_cell_mask_needs_nested_grid(self, ordering_k3):
         omega = segment_domain(ordering_k3, 1, 8)
@@ -182,7 +173,7 @@ class TestSegmentDomain:
         mask = omega.cell_mask(16)
         assert mask.sum() == 8 * 4  # 4 fine cells per member cube
         for k in range(1, 65):
-            x, y = ordering_k3.cube(k).coords
+            x, y = ordering_k3.coords[k - 1]
             assert mask[2 * x, 2 * y] == (k <= 8) and mask[2 * x + 1, 2 * y + 1] == (k <= 8)
 
     @pytest.mark.parametrize("dim,order,cells", [(2, 3, 8), (2, 3, 32), (2, 2, 24),
@@ -249,32 +240,42 @@ class TestConstructiveCertificate:
         with pytest.raises(ConstructionError):
             john_bound_constructive(omega)
 
-    def test_polyline_starts_at_x_and_ends_at_center(self, ordering_k3):
+    def test_walks_run_from_the_center_to_the_end_blocks_inside(self, ordering_k3):
         omega = segment_domain(ordering_k3, 3, 30)
         cert = john_bound_constructive(omega)
-        x = np.array([float(c) for c in ordering_k3.cube(30).center()])
-        path = cert.polyline(x)
-        assert np.allclose(path[0], x)
-        assert np.allclose(path[-1], cert.center)
-        for p in path:
-            assert omega.contains(p)
+        left, right = cert._walks
+        assert left[0].tolist() == right[0].tolist() == cert.center.tolist()
+        assert left[-1].tolist() == cert.block_centers[0].tolist()
+        assert right[-1].tolist() == cert.block_centers[-1].tolist()
+        assert omega.contains_points(np.vstack([left, right])).all()
 
 
 def _cubes(cert):
-    """The certificate's blocks as dyadic cubes."""
-    return [DyadicCube(int(level), tuple(int(v) for v in z))
+    """The certificate's blocks as (level, coords) pairs of ints."""
+    return [(int(level), tuple(int(v) for v in z))
             for level, z in zip(cert.block_levels, cert.block_coords)]
+
+
+def _side(cube):
+    return 1.0 / (1 << cube[0])
 
 
 def _block_center(cube):
     """Reference center of one block, from its level and coordinates."""
-    return (2 * np.asarray(cube.coords, dtype=np.int64) + 1) / float(1 << (cube.level + 1))
+    level, coords = cube
+    return (2 * np.asarray(coords, dtype=np.int64) + 1) / float(1 << (level + 1))
+
+
+def _box(cube):
+    """(lows, highs) of one block as exact dyadic floats."""
+    h = _side(cube)
+    return [z * h for z in cube[1]], [(z + 1) * h for z in cube[1]]
 
 
 def _gate(a, b):
     """Reference midpoint of the shared face rectangle of two face-adjacent boxes."""
-    alo, ahi = a.box()
-    blo, bhi = b.box()
+    alo, ahi = _box(a)
+    blo, bhi = _box(b)
     gate = []
     for lo1, hi1, lo2, hi2 in zip(alo, ahi, blo, bhi):
         lo, hi = max(lo1, lo2), min(hi1, hi2)
@@ -282,19 +283,6 @@ def _gate(a, b):
             raise ConstructionError("blocks are not adjacent")
         gate.append(0.5 * (lo + hi))
     return gate
-
-
-def _chain_by_walking(cert, block_idx):
-    """Reference chain: walk block by block from the block to the center."""
-    blocks = _cubes(cert)
-    step = 1 if block_idx < cert.center_block else -1
-    path = [_block_center(blocks[block_idx])]
-    b = block_idx
-    while b != cert.center_block:
-        path.append(np.array(_gate(blocks[b], blocks[b + step])))
-        path.append(_block_center(blocks[b + step]))
-        b += step
-    return np.array(path)
 
 
 def _profile_bound_by_pairs(cert):
@@ -315,9 +303,9 @@ def _profile_bound_by_pairs(cert):
             g = np.array(_gate(a, b))
             pref.append(pref[-1] + float(np.linalg.norm(ca - g) + np.linalg.norm(g - cb)))
         for t_pos in range(len(idxs)):
-            h_t = float(blocks[idxs[t_pos]].side)
+            h_t = _side(blocks[idxs[t_pos]])
             for x_pos in range(t_pos + 1, len(idxs)):
-                h_x = float(blocks[idxs[x_pos]].side)
+                h_x = _side(blocks[idxs[x_pos]])
                 reach = (
                     0.5 * math.sqrt(d) * h_x
                     + (pref[x_pos] - pref[t_pos])
@@ -360,9 +348,9 @@ class TestBlockLookup:
 
     def test_block_centers_are_exact(self, ordering_k3):
         cert = john_bound_constructive(segment_domain(ordering_k3, 3, 50))
-        for b, cube in enumerate(_cubes(cert)):
-            head = cert.chain_vertices(b)[0]
-            assert [Fraction(v) for v in head] == list(cube.center())
+        for center, (level, coords) in zip(cert.block_centers, _cubes(cert)):
+            exact = [Fraction(2 * z + 1, 1 << (level + 1)) for z in coords]
+            assert [Fraction(v) for v in center] == exact
 
     def test_walks_match_block_by_block_chains(self, ordering_k3):
         # every order-3 domain in d = 2: the same vertices and the same
@@ -371,11 +359,9 @@ class TestBlockLookup:
         for i in range(1, total + 1):
             for j in range(i, total + 1):
                 cert = john_bound_constructive(segment_domain(ordering_k3, i, j))
-                for b in range(len(cert.block_levels)):
-                    chain = cert.chain_vertices(b)
-                    expected = _chain_by_walking(cert, b)
-                    assert chain.shape == expected.shape
-                    assert chain.tobytes() == expected.tobytes(), (i, j, b)
+                for walk, expected in zip(cert._walks, _walks_reference(cert)):
+                    assert walk.shape == expected.shape
+                    assert walk.tobytes() == expected.tobytes(), (i, j)
                 assert cert.profile_bound.hex() == _profile_bound_by_pairs(cert).hex(), (i, j)
 
 
@@ -430,7 +416,7 @@ def _profile_bound_reference(cert):
             for k in range(1, len(walk), 2)
         ]
         pref = np.cumsum([0.0, *legs])
-        h = np.array([float(blocks[b].side) for b in idxs])
+        h = np.array([_side(blocks[b]) for b in idxs])
         reach = half * h + (pref - pref[:, None]) + half * h[:, None]
         outer = np.triu_indices(len(h), 1)
         bound = float((4.0 * reach / h[:, None])[outer].max(initial=bound))
@@ -574,9 +560,8 @@ class TestOscillationCheck:
 
     def test_hat_in_one_cube(self, ordering_k3):
         omega = segment_domain(ordering_k3, 5, 12)
-        cube = ordering_k3.cube(5)
-        center = [float(c) for c in cube.center()]
-        r = float(cube.side) / 2
+        center = (ordering_k3.coords[4] + 0.5) / 8  # cube 5
+        r = 1 / 16  # half its side
 
         def hat(x, y):
             return np.maximum(0.0, r - np.hypot(x - center[0], y - center[1]))

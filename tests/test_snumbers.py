@@ -1069,10 +1069,9 @@ class TestDdim:
         assert bound.status == "inconclusive"
         assert bound.to_json_dict()["operator"] == "cube"
         ordering = hilbert_order(2, 2)
-        expected = [
-            [h.nodal_values[tuple(int(c * 32) for c in ordering.cube(i).center())]
-             for h in hats]
-            for i in range(1, len(ordering) + 1)
+        expected = [  # cube centers (2z + 1) / 8 are nodes 4(2z + 1) of the 32-cell grid
+            [h.nodal_values[tuple(4 * (2 * z + 1) for z in row)] for h in hats]
+            for row in ordering.coords.tolist()
         ]
         assert np.array_equal(seen[0], np.array(expected))
 

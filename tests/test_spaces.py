@@ -16,13 +16,11 @@ from snum.spaces import (
     UnsupportedRegimeError,
     _layer_intervals,
     _value_measure_pairs,
-    distribution_function,
     from_json_dict,
     grid_gradient_lorentz_norm,
     lorentz_norm,
     random_step_function,
     step_to_json_dict,
-    sup_norm,
 )
 from snum.volterra import volterra_apply
 
@@ -48,6 +46,13 @@ def quadrature_lorentz(f, p, q, samples=200_001, block=1 << 14):
                          for i in range(0, len(mids), block)])
     ds = np.diff(s)
     return float((p * mu ** (q / p) * mids ** (q - 1) * ds).sum()) ** (1 / q)
+
+
+def _distribution(f, t):
+    """|{|f| > t}| for t >= 0, read off the layer table of ``lorentz_norm``."""
+    thresholds, mus = _layer_intervals(f)
+    layer = int(np.searchsorted(thresholds, t, side="right")) - 1
+    return float(mus[layer]) if layer < len(mus) else 0.0
 
 
 def _layer_intervals_by_level(f):
@@ -116,15 +121,25 @@ class TestStepFunction:
         g = from_json_dict(step_to_json_dict(f))
         assert g == f and g.is_exact
 
+    def test_hash_agrees_with_equality(self):
+        # one function on two breakpoint sets: equal, so one hash and one set entry
+        a = StepFunction1D.from_cells([1.0, 1.0])
+        b = StepFunction1D([0.0, 1.0], [1.0])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        exact = StepFunction1D([0, Fraction(1, 2), 1], [Fraction(1), Fraction(1)])
+        assert exact == b and hash(exact) == hash(b)
+        assert len({a, StepFunction1D.from_cells([1.0, 2.0])}) == 2
+
 
 class TestDistributionFunction:
     def test_indicator_below_height(self):
         f = StepFunction1D.indicator(0, 0.5)
-        assert distribution_function(f, 0.5) == 0.5
+        assert _distribution(f, 0.5) == 0.5
 
     def test_indicator_at_height_strict(self):
         f = StepFunction1D.indicator(0, 0.5)
-        assert distribution_function(f, 1.0) == 0
+        assert _distribution(f, 1.0) == 0
 
     def test_two_level_example(self):
         # enumerate pieces with |value| > 1.5: only the height-2 piece
@@ -135,25 +150,21 @@ class TestDistributionFunction:
             l for v, l in zip(f.values, f.lengths()) if abs(v) > 1.5
         )
         assert expected == 0.25
-        assert distribution_function(f, 1.5) == pytest.approx(0.25, abs=0)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            distribution_function(StepFunction1D.indicator(0, 0.5), -1)
+        assert _distribution(f, 1.5) == pytest.approx(0.25, abs=0)
 
     @given(steps())
     @settings(max_examples=60, deadline=None)
     def test_nonincreasing_and_right_continuous(self, f):
         levels = sorted({abs(v) for v in f.values})
         grid = [0.0] + levels
-        mus = [distribution_function(f, t) for t in grid]
+        mus = [_distribution(f, t) for t in grid]
         assert all(a >= b for a, b in zip(mus, mus[1:]))
         for t in levels:
             gap = min((u - t for u in levels if u > t), default=1.0)
             probe = t + gap / 2
             if not t < probe < t + gap:  # gap below float resolution
                 continue
-            assert distribution_function(f, t) == distribution_function(f, probe)
+            assert _distribution(f, t) == _distribution(f, probe)
 
 
 class TestLorentzNorm:
@@ -172,7 +183,7 @@ class TestLorentzNorm:
         )
 
     def test_zero_function(self):
-        assert lorentz_norm(StepFunction1D.zero(), LorentzParams(2, 1)) == 0.0
+        assert lorentz_norm(StepFunction1D([0.0, 1.0], [0.0]), LorentzParams(2, 1)) == 0.0
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_full_indicator_cube_constant(self, d):
@@ -205,7 +216,7 @@ class TestLorentzNorm:
         # ties, zeros of both signs and all-zero functions, cell fields and
         # step functions with unequal pieces
         rng = np.random.default_rng(3)
-        funcs = [CellField(np.zeros((4, 4)), 1 / 16), StepFunction1D.zero()]
+        funcs = [CellField(np.zeros((4, 4)), 1 / 16), StepFunction1D([0.0, 1.0], [0.0])]
         for _ in range(150):
             size = int(rng.integers(1, 300))
             levels = rng.integers(-5, 6, size) * rng.choice([0.25, 0.1, 1 / 3])
@@ -275,7 +286,7 @@ class TestGridFunction:
     def test_sup_norm_exact_on_nodes(self):
         vals = np.array([0.0, 1.0, -2.0, 0.0]).reshape(4)
         u = GridFunction(1, 3, vals)
-        assert sup_norm(u) == 2.0
+        assert u.sup_norm() == 2.0
 
     def test_linear_ramp_gradient(self):
         # u = x_1 on a 2-d grid: |grad| = 1 on every cell, L^{2,2} norm 1
@@ -306,28 +317,17 @@ class TestGridFunction:
             expect, rel=0.05
         )
 
-    def test_serialization_roundtrip(self):
-        rng = np.random.default_rng(1)
-        u = GridFunction.random_interior(rng, 2, 4)
-        v = from_json_dict(u.to_json_dict())
-        assert np.array_equal(u.nodal_values, v.nodal_values)
-        assert v.boundary_zero
-
 
 class TestSupNormDispatch:
     def test_curve_sup(self):
         f = StepFunction1D([0, Fraction(1, 2), 1], [Fraction(2), Fraction(-2)])
-        assert sup_norm(volterra_apply(f)) == 1
-
-    def test_unknown_type(self):
-        with pytest.raises(TypeError):
-            sup_norm([1, 2, 3])
+        assert volterra_apply(f).sup_norm() == 1
 
 
 def test_distribution_of_grid_gradient():
     u = _on_grid(lambda x, y: x, 2, 4)  # |grad| = 1 per cell
-    assert distribution_function(u, 0.5) == pytest.approx(1.0, abs=1e-12)
-    assert distribution_function(u, 1.0) == 0.0
+    assert _distribution(u.gradient_field(), 0.5) == pytest.approx(1.0, abs=1e-12)
+    assert _distribution(u.gradient_field(), 1.0) == 0.0
 
 
 def test_random_step_function_reproducible():
