@@ -24,8 +24,10 @@ from . import selftest as selftest_mod
 from .hilbert import MAX_CUBES, check_face_adjacency, check_prefix_nesting, hilbert_order
 from .john import (
     CertificateInvalidError,
+    ConstructionError,
     john_bound_constructive,
     segment_domain,
+    uniform_john_constant,
     verify_john_certificate,
 )
 from .snumbers import (
@@ -372,21 +374,23 @@ def _run_john(args) -> int:
             i = int(rng.integers(1, total + 1))
             pairs.append((i, int(rng.integers(i, total + 1))))
     status = 0
+    constant = uniform_john_constant(args.dim)  # every certificate's constant
     # opened first: an unwritable path fails before any domain is measured
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as target:
         writer = csv.writer(target)
         writer.writerow(["i", "j", "constant", "profile_bound", "worst_ratio", "verdict"])
         for i, j in pairs:
             omega = segment_domain(ordering, i, j)
-            cert = john_bound_constructive(omega)
             try:
+                cert = john_bound_constructive(omega)
                 ok, worst = verify_john_certificate(omega, cert, args.samples, rng=rng)
-            except CertificateInvalidError as exc:  # a failed certificate, not a usage error
+                bound = cert.profile_bound
+            except (ConstructionError, CertificateInvalidError) as exc:  # a failed row, not a usage error
                 sys.stderr.write(f"snum john: domain {i}..{j}: {exc}\n")
-                ok, worst = False, math.inf
+                ok, worst, bound = False, math.inf, math.nan
             if not ok:
                 status = 1
-            writer.writerow([i, j, f"{cert.constant:.12g}", f"{cert.profile_bound:.12g}",
+            writer.writerow([i, j, f"{constant:.12g}", f"{bound:.12g}",
                              f"{worst:.12g}", "pass" if ok else "fail"])
     return status
 

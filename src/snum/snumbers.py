@@ -201,8 +201,14 @@ class ZigzagResult:
     status: str  # "certified" or "inconclusive"
     value: float
     evaluations: int
-    rescored: int = 0  # index sets scored on every row; not serialized
-    solved: int = 0  # index sets factored by LAPACK; not serialized
+    # search counters, none of them serialized
+    rescored: int = 0  # index sets scored on every row
+    solved: int = 0  # index sets factored by LAPACK
+    descents: int = 0  # exchange descents, from starts and from kicks
+    peak_sweeps: int = 0  # exchange batches that bring in a peak row
+    full_sweeps: int = 0  # batches of every one-index exchange
+    escalated: bool = False  # the exhaustive sweep ran after the local search
+    floor_reached: bool = False  # the witness scores at most FLOOR
 
 
 def _alternation_target(n: int) -> np.ndarray:
@@ -215,6 +221,8 @@ ESCALATION_LIMIT = 20_000_000  # index sets swept when local search fails
 RESTARTS = 12  # local-search starting sets
 KICKS = 24  # two-index perturbations of the incumbent per start
 MAX_SWEEPS = 80  # exchange sweeps per descent
+PEAK_ROWS = 4  # rows of largest |g| brought in before a full exchange sweep
+CHUNK_SETS = 100_000  # index sets per chunk of a lexicographic sweep
 BLOCK_ENTRIES = 1 << 22  # matrix entries per stacked block of index sets
 GRAM_BLOCK_ENTRIES = 1 << 20  # basis values stacked per block of a grid Gram
 FLOOR = 1.0 + 1e-12  # no set scores below 1 (|g| = 1 at its own points): a search here is done
@@ -459,17 +467,55 @@ def _best_of_sets(matrix, sets, alt, bound: float) -> _BatchResult:
     return _BatchResult(float(vals[k]), sets[k], coeffs[k], len(idx), len(sets))
 
 
+def _subset_groups(m: int, n: int):
+    """The n-subsets of range(m) in lexicographic order, as arrays of at
+    most ``CHUNK_SETS`` rows or one prefix's sets.
+
+    Each (n - 2)-prefix, itself from the (n - 2)-subsets of range(m - 2) in
+    order, is followed by every pair of positions after its last one: a
+    tail of the row-major ``np.triu_indices`` pairs of range(m).
+    """
+    if n == 1:
+        yield np.arange(m)[:, None]
+        return
+    if n == 2:
+        yield np.stack(np.triu_indices(m, 1), axis=1)
+        return
+    pairs = np.stack(np.triu_indices(m, 1), axis=1)
+    first = np.concatenate([[0], np.cumsum(np.arange(m - 1, -1, -1))])  # pairs with first index < s
+    for prefixes in _combination_chunks(np.arange(m - 2), n - 2):
+        starts = first[prefixes[:, -1] + 1]
+        sizes = len(pairs) - starts
+        ends = np.cumsum(sizes)
+        done = 0
+        while done < len(prefixes):  # whole prefixes, about CHUNK_SETS sets at a time
+            stop = max(done + 1, int(np.searchsorted(ends, ends[done] - sizes[done] + CHUNK_SETS, "right")))
+            counts = sizes[done:stop]
+            owner = np.repeat(np.arange(done, stop), counts)
+            offset = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+            yield np.concatenate([prefixes[owner], pairs[starts[owner] + offset]], axis=1)
+            done = stop
+
+
 def _combination_chunks(cands: np.ndarray, n: int):
     """The n-subsets of ``cands`` in lexicographic order, as integer arrays
-    of at most 100 000 rows."""
-    combos = itertools.combinations(cands.tolist(), n)
-    while True:
-        chunk = np.fromiter(
-            itertools.chain.from_iterable(itertools.islice(combos, 100_000)), dtype=np.intp
-        )
-        if not chunk.size:
-            return
-        yield chunk.reshape(-1, n)
+    of ``CHUNK_SETS`` rows (the last one shorter).  While the caller holds a
+    chunk, only the pieces of the next one and the current group of
+    ``_subset_groups`` are kept."""
+    pending, count = [], 0
+    for group in _subset_groups(len(cands), n):
+        start = 0
+        while start < len(group):
+            take = min(len(group) - start, CHUNK_SETS - count)
+            pending.append(group[start:start + take])
+            start, count = start + take, count + take
+            if count == CHUNK_SETS:
+                chunk, pending, count = cands[np.concatenate(pending)], [], 0
+                yield chunk
+        del group
+    if pending:
+        chunk, pending = cands[np.concatenate(pending)], []
+        yield chunk
 
 
 def _exchanges(T: np.ndarray, outside: np.ndarray) -> np.ndarray:
@@ -490,8 +536,10 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     set, scored by ``_best_of_sets``; a singular set is never a candidate.
     Exhaustive over index sets (lexicographic, ties to the first = smallest
     optimum) when the count fits ``EXHAUSTIVE_LIMIT``; otherwise iterated
-    local search (one-index exchange descent, which stops at ``FLOOR``,
-    with random two-index kicks and restarts).  If the search cannot certify
+    local search (one-index exchange descent: the exchanges that bring in
+    the ``PEAK_ROWS`` rows of largest |g| first, every exchange when none
+    of those improves, stopping at ``FLOOR``; with random two-index kicks
+    and restarts).  If the search cannot certify
     sup norm <= 1 + eps and the set count fits ``ESCALATION_LIMIT``, the
     exhaustive sweep settles it.  If no incumbent is left after that, one
     descent starts from each column's peak row.  Never returns a false
@@ -516,7 +564,8 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
         raise ValueError("not enough nonzero evaluation points")
 
     best_val, best_T, best_c = math.inf, None, None
-    evals = rescored = solved = 0
+    evals = rescored = solved = descents = peak_sweeps = full_sweeps = 0
+    escalated = False
 
     def counted(batch):
         nonlocal rescored, solved
@@ -535,15 +584,30 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
             evals += len(sets)
             improve(*counted(_best_of_sets(matrix, sets, alt, best_val - 1e-12)))
 
-    def descend(T):
+    def sweep(T, rows, bound):
         nonlocal evals
+        evals += n * len(rows)
+        return counted(_best_of_sets(matrix, _exchanges(T, rows), alt, bound))
+
+    def descend(T):
+        # Remez's rule first: bring in the rows outside T where the incumbent
+        # g deviates most; every exchange only when none of those improves
+        nonlocal descents, peak_sweeps, full_sweeps
+        descents += 1
         cur_val, _, cur_c = counted(_best_of_sets(matrix, T[None], alt, math.inf))
         for _ in range(MAX_SWEEPS):
             if cur_val <= FLOOR:
                 break
             outside = cands[~np.isin(cands, T)]
-            evals += n * len(outside)
-            val, S, c = counted(_best_of_sets(matrix, _exchanges(T, outside), alt, cur_val - 1e-12))
+            val = math.inf
+            if cur_c is not None:  # a singular start has no g
+                g = np.abs(matrix[outside] @ cur_c)
+                peak_sweeps += 1
+                peaks = np.sort(outside[np.argsort(-g, kind="stable")[:PEAK_ROWS]])
+                val, S, c = sweep(T, peaks, cur_val - 1e-12)
+            if not val < cur_val - 1e-12:
+                full_sweeps += 1
+                val, S, c = sweep(T, outside, cur_val - 1e-12)
             if not val < cur_val - 1e-12:
                 break
             cur_val, T, cur_c = val, S, c
@@ -577,7 +641,8 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
                 improve(*descend(np.sort(T)))
             if best_val <= FLOOR:
                 break
-        if best_val > 1.0 + eps and total_sets <= ESCALATION_LIMIT:
+        escalated = best_val > 1.0 + eps and total_sets <= ESCALATION_LIMIT
+        if escalated:
             exhaustive_sweep()
         if best_T is None:
             # disjoint supports (cube hats): every exchange of a set missing
@@ -586,13 +651,15 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
             if len(np.unique(peaks)) == n:
                 improve(*descend(np.sort(peaks)))
 
+    counters = dict(rescored=rescored, solved=solved, descents=descents, peak_sweeps=peak_sweeps,
+                    full_sweeps=full_sweeps, escalated=escalated, floor_reached=best_val <= FLOOR)
     if best_T is None:
-        return ZigzagResult(None, "inconclusive", math.inf, evals, rescored, solved)
+        return ZigzagResult(None, "inconclusive", math.inf, evals, **counters)
     g = matrix @ best_c
     # coefficients go back to the caller's basis
     witness = ZigzagWitness(g, best_T, float(np.abs(g).max()), best_c / col_scale)
     status = "certified" if witness.sup_norm_value <= 1.0 + eps else "inconclusive"
-    return ZigzagResult(witness, status, witness.sup_norm_value, evals, rescored, solved)
+    return ZigzagResult(witness, status, witness.sup_norm_value, evals, **counters)
 
 
 # -- one-dimensional estimators ------------------------------------------------
@@ -739,9 +806,9 @@ def bernstein_lower(subspace: Subspace) -> SNumberBound:
     piece_vals = subspace.piece_values.T / col_scale
 
     live = np.nonzero(np.abs(matrix).max(axis=1) > 1e-14)[0]
-    combos = np.array(list(itertools.combinations(live.tolist(), n)))
-    if combos.size == 0:
+    if len(live) < n:
         raise DegenerateBasisError("not enough active nodes for a vertex")
+    combos = np.concatenate(list(_combination_chunks(live, n)))
     cramer = _CramerSets(matrix, combos)  # nothing in it depends on the signs
     good = np.flatnonzero(cramer.good)
     best_mass, best_c = 0.0, None

@@ -14,7 +14,7 @@ import snum.cli as cli_mod
 import snum.selftest as selftest_mod
 from snum.cli import RunConfig, build_parser, main, run
 from snum.hilbert import HilbertOrdering, hilbert_order
-from snum.john import CertificateInvalidError
+from snum.john import CertificateInvalidError, ConstructionError, uniform_john_constant
 
 
 def test_usage_error_on_bad_flags(capsys):
@@ -266,6 +266,31 @@ def test_john_invalid_certificate_is_a_failed_row(tmp_path, monkeypatch, capsys)
     assert f"domain {i}..{j}: polyline exits the domain" in capsys.readouterr().err
 
 
+def test_john_construction_error_is_a_failed_row(tmp_path, monkeypatch, capsys):
+    # the third of five domains has no certificate: its row carries the
+    # uniform constant, no profile bound and an infinite ratio, and fails
+    construct = cli_mod.john_bound_constructive
+    calls = []
+
+    def third_unbuildable(omega):
+        calls.append((omega.i, omega.j))
+        if len(calls) == 3:
+            raise ConstructionError("largest filled cubes are not consecutive")
+        return construct(omega)
+
+    monkeypatch.setattr(cli_mod, "john_bound_constructive", third_unbuildable)
+    out = tmp_path / "john.csv"
+    assert main(["john", "--dim", "2", "--order", "2", "--pairs", "5",
+                 "--samples", "200", "--out", str(out)]) == 1
+    rows = list(csv.DictReader(out.open()))
+    assert [(int(r["i"]), int(r["j"])) for r in rows] == calls
+    assert [r["verdict"] for r in rows] == ["pass", "pass", "fail", "pass", "pass"]
+    assert {r["constant"] for r in rows} == {f"{uniform_john_constant(2):.12g}"}
+    assert (rows[2]["profile_bound"], rows[2]["worst_ratio"]) == ("nan", "inf")
+    i, j = calls[2]
+    assert f"domain {i}..{j}: largest filled cubes are not consecutive" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["john", "--dim", "2", "--order", "2", "--pairs", "4"],
     ["hilbert", "--dim", "2", "--order", "2"],
@@ -327,6 +352,18 @@ def test_volterra_isomorphism_bernstein_table(tmp_path):
     for n, row in bern.items():
         assert row["status"] == "certified"
         assert float(row["upper"]) <= 1.05 / (2 * n) + 1e-12
+
+
+def test_volterra_bernstein_certified_at_four_and_five(tmp_path):
+    # the local alternation search through the command, at its README scales
+    out = tmp_path / "res.json"
+    assert main(["volterra", "--n", "4,5", "--grid", "240", "--kinds", "b",
+                 "--seed", "1", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["results"]
+    assert [(r["kind"], r["n"], r["status"]) for r in rows] == [
+        ("bernstein", 4, "certified"), ("bernstein", 5, "certified")]
+    for row in rows:
+        assert float(row["upper"]) <= 1.05 / (2 * row["n"])
 
 
 def test_volterra_rows_carry_labels(tmp_path):

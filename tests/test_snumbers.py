@@ -199,14 +199,49 @@ class TestZigzag:
         outside = cands[~np.isin(cands, T)]
         loop = [sorted((set(T.tolist()) - {t}) | {i}) for t in T.tolist() for i in outside.tolist()]
         assert snumbers_mod._exchanges(T, outside).tolist() == loop
-        chunks = list(snumbers_mod._combination_chunks(np.arange(42), 4))
-        assert [len(c) for c in chunks] == [100_000, math.comb(42, 4) - 100_000]
+
+    @pytest.mark.parametrize("m,n,lengths", [
+        (239, 1, [239]),
+        (500, 2, [100_000, 24_750]),
+        (239, 2, [28_441]),
+        (90, 3, [100_000, 17_480]),
+        (42, 4, [100_000, 11_930]),
+        (30, 5, [100_000, 42_506]),
+        (7, 7, [1]),
+        # n = 64 hats on 65 rows: the prefixes come from range(m - 2) only
+        (65, 64, [65]),
+    ])
+    def test_combination_chunks_match_itertools(self, m, n, lengths):
+        # sparse candidates: the chunks hold candidates, not positions
+        cands = 3 * np.arange(m) + 1
+        chunks = list(snumbers_mod._combination_chunks(cands, n))
+        assert [len(c) for c in chunks] == lengths
+        assert all(c.dtype == np.intp and c.shape[1] == n for c in chunks)
         assert np.concatenate(chunks).tolist() == [
-            list(c) for c in itertools.combinations(range(42), 4)
+            list(c) for c in itertools.combinations(cands.tolist(), n)
         ]
 
+    def test_combination_chunks_stream(self, monkeypatch):
+        import tracemalloc
+
+        # the C(30, 5) escalation sweep in 1000-set chunks holds a few chunks
+        # and groups at each level of its prefix recursion (5 -> 3 -> 1), not
+        # its 142,506 sets (5.7 MB)
+        monkeypatch.setattr(snumbers_mod, "CHUNK_SETS", 1000)
+        total = math.comb(30, 5)
+        tracemalloc.start()
+        try:
+            count = sum(len(c) for c in snumbers_mod._combination_chunks(np.arange(30), 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == total
+        assert peak <= 12 * 1000 * 5 * 8 < total * 5 * 8 / 10
+
     # indices, value, status and evaluations recorded when index sets were
-    # still tuples and lists: the array search walks the same path
+    # still tuples and lists: the array search walks the same path.  The
+    # kicks and escalation paths were recorded again when each descent step
+    # began taking peak-row exchanges first
     @pytest.mark.parametrize("matrix,seed,eps,indices,value,status,evaluations", [
         # exhaustive: C(40, 3) = 9880 sets
         (np.random.default_rng(1).standard_normal((40, 3)), 0, 0.05,
@@ -214,12 +249,12 @@ class TestZigzag:
         # exhaustive with tripled rows: the singular sets are never candidates
         (np.repeat(np.random.default_rng(3).standard_normal((8, 3)), 3, axis=0), 3, 0.05,
          [0, 6, 9], 0.9999999999999999, "certified", 2024),
-        # local search: C(24, 7) > EXHAUSTIVE_LIMIT, seven kicks off the incumbent
+        # local search: C(24, 7) > EXHAUSTIVE_LIMIT, one kick off the incumbent
         (np.random.default_rng(0).standard_normal((24, 7)), 0, 0.05,
-         [6, 8, 11, 12, 16, 18, 21], 1.0, "certified", 2856),
+         [6, 8, 9, 10, 13, 15, 23], 1.0000000000000002, "certified", 581),
         # eps = 0 is missed by one ulp, so the C(30, 5) = 142506 sets are swept
-        (np.random.default_rng(0).standard_normal((30, 5)), 0, 0.0,
-         [1, 4, 13, 15, 19], 1.0000000000000002, "inconclusive", 1875 + 142506),
+        (np.random.default_rng(0).standard_normal((30, 5)), 6, 0.0,
+         [1, 4, 13, 15, 19], 1.0000000000000002, "inconclusive", 1025 + 142506),
     ], ids=["exhaustive", "exhaustive-lp", "kicks", "escalation"])
     def test_search_path_pinned(self, matrix, seed, eps, indices, value, status, evaluations):
         res = zigzag_find(matrix, eps=eps, rng=np.random.default_rng(seed))
@@ -359,6 +394,45 @@ class TestFloorStop:
             cands = np.flatnonzero(np.abs(scaled).max(axis=1) > 1e-12)
             sets = snumbers_mod._exchanges(T, np.setdiff1d(cands, T))
             assert best_of_sets(scaled, sets, alt, val - 1e-12).set is None
+
+
+class TestPeakRows:
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_witnesses_are_full_sweep_optima(self, monkeypatch, n):
+        # a descent takes peak-row exchanges first, yet every local-search
+        # witness is at the floor or has no improving one-index exchange.
+        # Dense Gaussian spans reach the floor, so the floor is lowered out
+        # of reach, with four starts and two kicks each: every descent must
+        # end at a full sweep.  eps = 1 keeps the escalation sweep out
+        P = 100 if n == 3 else 50
+        assert math.comb(P, n) > snumbers_mod.EXHAUSTIVE_LIMIT
+        monkeypatch.setattr(snumbers_mod, "FLOOR", 0.0)
+        monkeypatch.setattr(snumbers_mod, "RESTARTS", 4)
+        monkeypatch.setattr(snumbers_mod, "KICKS", 2)
+        for seed in range(3):
+            matrix = np.random.default_rng(seed).standard_normal((P, n))
+            res = zigzag_find(matrix, eps=1.0, rng=np.random.default_rng(seed))
+            assert res.descents == 12 and not (res.escalated or res.floor_reached)
+            assert res.full_sweeps >= res.descents and res.peak_sweeps > res.full_sweeps
+            scaled = matrix / np.abs(matrix).max(axis=0)
+            T = res.witness.indices
+            sets = snumbers_mod._exchanges(T, np.setdiff1d(np.arange(P), T))
+            alt = snumbers_mod._alternation_target(n)
+            assert snumbers_mod._best_of_sets(scaled, sets, alt, res.value - 1e-12).set is None
+
+    def test_counters_account_for_every_evaluation(self):
+        # 24 rows, n = 7: a peak sweep scores 7 * PEAK_ROWS sets, a full one 7 * 17
+        matrix = np.random.default_rng(0).standard_normal((24, 7))
+        res = zigzag_find(matrix, rng=np.random.default_rng(0))
+        assert res.evaluations == 7 * (snumbers_mod.PEAK_ROWS * res.peak_sweeps + 17 * res.full_sweeps)
+        assert res.full_sweeps < res.peak_sweeps and res.floor_reached and not res.escalated
+        assert res.descents == 2  # the first start and one kick
+        # the escalation: eps = 0 is missed by one ulp
+        res = zigzag_find(np.random.default_rng(0).standard_normal((30, 5)), eps=0.0,
+                          rng=np.random.default_rng(6))
+        assert res.escalated and res.floor_reached
+        assert res.evaluations == 5 * (snumbers_mod.PEAK_ROWS * res.peak_sweeps
+                                       + 25 * res.full_sweeps) + math.comb(30, 5)
 
 
 def _assert_table_winner(matrix, sets, alt, bound=np.inf):
@@ -561,9 +635,9 @@ class TestClosedFormStage:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_interval_batches_match_the_unstaged_path(self, n):
         batches, _ = _interval_searches(n)
-        # the 20 exhaustive sweeps at n = 1 and 2; the n = 3 descent starts
-        # and exchange sweeps
-        assert len(batches) == (20 if n < 3 else 364)
+        # the 20 exhaustive sweeps at n = 1 and 2; the n = 3 descent starts,
+        # peak-row and full exchange sweeps
+        assert len(batches) == (20 if n < 3 else 180)
         solved = [_assert_stage_parity(*args) for args in batches]
         assert sum(solved) <= 0.15 * sum(len(args[1]) for args in batches)
 
