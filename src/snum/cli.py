@@ -132,6 +132,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def _float_or_nan(text: str) -> float:
     try:
         return float(text)
@@ -406,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vol.add_argument("--n", required=True, help="scale list, e.g. 1..5 or 1,2,8")
     p_vol.add_argument("--grid", type=_positive_int, default=240)
     p_vol.add_argument("--kinds", default="i,b,c,d,a")
-    p_vol.add_argument("--seed", type=int, default=0)
+    p_vol.add_argument("--seed", type=_nonnegative_int, default=0)
     p_vol.add_argument("--eps", type=_positive_float, default=1e-3,
                        help="functional quantization step")
     p_vol.add_argument("--zigzag-eps", type=_nonnegative_float, default=0.05)
@@ -424,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cube.add_argument("--grid", type=_positive_int, default=32)
     p_cube.add_argument("--kinds", default="i,b")
     p_cube.add_argument("--zigzag-eps", type=_nonnegative_float, default=0.05)
-    p_cube.add_argument("--seed", type=int, default=0)
+    p_cube.add_argument("--seed", type=_nonnegative_int, default=0)
     p_cube.add_argument("--out")
     p_cube.add_argument("--csv")
     p_cube.add_argument("--plot-data")
@@ -443,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--pairs", type=_positive_int, default=100)
     group.add_argument("--exhaustive", action="store_true")
     p_john.add_argument("--samples", type=_positive_int, default=10_000)
-    p_john.add_argument("--seed", type=int, default=0)
+    p_john.add_argument("--seed", type=_nonnegative_int, default=0)
     p_john.add_argument("--out")
 
     p_self = sub.add_parser("selftest", help="run the acceptance matrix")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import product
 
 import numpy as np
@@ -23,12 +23,44 @@ from .hilbert import HilbertOrdering
 from .spaces import GridFunction, GridMismatchError, LorentzParams, grid_gradient_lorentz_norm
 
 
+DISTANCE_TABLE_ENTRIES = 4_000_000  # (runs, points) entries per boundary_distance table
+
+
 class ConstructionError(ValueError):
     """The ordering does not support the certificate construction."""
 
 
 class CertificateInvalidError(ValueError):
     """The certificate's curve leaves the domain it claims to certify."""
+
+
+@cache
+def _corner_picks(dim: int) -> np.ndarray:
+    """(2^dim, dim) booleans: every choice, per axis, of the own cell or the
+    cell below it."""
+    return np.array(list(product((False, True), repeat=dim)))
+
+
+@cache
+def _face_keys(dim: int, n: int) -> tuple:
+    """Per direction 2a or 2a + 1 (the step -1 or +1 along axis a) on the
+    n^dim grid: the flat cell id's strides and the shift of each direction's
+    neighbour, and the integer key of a unit face.  The key is the direction,
+    then the coordinates other than the first tangent axis t, then t in base
+    n + 1, so a run along t never wraps onto the next line; for dim = 1 the
+    keys 0 and 2 never step by 1, so no face merges."""
+    strides = n ** np.arange(dim - 1, -1, -1, dtype=np.int64)
+    shifts = np.repeat(strides, 2) * np.tile([-1, 1], dim)
+    weights = np.zeros((2 * dim, dim), dtype=np.int64)
+    per_direction = 2
+    if dim > 1:
+        for a in range(dim):
+            t = 1 if a == 0 else 0
+            others = [b for b in range(dim) if b != t]
+            weights[2 * a : 2 * a + 2, others] = (n + 1) * n ** np.arange(dim - 1)
+            weights[2 * a : 2 * a + 2, t] = 1
+        per_direction = (n + 1) * n ** (dim - 1)
+    return strides, shifts, weights, per_direction
 
 
 def uniform_john_constant(dim: int) -> float:
@@ -69,25 +101,19 @@ class CubeUnion:
         pos = self.ordering.positions(cells) - (self.i - 1)
         return np.where((pos >= 0) & (pos < self.cube_count), pos, -1)
 
-    def _incident_positions(self, points, tol: float) -> np.ndarray:
-        """Union positions of the cells whose closures hold each point, up to
-        ``tol`` in cell units: shape (M, 2^dim), -1 where not a member.  A
+    def contains_points(self, points, tol: float = 1e-9) -> np.ndarray:
+        """Membership of each point in the closed union (faces belong): some
+        member cell's closure holds the point, up to ``tol`` in cell units.  A
         point on the far face of the grid is held by the cell below it; points
         further off the grid get cells off it, which belong to no union."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = 1 << self.level
-        s = pts * n
+        s = pts * (1 << self.level)
         base = np.floor(s + tol)
         own = base.astype(np.int64)
-        on_face = (np.abs(s - base) <= tol) & (base - 1 >= 0)
-        other = np.where(on_face, base - 1, own).astype(np.int64)
-        picks = np.array(list(product((False, True), repeat=self.dim)))
-        cells = np.where(picks[None], other[:, None, :], own[:, None, :])
-        return self.positions(cells)
-
-    def contains_points(self, points, tol: float = 1e-9) -> np.ndarray:
-        """Membership of each point in the closed union (faces belong)."""
-        return (self._incident_positions(points, tol) >= 0).any(axis=1)
+        other = own - ((np.abs(s - base) <= tol) & (own >= 1))  # the cell below a face
+        cells = np.where(_corner_picks(self.dim), other[:, None, :], own[:, None, :])
+        pos = self.ordering.positions(cells)
+        return ((pos >= self.i - 1) & (pos < self.j)).any(axis=1)
 
     @cached_property
     def _face_arrays(self):
@@ -98,63 +124,90 @@ class CubeUnion:
         point on that axis is the least of its pieces' gaps and its other gaps
         are theirs: the nearest run is exactly as near as the nearest face.
 
-        Each unit face (cell, direction 2a or 2a + 1 for the step -1 or +1
-        along axis a) gets one integer key: the direction, then the other
-        coordinates, then the first tangent axis t in base n + 1, so one sort
-        groups the faces by plane line and a run is where the key steps by 1.
+        A unit face (cell, direction 2a or 2a + 1 for the step -1 or +1 along
+        axis a) is on the boundary iff its neighbour is off the grid or its
+        curve position falls outside the union.  Each gets one integer key (see
+        :func:`_face_keys`), so one sort groups the faces by plane line and a
+        run is where the key steps by 1.  The runs come sorted by direction.
         """
         d, n = self.dim, 1 << self.level
         side = 1.0 / n
+        strides, shifts, weights, per_direction = _face_keys(d, n)
         z = self.coords.astype(np.int64)
-        steps = np.repeat(np.eye(d, dtype=np.int64), 2, axis=0) * np.tile([-1, 1], d)[:, None]
-        cells, dirs = np.nonzero(self.positions(z[:, None, :] + steps) < 0)
-        weights = np.zeros((2 * d, d), dtype=np.int64)
-        per_direction = 2  # d = 1: keys 0 and 2 never step by 1, so no face merges
-        if d > 1:
-            for a in range(d):
-                t = 1 if a == 0 else 0
-                others = [b for b in range(d) if b != t]
-                weights[2 * a : 2 * a + 2, others] = (n + 1) * n ** np.arange(d - 1)
-                weights[2 * a : 2 * a + 2, t] = 1
-            per_direction = (n + 1) * n ** (d - 1)
+        outside = np.empty((len(z), 2 * d), dtype=bool)
+        np.equal(z, 0, out=outside[:, 0::2])
+        np.equal(z, n - 1, out=outside[:, 1::2])
+        # off-grid neighbours read some clipped entry; they are outside anyway
+        neighbour = self.ordering.inverse.take((z @ strides)[:, None] + shifts, mode="clip")
+        outside |= (neighbour < self.i - 1) | (neighbour >= self.j)
+        cells, dirs = np.nonzero(outside)
         keys = dirs * per_direction + (z[cells] * weights[dirs]).sum(axis=1)
         order = np.argsort(keys, kind="stable")
-        starts = np.flatnonzero(np.concatenate([[True], np.diff(keys[order]) != 1]))
-        ends = np.append(starts[1:], len(order)) - 1
-        first, last = z[cells[order[starts]]], z[cells[order[ends]]]
-        a, up = np.divmod(dirs[order[starts]], 2)
+        keys, cells, dirs = keys[order], cells[order], dirs[order]
+        breaks = np.flatnonzero(keys[1:] - keys[:-1] != 1)
+        starts = np.concatenate([[0], breaks + 1])
+        ends = np.append(breaks, len(keys) - 1)
+        first, last = z[cells[starts]], z[cells[ends]]
+        a, up = np.divmod(dirs[starts], 2)
         lo, hi = first * side, (last + 1) * side
         rows = np.arange(len(starts))
         lo[rows, a] = hi[rows, a] = (first[rows, a] + up) * side
         return lo, hi
 
-    def boundary_distance(self, points) -> np.ndarray:
-        """Exact Euclidean distance to the boundary, via the face decomposition."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
+    @cached_property
+    def _face_groups(self) -> list:
+        """The face runs grouped by normal axis a, the one axis where their
+        lows equal their highs: ``(a, lows, highs)`` with lows and highs of
+        shape (dim, runs, 1), one column of runs per axis."""
         lows, highs = self._face_arrays
-        out = np.empty(len(pts))
-        chunk = max(1, int(4_000_000 // max(len(lows), 1)))
-        for s in range(0, len(pts), chunk):
-            for a in range(self.dim):  # (points, faces), summed axis by axis in place
-                x = pts[s : s + chunk, a, None]
-                gap = lows[:, a] - x
-                np.maximum(gap, x - highs[:, a], out=gap)
-                np.maximum(gap, 0.0, out=gap)
-                gap *= gap
-                if a == 0:  # 0.0 + x == x: the first axis starts the sum
-                    squared = gap
-                else:
-                    squared += gap
-            # sqrt is monotone and correctly rounded: sqrt of the min is exact
-            out[s : s + chunk] = np.sqrt(squared.min(axis=1))
-        return out
+        normal = (lows == highs).argmax(axis=1)  # nondecreasing: runs sort by direction
+        bounds = np.searchsorted(normal, np.arange(self.dim + 1)).tolist()
+        return [(a, lows[lo:hi].T[:, :, None].copy(), highs[lo:hi].T[:, :, None].copy())
+                for a, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
+
+    def boundary_distance(self, points) -> np.ndarray:
+        """Exact Euclidean distance to the boundary, via the face decomposition.
+
+        Per group of runs with one normal axis and per chunk of points, one
+        (runs, points) table of squared gaps, summed axis by axis in ascending
+        order and reduced over the runs.  On the normal axis a run's gap is the
+        plane difference lo - x, on a tangent axis clip(x, lo, hi) - x: up to
+        its exact sign, either is max(lo - x, x - hi, 0), so every square is
+        the per-face one and the nearest run is the nearest face.
+        """
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        xs = np.ascontiguousarray(pts.T)  # (dim, points): each axis one contiguous row
+        squared = np.full(len(pts), np.inf)
+        runs = max(lows.shape[1] for _, lows, _ in self._face_groups)
+        chunk = max(1, min(len(pts), DISTANCE_TABLE_ENTRIES // runs))
+        buffers = np.empty((2, runs, chunk))  # the sum, and one axis's gaps
+        for a, lows, highs in self._face_groups:
+            for s in range(0, len(pts), chunk):
+                x = xs[:, s : s + chunk]
+                table, gap = buffers[:, : lows.shape[1], : x.shape[1]]
+                for b in range(self.dim):
+                    out = table if b == 0 else gap  # 0.0 + x == x: the first axis starts the sum
+                    if b == a:
+                        np.subtract(lows[b], x[b], out=out)
+                    else:
+                        np.maximum(x[b], lows[b], out=out)
+                        np.minimum(out, highs[b], out=out)
+                        out -= x[b]
+                    out *= out
+                    if b > 0:
+                        table += gap
+                best = squared[s : s + chunk]
+                np.minimum(best, table.min(axis=0), out=best)
+        # sqrt is monotone and correctly rounded: sqrt of the min is exact
+        return np.sqrt(squared)
 
     def random_points(self, rng, count: int) -> np.ndarray:
         """Uniform samples from the union."""
         side = 1.0 / (1 << self.level)
         picks = rng.integers(0, self.cube_count, size=count)
-        anchors = self.coords[picks] * side
-        return anchors + rng.uniform(0.0, side, size=(count, self.dim))
+        points = self.coords.take(picks, axis=0) * side
+        points += rng.uniform(0.0, side, size=(count, self.dim))
+        return points
 
     def cell_mask(self, cells_per_side: int) -> np.ndarray:
         """Boolean mask over the cells of a nested uniform grid."""
@@ -220,7 +273,7 @@ class JohnCertificate:
         """Maximal-block position of 1-based cube indices (an int or an
         array), clamped to ``[0, len(block_levels) - 1]``."""
         found = np.searchsorted(self._block_starts, np.asarray(index) - 1, side="right") - 1
-        return np.clip(found, 0, len(self.block_levels) - 1)
+        return np.minimum(np.maximum(found, 0), len(self.block_levels) - 1)
 
     @cached_property
     def block_centers(self) -> np.ndarray:
@@ -262,8 +315,11 @@ class JohnCertificate:
         for walk, h in zip(self._walks, (sides[c::-1], sides[c:])):
             # path length from each block's center to x0, one leg per block;
             # the walk is dyadic, so every squared segment length is exact
-            segments = np.sqrt((np.diff(walk, axis=0) ** 2).sum(axis=1))
-            pref = np.cumsum(np.concatenate([[0.0], segments[1::2] + segments[0::2]]))
+            step = walk[1:] - walk[:-1]
+            step *= step
+            segments = np.sqrt(step.sum(axis=1))
+            pref = np.zeros(len(h))
+            np.cumsum(segments[1::2] + segments[0::2], out=pref[1:])
             # row t: gamma(t) in block t; column x > t: x in an outer block
             reach = half * h + (pref - pref[:, None]) + half * h[:, None]
             bound = float(np.triu(4.0 * reach / h[:, None], 1).max(initial=bound))
@@ -341,61 +397,81 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
         Q[0::2] = W
         Q[1::2] = 0.5 * (W[:-1] + W[1:])
         walk_pts.append(Q)
-    curve_pts = np.vstack(walk_pts)
+    curve_pts = np.concatenate(walk_pts)
     if not omega.contains_points(curve_pts).all():
         raise CertificateInvalidError("polyline exits the domain")
-    walk_dist = np.split(omega.boundary_distance(curve_pts), [len(walk_pts[0])])
     steps = np.arange(nblocks) - cert.center_block
     counts = 4 * np.abs(steps) + 1
 
-    # start points: member-cube centers first, then random interior fills;
-    # a fill's cell maps to its block through the member cells' table, and
-    # cells outside the union clamp to its ends as block_of_index does
+    # start points: member-cube centers first, then random interior fills.  A
+    # fill maps to its block through the member cells' table; a draw that
+    # rounds onto its cell's far face lands in the cell past it, clipped onto
+    # the grid, and a position outside the union clamps to its ends as
+    # block_of_index does
     blocks_of_cells = cert.block_of_index(np.arange(omega.i, omega.j + 1))
     pair_cost = counts + 1
-    cell_cost = pair_cost[blocks_of_cells]
     xs = [_centers(omega.coords, omega.level)]
     x_blocks = [blocks_of_cells]
-    total = int(cell_cost.sum())
+    total = int(pair_cost[blocks_of_cells].sum())
     per_point = int(pair_cost.mean()) + 1
     n = 1 << omega.level
-    strides = n ** np.arange(omega.dim - 1, -1, -1)
+    grid = (n,) * omega.dim
     while total < samples:
         need = max(64, (samples - total) // per_point + 1)
         extra = omega.random_points(rng, need)
-        cells = np.minimum((extra * n).astype(int), n - 1)
-        where = omega.ordering.inverse[cells @ strides] - (omega.i - 1)
-        where = np.minimum(np.maximum(where, 0), omega.cube_count - 1)
+        cells = tuple((extra * n).astype(np.intp).T)
+        where = omega.ordering.inverse[np.ravel_multi_index(cells, grid, mode="clip")] - (omega.i - 1)
+        blocks = blocks_of_cells.take(where, mode="clip")
         xs.append(extra)
-        x_blocks.append(blocks_of_cells[where])
-        total += int(cell_cost[where].sum())
+        x_blocks.append(blocks)
+        total += int(pair_cost[blocks].sum())
 
-    X = np.vstack(xs)
+    X = np.concatenate(xs)
     XB = np.concatenate(x_blocks)
-    by_block = np.argsort(XB, kind="stable")
-    edges = np.searchsorted(XB[by_block], np.arange(nblocks + 1))
-    XT = X[by_block].T.copy()  # (dim, points), grouped by block
-    worst = 0.0
-    for b in range(nblocks):
-        lo, hi = edges[b], edges[b + 1]
+    # the first leg, from x straight to its block's center: its midpoints and
+    # the curve points measured in one boundary-distance call, one row per axis
+    probes = np.empty((omega.dim, len(curve_pts) + len(X)))
+    probes[:, : len(curve_pts)] = curve_pts.T
+    mid = probes[:, len(curve_pts) :]
+    for a in range(omega.dim):
+        np.add(X[:, a], cert.block_centers[:, a].take(XB), out=mid[a])
+    mid *= 0.5
+    dist = omega.boundary_distance(probes.T)
+
+    # per curve point, the largest squared distance to a start point whose
+    # block's chain passes it; sqrt and the division are correctly rounded and
+    # monotone, so these maxima give the largest ratio exactly
+    key = XB.astype(np.min_scalar_type(nblocks))  # a small-int key sorts by radix
+    by_block = np.argsort(key, kind="stable")
+    ends = np.bincount(key, minlength=nblocks).cumsum().tolist()
+    XT = np.take(X.T, by_block, axis=1)  # (dim, points), grouped by block
+    columns = [[Q[:, a, None] for a in range(omega.dim)] for Q in walk_pts]
+    far = [np.zeros(len(Q)) for Q in walk_pts]
+    lo = 0
+    for hi, step, count in zip(ends, steps.tolist(), counts.tolist()):
         if lo == hi:
             continue
-        side = int(steps[b] > 0)
-        P, D = walk_pts[side][: counts[b]], walk_dist[side][: counts[b]]
-        for a in range(omega.dim):  # (points, curve points), summed axis by axis in place
-            gap = XT[a, lo:hi, None] - P[:, a]
+        side = int(step > 0)
+        P, M = columns[side], far[side][:count]
+        for a in range(omega.dim):  # (curve points, points), summed axis by axis in place
+            gap = P[a][:count] - XT[a, lo:hi]
             gap *= gap
             if a == 0:
                 squared = gap
             else:
                 squared += gap
-        # sqrt and the division are correctly rounded and monotone, so the
-        # column maxima give the table's maximum ratio exactly
-        worst = max(worst, float((np.sqrt(squared.max(axis=0)) / D).max()))
-    # the first leg, from x straight to its block's center
-    mid = 0.5 * (X + cert.block_centers[XB])
-    dq = omega.boundary_distance(mid)
-    worst = max(worst, float((np.linalg.norm(X - mid, axis=1) / dq).max()))
+        np.maximum(M, np.maximum.reduce(squared, axis=1), out=M)
+        lo = hi
+    walk_dist = dist[: len(walk_pts[0])], dist[len(walk_pts[0]) : len(curve_pts)]
+    worst = max(float((np.sqrt(f) / D).max()) for f, D in zip(far, walk_dist))
+    for a in range(omega.dim):  # the leg's norm, summed axis by axis as np.linalg.norm does
+        leg = X[:, a] - mid[a]
+        leg *= leg
+        if a == 0:
+            squared = leg
+        else:
+            squared += leg
+    worst = max(worst, float((np.sqrt(squared) / dist[len(curve_pts) :]).max()))
     return worst <= cert.constant * (1 + 1e-9), worst
 
 

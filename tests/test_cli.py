@@ -53,6 +53,20 @@ def test_nonpositive_counts_rejected_up_front(argv, flag, capsys):
     assert "Traceback" not in message
 
 
+@pytest.mark.parametrize("argv", [
+    ["volterra", "--n", "1", "--kinds", "i"],
+    ["cube", "--m", "1"],
+    ["john", "--dim", "2", "--order", "2"],
+])
+def test_negative_seed_names_the_flag(argv, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--seed", "-1"])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert "argument --seed: must be a non-negative integer, got '-1'" in message
+    assert "Traceback" not in message
+
+
 @pytest.mark.parametrize("argv", [["--m", "2", "--curve-order", "30"],
                                   ["--dim", "3", "--m", "1", "--curve-order", "8"]])
 def test_curve_order_capacity_checked_before_any_estimator(argv, monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -7,6 +8,7 @@ import pytest
 
 from snum.hilbert import HilbertOrdering, hilbert_order
 from snum.john import (
+    DISTANCE_TABLE_ENTRIES,
     CertificateInvalidError,
     ConstructionError,
     john_bound_constructive,
@@ -117,6 +119,22 @@ class TestSegmentDomain:
             expected[s : s + 1000] = np.sqrt(squared.min(axis=1))
         assert (expected == 0).any() and (expected > 0).any()
         assert omega.boundary_distance(pts).tobytes() == expected.tobytes()
+
+    def test_boundary_distance_peak_stays_within_the_table_bound(self):
+        # 32 one-cell-wide stripes of the 512 x 512 grid: 64 runs per normal
+        # axis, so one unchunked (runs, points) table over 300,000 points
+        # would hold 19.2 M entries
+        cells = [(x, y) for x in range(0, 512, 16) for y in range(512)]
+        omega = segment_domain(HilbertOrdering(2, 9, cells), 1, len(cells))
+        assert [lows.shape[1] for _, lows, _ in omega._face_groups] == [64, 64]
+        pts = np.random.default_rng(3).uniform(0.0, 1.0, (300_000, 2))
+        tracemalloc.start()
+        try:
+            omega.boundary_distance(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * DISTANCE_TABLE_ENTRIES * 8  # three float tables
 
     def test_membership_matches_cell_set(self, ordering_k3):
         # a point belongs iff some member cell's closure holds it; grid
@@ -477,7 +495,41 @@ def _verify_reference(omega, cert, samples, rng):
     return worst <= cert.constant * (1 + 1e-9), worst
 
 
+class _FarFaceRng:
+    """A generator whose uniform draws are all the largest float below
+    ``high``, so a fill anchor + u in a cell off the grid's low faces rounds
+    onto the cell's far face: its float cell is the next one."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+
+    def integers(self, *args, **kwargs):
+        return self._rng.integers(*args, **kwargs)
+
+    def uniform(self, low, high, size):
+        return np.full(size, np.nextafter(high, 0.0))
+
+
 class TestReferenceParity:
+    # a fill on a boundary face may put its first leg's midpoint there too:
+    # distance 0, ratio inf, in both verifiers
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.parametrize("i,j", [(1, 64), (5, 40), (17, 30)])
+    def test_fills_rounded_into_the_next_cell_match_the_reference(self, ordering_k3, i, j):
+        omega = segment_domain(ordering_k3, i, j)
+        cells = (omega.random_points(_FarFaceRng(0), 400) * 8).astype(int)
+        # the float cells leave the picked cells: off the grid or off the union
+        pos = ordering_k3.positions(np.minimum(cells, 7))
+        assert (cells == 8).any() or ((pos < i - 1) | (pos > j - 1)).any()
+        cert = john_bound_constructive(omega)
+        rng, rng_ref = _FarFaceRng(i), _FarFaceRng(i)
+        ok, worst = verify_john_certificate(omega, cert, 4000, rng=rng)
+        ref_ok, ref_worst = _verify_reference(omega, cert, 4000, rng_ref)
+        assert (ok, worst.hex()) == (ref_ok, ref_worst.hex())
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
     @pytest.mark.parametrize("dim,order,count", [
         (1, 5, None), (2, 3, None), (2, 5, 200), (3, 3, 200),
     ])
