@@ -326,14 +326,15 @@ def _run_hilbert(args) -> int:
     if args.format == "json":
         chunks = _hilbert_json(ordering)
     else:  # a file gets csv.writer's bytes, stdout bare rows
-        chunks = _hilbert_csv(ordering, "\r\n" if args.out else "\n", header=bool(args.out))
+        chunks = _hilbert_csv(ordering, b"\r\n" if args.out else b"\n", header=bool(args.out))
     if args.out:
-        with open(args.out, "w", newline="") as fh:
+        with open(args.out, "wb") as fh:
             fh.writelines(chunks)
     elif not args.check:
-        sys.stdout.writelines(chunks)
+        sys.stdout.flush()  # text written so far goes out before the table's bytes
+        sys.stdout.buffer.writelines(chunks)
         if args.format == "json":
-            sys.stdout.write("\n")
+            sys.stdout.buffer.write(b"\n")
     return status
 
 
@@ -351,23 +352,23 @@ def _hilbert_json(ordering):
     """The bytes of ``json.dumps({"dim": d, "order": k, "cells": [{"index": i,
     "coords": [...]}, ...]}, indent=2, sort_keys=True)`` in blocks of cells,
     formatted from the arrays without building the cell dicts."""
-    coords = ",\n".join(["        %d"] * ordering.dim)
-    cell = f'    {{\n      "coords": [\n{coords}\n      ],\n      "index": %d\n    }}'
-    yield '{\n  "cells": [\n'
-    separator = ""
+    coords = b",\n".join([b"        %d"] * ordering.dim)
+    cell = b'    {\n      "coords": [\n' + coords + b'\n      ],\n      "index": %d\n    }'
+    yield b'{\n  "cells": [\n'
+    separator = b""
     for count, values in _table_blocks(ordering, index_last=True):
-        yield separator + ",\n".join([cell] * count) % values
-        separator = ",\n"
-    yield f'\n  ],\n  "dim": {ordering.dim},\n  "order": {ordering.order}\n}}'
+        yield separator + b",\n".join([cell] * count) % values
+        separator = b",\n"
+    yield b'\n  ],\n  "dim": %d,\n  "order": %d\n}' % (ordering.dim, ordering.order)
 
 
-def _hilbert_csv(ordering, newline: str, header: bool):
+def _hilbert_csv(ordering, newline: bytes, header: bool):
     """Rows ``index,z0,...`` each ended by ``newline``, in blocks of cells;
-    with the header and "\\r\\n" these are the bytes ``csv.writer`` writes."""
+    with the header and b"\\r\\n" these are the bytes ``csv.writer`` writes."""
     names = ["index"] + [f"z{a}" for a in range(ordering.dim)]
-    row = ",".join(["%d"] * len(names)) + newline
+    row = b",".join([b"%d"] * len(names)) + newline
     if header:
-        yield ",".join(names) + newline
+        yield ",".join(names).encode() + newline
     for count, values in _table_blocks(ordering, index_last=False):
         yield (row * count) % values
 

@@ -8,8 +8,10 @@ orders an exact identity: the level-(k-1) block order induced by the order-k
 curve equals the order-(k-1) curve.
 
 An ordering is one ``(N, d)`` integer array of cube coordinates in curve
-order plus a dense inverse array from flat cell id to curve position; decode,
-encode and the two checkers run over whole arrays, one pass per level.  The two
+order plus a dense inverse array from flat cell id to curve position.  The
+table is refined level by level from the few distinct frames of each level, so
+each cube is touched about once; the random-access ``decode``/``encode`` pair
+and the two checkers run over whole arrays, one pass per level.  The two
 checkers below are the actual contract; any generator passing both is
 interchangeable with this one.
 """
@@ -21,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 MAX_CUBES = 1 << 22
-DECODE_BLOCK = 1 << 16  # curve positions decoded per block of an ordering table
 
 
 class CapacityError(ValueError):
@@ -146,6 +147,37 @@ class HilbertOrdering:
         return check_prefix_nesting(self)[0]
 
 
+def _cell_bits(cells, dim: int) -> np.ndarray:
+    """Cells < 2^dim -> their axis bits as uint8, shape cells.shape + (dim,);
+    axis a is bit dim-1-a of a cell."""
+    octets = cells.astype("<u4").view(np.uint8).reshape(cells.shape + (4,))
+    return np.unpackbits(octets, axis=-1, count=dim, bitorder="little")[..., ::-1]
+
+
+def _curve_coords(dim: int, order: int) -> np.ndarray:
+    """Rows ``decode(np.arange(2^(dim*order)))`` as int32, refined top-down:
+    the children of cube p are rows p*2^dim .. p*2^dim + mask of the next
+    level, each cube carries an index into that level's distinct frames, and
+    the cells and child frames are computed once per distinct frame."""
+    mask = (1 << dim) - 1
+    steps = np.arange(mask + 1)
+    coords = np.zeros((1 << (dim * order), dim), dtype=np.int32)
+    start, end = _initial_frame((1, 1), dim)  # distinct frames, one per row
+    state = np.zeros(1, dtype=np.intp)  # per cube: its row of start, end
+    count = 1
+    for level in range(order):
+        cells = _travel(start, end, mask, steps)  # (frames, 2^dim)
+        children = coords[: count << dim].reshape(count, mask + 1, dim)
+        np.bitwise_or((coords[:count] << 1)[:, None], _cell_bits(cells, dim)[state], out=children)
+        if level + 1 < order:
+            child_start, child_end = _child_frame(start, end, mask, steps)
+            frames, child = np.unique((child_start << dim) | child_end, return_inverse=True)
+            start, end = (frames >> dim)[:, None], (frames & mask)[:, None]
+            state = child.reshape(cells.shape)[state].ravel()
+        count <<= dim
+    return coords
+
+
 def hilbert_order(dim: int, order: int) -> HilbertOrdering:
     """Materialize the order-th curve approximation as an ordering table."""
     if dim < 1 or order < 1:
@@ -153,11 +185,7 @@ def hilbert_order(dim: int, order: int) -> HilbertOrdering:
     total = 1 << (dim * order)
     if total > MAX_CUBES:
         raise CapacityError(f"2^(dim*order) = {total} exceeds {MAX_CUBES}")
-    coords = np.empty((total, dim), dtype=np.int32)
-    for lo in range(0, total, DECODE_BLOCK):
-        hi = min(lo + DECODE_BLOCK, total)
-        coords[lo:hi] = decode(np.arange(lo, hi), dim, order)
-    return HilbertOrdering(dim, order, coords)
+    return HilbertOrdering(dim, order, _curve_coords(dim, order))
 
 
 def check_face_adjacency(ordering: HilbertOrdering):

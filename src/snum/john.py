@@ -201,13 +201,14 @@ class CubeUnion:
         # sqrt is monotone and correctly rounded: sqrt of the min is exact
         return np.sqrt(squared)
 
-    def random_points(self, rng, count: int) -> np.ndarray:
-        """Uniform samples from the union."""
+    def random_points(self, rng, count: int) -> tuple:
+        """Uniform samples from the union, shape (count, dim), and the
+        0-based position within the union of the cube each was drawn in."""
         side = 1.0 / (1 << self.level)
         picks = rng.integers(0, self.cube_count, size=count)
         points = self.coords.take(picks, axis=0) * side
         points += rng.uniform(0.0, side, size=(count, self.dim))
-        return points
+        return points, picks
 
     def cell_mask(self, cells_per_side: int) -> np.ndarray:
         """Boolean mask over the cells of a nested uniform grid."""
@@ -404,24 +405,18 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
     counts = 4 * np.abs(steps) + 1
 
     # start points: member-cube centers first, then random interior fills.  A
-    # fill maps to its block through the member cells' table; a draw that
-    # rounds onto its cell's far face lands in the cell past it, clipped onto
-    # the grid, and a position outside the union clamps to its ends as
-    # block_of_index does
+    # fill belongs to the block of the cell it was drawn in, also when it
+    # rounds onto that cell's far face
     blocks_of_cells = cert.block_of_index(np.arange(omega.i, omega.j + 1))
     pair_cost = counts + 1
     xs = [_centers(omega.coords, omega.level)]
     x_blocks = [blocks_of_cells]
     total = int(pair_cost[blocks_of_cells].sum())
     per_point = int(pair_cost.mean()) + 1
-    n = 1 << omega.level
-    grid = (n,) * omega.dim
     while total < samples:
         need = max(64, (samples - total) // per_point + 1)
-        extra = omega.random_points(rng, need)
-        cells = tuple((extra * n).astype(np.intp).T)
-        where = omega.ordering.inverse[np.ravel_multi_index(cells, grid, mode="clip")] - (omega.i - 1)
-        blocks = blocks_of_cells.take(where, mode="clip")
+        extra, picks = omega.random_points(rng, need)
+        blocks = blocks_of_cells[picks]
         xs.append(extra)
         x_blocks.append(blocks)
         total += int(pair_cost[blocks].sum())

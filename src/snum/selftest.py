@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hilbert import check_face_adjacency, check_prefix_nesting, hilbert_order
+from .hilbert import check_face_adjacency, check_prefix_nesting, decode, hilbert_order
 from .john import john_bound_constructive, segment_domain, uniform_john_constant, verify_john_certificate
 from .snumbers import (
     BERNSTEIN_LOWER_MAX_N,
@@ -170,12 +170,20 @@ def check_operator_norm() -> CheckResult:
 
 
 def check_hilbert_structure() -> CheckResult:
-    """Face adjacency and prefix nesting hold exhaustively."""
+    """Face adjacency and prefix nesting hold exhaustively, and each table
+    agrees with the random-access decode."""
     t0 = time.time()
     problems = []
     for dim, orders in ((2, range(1, 11)), (3, range(1, 8))):
         for order in orders:
             ordering = hilbert_order(dim, order)
+            total = len(ordering)
+            if total <= 1 << 16:
+                spread = np.arange(total)
+            else:  # 4,096 evenly spread positions, both ends included
+                spread = np.linspace(0, total - 1, 4096).round().astype(np.int64)
+            if not np.array_equal(ordering.coords[spread], decode(spread, dim, order)):
+                problems.append(f"(d={dim},k={order}): table differs from decode")
             ok, where = check_face_adjacency(ordering)
             if not ok:
                 problems.append(
@@ -188,7 +196,7 @@ def check_hilbert_structure() -> CheckResult:
                 )
     return _finish(
         "hilbert_structure", t0, 30.0, problems,
-        "adjacency + nesting pass for (2,1..10) and (3,1..7)",
+        "adjacency + nesting pass and the tables match decode for (2,1..10) and (3,1..7)",
     )
 
 

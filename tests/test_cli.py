@@ -244,6 +244,27 @@ def test_hilbert_table_blocks_join_seamlessly(tmp_path, capsys, monkeypatch, dim
         assert outputs[block, fmt] == outputs[cli_mod.TABLE_BLOCK, fmt]
 
 
+def _child_env() -> dict:
+    """The environment of a fresh interpreter that imports this snum."""
+    src = str(Path(snum.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_hilbert_table_on_real_stdout(tmp_path):
+    # the table's bytes go to sys.stdout.buffer, which capsys does not cover
+    ordering = hilbert_order(2, 3)
+    cells = [{"index": i + 1, "coords": row} for i, row in enumerate(ordering.coords.tolist())]
+    expected_json = json.dumps({"dim": 2, "order": 3, "cells": cells}, indent=2, sort_keys=True)
+    expected_csv = "".join(f"{c['index']},{c['coords'][0]},{c['coords'][1]}\n" for c in cells)
+    base = [sys.executable, "-m", "snum.cli", "hilbert", "--dim", "2", "--order", "3"]
+    for extra, expected in (([], expected_json + "\n"), (["--format", "csv"], expected_csv),
+                            (["--check"], "check_face_adjacency: ok\ncheck_prefix_nesting: ok\n")):
+        proc = subprocess.run(base + extra, cwd=tmp_path, env=_child_env(),
+                              capture_output=True, check=True)
+        assert proc.stdout == expected.encode()
+        assert proc.stderr == b""
+
+
 def test_john_command(tmp_path):
     out = tmp_path / "john.csv"
     assert main([
@@ -480,9 +501,7 @@ def test_no_scipy_on_the_import_or_run_path(tmp_path):
         "status = snum.cli.main(['volterra', '--n', '1..3', '--kinds', 'd', '--out', 'r.json'])\n"
         "print(json.dumps([imported, status, scipy_modules()]))\n"
     )
-    src = str(Path(snum.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=_child_env(),
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout.splitlines()[-1]) == [[], 0, []]
 

@@ -3,7 +3,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import snum.hilbert as hilbert_mod
 from snum.hilbert import (
     CapacityError,
     HilbertOrdering,
@@ -61,14 +60,28 @@ class TestGenerator:
             grid = np.stack(np.unravel_index(np.arange(total), (side,) * dim), axis=-1)
             assert np.array_equal(decode(encode(grid, dim, order), dim, order), grid)
 
-    @pytest.mark.parametrize("dim,order,block", [(1, 5, 7), (2, 4, 16), (2, 5, 100), (3, 3, 1)])
-    def test_blocked_table_equals_one_shot_decode(self, monkeypatch, dim, order, block):
-        monkeypatch.setattr(hilbert_mod, "DECODE_BLOCK", block)
+    @pytest.mark.parametrize("dim,order", [
+        (dim, order) for dim in range(1, 7) for order in range(1, 16 // dim + 1)
+    ] + [(10, 1), (8, 2)])
+    def test_refined_table_equals_decode(self, dim, order):
         ordering = hilbert_order(dim, order)
         expected = decode(np.arange(1 << (dim * order)), dim, order)
         assert ordering.coords.dtype == np.int32
         assert np.array_equal(ordering.coords, expected)
         assert np.array_equal(ordering.positions(expected), np.arange(len(expected)))
+
+    def test_refinement_makes_no_wide_temporary(self):
+        import tracemalloc
+
+        # 2^20 cubes in 10 dimensions: an int64 (N, d) offsets table alone
+        # would be twice the final coords and inverse together
+        tracemalloc.start()
+        try:
+            ordering = hilbert_order(10, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (ordering.coords.nbytes + ordering.inverse.nbytes)
 
     def test_scalar_positions(self):
         # one position decodes to one coordinate row, and encodes back

@@ -182,7 +182,10 @@ class TestSegmentDomain:
     def test_random_points_inside(self, ordering_k3):
         omega = segment_domain(ordering_k3, 3, 17)
         rng = np.random.default_rng(0)
-        assert omega.contains_points(omega.random_points(rng, 200)).all()
+        points, picks = omega.random_points(rng, 200)
+        assert omega.contains_points(points).all()
+        # each point lies in the cube it was drawn in
+        assert np.array_equal(np.floor(points * 8).astype(int), omega.coords[picks])
 
     def test_cell_mask_needs_nested_grid(self, ordering_k3):
         omega = segment_domain(ordering_k3, 1, 8)
@@ -442,8 +445,8 @@ def _profile_bound_reference(cert):
 
 
 def _verify_reference(omega, cert, samples, rng):
-    """Reference verifier: a block lookup per random batch and one
-    (points, curve points, dim) table per block."""
+    """Reference verifier: a block lookup of the drawn cubes per random batch
+    and one (points, curve points, dim) table per block."""
     blocks = _cubes(cert)
     nblocks = len(blocks)
     walk_pts = []
@@ -466,10 +469,8 @@ def _verify_reference(omega, cert, samples, rng):
     total = int(pair_cost[blocks_of_cells].sum())
     while total < samples:
         need = max(64, (samples - total) // (int(pair_cost.mean()) + 1) + 1)
-        extra = omega.random_points(rng, need)
-        n = 1 << omega.level
-        cells = np.minimum((extra * n).astype(int), n - 1)
-        eb = cert.block_of_index(omega.ordering.positions(cells) + 1)
+        extra, picks = omega.random_points(rng, need)
+        eb = cert.block_of_index(omega.i + picks)
         xs.append(extra)
         x_blocks.append(eb)
         total += int(pair_cost[eb].sum())
@@ -512,19 +513,19 @@ class _FarFaceRng:
 
 
 class TestReferenceParity:
-    # a fill on a boundary face may put its first leg's midpoint there too:
-    # distance 0, ratio inf, in both verifiers
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    # a fill on its cube's far face still belongs to the block it was drawn
+    # in: its first leg runs to that block's center, so every ratio is finite
     @pytest.mark.parametrize("i,j", [(1, 64), (5, 40), (17, 30)])
     def test_fills_rounded_into_the_next_cell_match_the_reference(self, ordering_k3, i, j):
         omega = segment_domain(ordering_k3, i, j)
-        cells = (omega.random_points(_FarFaceRng(0), 400) * 8).astype(int)
+        cells = (omega.random_points(_FarFaceRng(0), 400)[0] * 8).astype(int)
         # the float cells leave the picked cells: off the grid or off the union
         pos = ordering_k3.positions(np.minimum(cells, 7))
         assert (cells == 8).any() or ((pos < i - 1) | (pos > j - 1)).any()
         cert = john_bound_constructive(omega)
         rng, rng_ref = _FarFaceRng(i), _FarFaceRng(i)
         ok, worst = verify_john_certificate(omega, cert, 4000, rng=rng)
+        assert ok and math.isfinite(worst)
         ref_ok, ref_worst = _verify_reference(omega, cert, 4000, rng_ref)
         assert (ok, worst.hex()) == (ref_ok, ref_worst.hex())
         assert rng.bit_generator.state == rng_ref.bit_generator.state
