@@ -120,10 +120,9 @@ class HilbertOrdering:
         self.coords.flags.writeable = False
         self._strides = (1 << order) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         flat = np.ravel_multi_index(tuple(self.coords.T), (1 << order,) * dim)
-        positions = np.arange(len(raw), dtype=np.int32)
         self.inverse = np.full((1 << order) ** dim, -1, dtype=np.int32)
-        self.inverse[flat] = positions
-        if not np.array_equal(self.inverse[flat], positions):
+        self.inverse[flat] = np.arange(len(raw), dtype=np.int32)
+        if np.count_nonzero(self.inverse >= 0) != len(raw):  # a repeated cell is numbered once
             raise ValueError("numbering is not injective")
         self.inverse.flags.writeable = False
 
