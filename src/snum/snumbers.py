@@ -1536,7 +1536,9 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
     return SNumberBound(
         kind="bernstein",
         n=n,
-        upper=chain_ratio,  # the C(d) n^(-1/d)-type value; holds for every subspace
+        # the C(d) n^(-1/d)-type value; it holds for every subspace, but only
+        # a certified alternation witness carries it
+        upper=chain_ratio if res.status == "certified" else None,
         witness={
             "alternation_indices": (w.indices + 1).tolist(),
             "sup_norm": float(w.sup_norm_value),

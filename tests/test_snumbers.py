@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -1046,6 +1047,20 @@ class TestDdim:
         assert bound.status == "certified"
         ratio = bound.witness["ratio_at_witness"]
         assert 0.125 - 1e-12 <= ratio <= bound.witness["chain_ratio_bound"]
+
+    def test_inconclusive_chain_publishes_no_upper_value(self, monkeypatch):
+        # the search keeps its witness but cannot certify it: the row keeps
+        # the chain value in its witness, not as an upper bound
+        search = snumbers_mod.zigzag_find
+
+        def inconclusive(*args, **kwargs):
+            return dataclasses.replace(search(*args, **kwargs), status="inconclusive")
+
+        monkeypatch.setattr(snumbers_mod, "zigzag_find", inconclusive)
+        bound = bernstein_upper_ddim(Subspace(hat_functions(2, 2, 32)), curve_order=2,
+                                     eps=0.05, rng=np.random.default_rng(0))
+        assert bound.status == "inconclusive" and bound.upper is None
+        assert bound.witness["chain_ratio_bound"] > 0
 
     def test_hat_ratio_grid_close_to_closed_form(self):
         params = LorentzParams(2, 1)
