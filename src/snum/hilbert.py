@@ -193,8 +193,9 @@ def check_face_adjacency(ordering: HilbertOrdering):
     Returns ``(ok, first_violation_index)`` where the index (1-based) points at
     the first pair (index, index+1) violating adjacency.
     """
-    steps = np.abs(np.diff(ordering.coords, axis=0)).sum(axis=1)
-    bad = np.flatnonzero(steps != 1)
+    steps = np.diff(ordering.coords, axis=0)  # the one (N - 1, d) temporary
+    np.abs(steps, out=steps)
+    bad = np.flatnonzero(steps.sum(axis=1, dtype=np.int32) != 1)
     if bad.size:
         return False, int(bad[0]) + 1
     return True, None

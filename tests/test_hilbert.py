@@ -205,6 +205,16 @@ class TestCheckers:
             violations += not expected[0]
         assert violations > 100  # the corruptions do exercise the failure path
 
+    def test_first_bad_index_of_a_swapped_pair(self):
+        # rows 1000 and 3000 of the (3, 5) table swapped: the pair that
+        # enters the first moved row is the first violation
+        coords = hilbert_order(3, 5).coords.copy()
+        coords[[999, 2999]] = coords[[2999, 999]]
+        steps = [sum(abs(int(a) - int(b)) for a, b in zip(u, v)) for u, v in zip(coords, coords[1:])]
+        expected = next(k for k, step in enumerate(steps, 1) if step != 1)
+        assert expected == 999
+        assert check_face_adjacency(HilbertOrdering(3, 5, coords)) == (False, expected)
+
     def test_row_major_fails_adjacency(self):
         ordering = HilbertOrdering(2, 1, _row_major(1))
         ok, where = check_face_adjacency(ordering)
