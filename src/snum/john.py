@@ -24,6 +24,7 @@ from .spaces import GridFunction, GridMismatchError, LorentzParams, grid_gradien
 
 
 DISTANCE_TABLE_ENTRIES = 4_000_000  # (runs, points) entries per boundary_distance table
+PROOF_MARGIN = 1e-9  # relative margin of the John proof's pass and fail tests
 
 
 class ConstructionError(ValueError):
@@ -155,60 +156,41 @@ class CubeUnion:
         return lo, hi
 
     @cached_property
-    def _face_groups(self) -> list:
-        """The face runs grouped by normal axis a, the one axis where their
-        lows equal their highs: ``(a, lows, highs)`` with lows and highs of
-        shape (dim, runs, 1), one column of runs per axis."""
-        lows, highs = self._face_arrays
-        normal = (lows == highs).argmax(axis=1)  # nondecreasing: runs sort by direction
-        bounds = np.searchsorted(normal, np.arange(self.dim + 1)).tolist()
-        return [(a, lows[lo:hi].T[:, :, None].copy(), highs[lo:hi].T[:, :, None].copy())
-                for a, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < hi]
+    def _face_columns(self) -> tuple:
+        """The face runs' lows and highs, shape (dim, runs, 1): one column of
+        runs per axis."""
+        return tuple(bounds.T[:, :, None].copy() for bounds in self._face_arrays)
 
     def boundary_distance(self, points) -> np.ndarray:
         """Exact Euclidean distance to the boundary, via the face decomposition.
 
-        Per group of runs with one normal axis and per chunk of points, one
-        (runs, points) table of squared gaps, summed axis by axis in ascending
-        order and reduced over the runs.  On the normal axis a run's gap is the
-        plane difference lo - x, on a tangent axis clip(x, lo, hi) - x: up to
-        its exact sign, either is max(lo - x, x - hi, 0), so every square is
-        the per-face one and the nearest run is the nearest face.
+        Per chunk of points, one (runs, points) table of squared gaps, summed
+        axis by axis in ascending order and reduced over the runs.  A run's
+        gap on an axis is clip(x, lo, hi) - x, which is max(lo - x, x - hi, 0)
+        up to its exact sign (on the normal axis, where lo = hi, the plane
+        difference lo - x), so every square is the per-face one and the
+        nearest run is the nearest face.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         xs = np.ascontiguousarray(pts.T)  # (dim, points): each axis one contiguous row
-        squared = np.full(len(pts), np.inf)
-        runs = max(lows.shape[1] for _, lows, _ in self._face_groups)
-        chunk = max(1, min(len(pts), DISTANCE_TABLE_ENTRIES // runs))
-        buffers = np.empty((2, runs, chunk))  # the sum, and one axis's gaps
-        for a, lows, highs in self._face_groups:
-            for s in range(0, len(pts), chunk):
-                x = xs[:, s : s + chunk]
-                table, gap = buffers[:, : lows.shape[1], : x.shape[1]]
-                for b in range(self.dim):
-                    out = table if b == 0 else gap  # 0.0 + x == x: the first axis starts the sum
-                    if b == a:
-                        np.subtract(lows[b], x[b], out=out)
-                    else:
-                        np.maximum(x[b], lows[b], out=out)
-                        np.minimum(out, highs[b], out=out)
-                        out -= x[b]
-                    out *= out
-                    if b > 0:
-                        table += gap
-                best = squared[s : s + chunk]
-                np.minimum(best, table.min(axis=0), out=best)
+        lows, highs = self._face_columns
+        squared = np.empty(len(pts))
+        chunk = max(1, min(len(pts), DISTANCE_TABLE_ENTRIES // lows.shape[1]))
+        buffers = np.empty((2, lows.shape[1], chunk))  # the sum, and one axis's gaps
+        for s in range(0, len(pts), chunk):
+            x = xs[:, s : s + chunk]
+            table, gap = buffers[:, :, : x.shape[1]]
+            for b in range(self.dim):
+                out = table if b == 0 else gap  # 0.0 + x == x: the first axis starts the sum
+                np.maximum(x[b], lows[b], out=out)
+                np.minimum(out, highs[b], out=out)
+                out -= x[b]
+                out *= out
+                if b > 0:
+                    table += gap
+            table.min(axis=0, out=squared[s : s + chunk])
         # sqrt is monotone and correctly rounded: sqrt of the min is exact
         return np.sqrt(squared)
-
-    def random_points(self, rng, count: int) -> tuple:
-        """Uniform samples from the union, shape (count, dim), and the
-        0-based position within the union of the cube each was drawn in."""
-        side = 1.0 / (1 << self.level)
-        picks = rng.integers(0, self.cube_count, size=count)
-        points = self.coords.take(picks, axis=0) * side
-        points += rng.uniform(0.0, side, size=(count, self.dim))
-        return points, picks
 
     def cell_mask(self, cells_per_side: int) -> np.ndarray:
         """Boolean mask over the cells of a nested uniform grid."""
@@ -282,12 +264,17 @@ class JohnCertificate:
         return _centers(self.block_coords, self.block_levels)
 
     @cached_property
+    def _block_bounds(self) -> tuple:
+        """Each block's lows and highs, exact, (blocks, dim) each."""
+        sides = np.ldexp(1.0, -self.block_levels)[:, None]
+        return self.block_coords * sides, (self.block_coords + 1) * sides
+
+    @cached_property
     def _walks(self) -> tuple:
         """The walks out of the center block toward the first and toward the
         last block: block centers alternating with shared-face midpoints, so
         a block m steps out is vertex 2m of its side's walk."""
-        sides = np.ldexp(1.0, -self.block_levels)[:, None]
-        lows, highs = self.block_coords * sides, (self.block_coords + 1) * sides
+        lows, highs = self._block_bounds
         # the shared face of blocks b and b + 1, and its midpoint
         lo, hi = np.maximum(lows[:-1], lows[1:]), np.minimum(highs[:-1], highs[1:])
         if (hi < lo).any():
@@ -375,99 +362,92 @@ def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
     )
 
 
-def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: int, rng=None):
-    """Sample start points and curve parameters; report the worst ratio.
+def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: int) -> tuple:
+    """Prove the certificate's John condition, or find a pair that breaks it.
 
-    ``samples`` counts evaluated (start point, curve point) pairs.  Start
-    points are all member-cube centers plus uniform interior points until the
-    budget is met; curve points are the walk vertices and segment
-    midpoints.  Passes iff max |x - gamma(t)| / dist(gamma(t), boundary) stays
-    within the certified constant.
+    The condition: |x - gamma(t)| <= constant * dist(gamma(t), boundary) for
+    every point x of the domain and every point gamma(t) of x's curve, which
+    runs from x to the center of x's block and then along its side's walk
+    to the center block.
+    - The first leg, gamma = x + tau (c - x) with c the block's center: the
+      distance to the block's boundary is concave on the block, so it is at
+      least tau side / 2 there, while |x - gamma| <= tau sqrt(d) side / 2.
+      The leg's ratio is at most sqrt(d), so a constant that does not
+      exceed sqrt(d) by the margin fails before any walk point.
+    - Walk segment s of one side is on the curves of the blocks at least
+      s // 2 + 1 steps out on that side.  F(p) is the largest distance from
+      p to a corner of those blocks, so the largest |x - p| over their
+      points; D(p) is ``boundary_distance(p)``.  Both are 1-Lipschitz, so on
+      a piece of a segment with midpoint p and half-length h the ratio is at
+      most (F + h) / (D - h).  The pieces start as the segments; a piece
+      passes iff F + h <= constant (1 - ``PROOF_MARGIN``) (D - h), and every
+      other piece is split in two.  Each level measures the live pieces of
+      both walks in one boundary-distance call and one masked
+      (pieces, blocks) table of farthest corners.
+
+    An evaluated F / D above constant (1 + ``PROOF_MARGIN``) is a real
+    violating pair (a corner, p) and fails at once; so does a run that needs
+    more than ``samples`` evaluated points.  Returns ``(ok, worst,
+    evaluated)``: ``worst`` is max(sqrt(d), the largest evaluated F / D).
+
+    The margin: a midpoint at depth L (the segments are depth 0) is a dyadic
+    rational with k + L + 2 fraction bits at level k, exact while
+    L <= 51 - k (deeper the proof stops and fails), and so are the
+    half-steps, the block bounds and the face runs.  So every difference in
+    F and D is exact, and F, D and h carry only the roundings of d squares,
+    their sum and a square root: each is within g = gamma_{d+1} of itself,
+    relative.  A passing piece has h <= F + h <= C (D - h) to first order,
+    so the error g (D + h) of D - h is at most g (2C + 1) (D - h); with the
+    error g (F + h) on the left and four more roundings (the two sums, the
+    product and C (1 - margin)), a passing test proves F + h <= C (D - h)
+    while (2C + 2) g + 4u <= ``PROOF_MARGIN``, u = 2^-53.  The uniform
+    constant meets this for every d <= 15 (9.3e-10 at d = 15), and by the
+    same bounds a failing F / D exceeds C.
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    nblocks = len(cert.block_levels)
-
-    # each walk sampled at its vertices and segment midpoints, in walk order:
-    # the curve points of a block m steps out are the first 4m + 1 of its side
-    walk_pts = []
-    for W in cert._walks:
-        Q = np.empty((2 * len(W) - 1, omega.dim))
-        Q[0::2] = W
-        Q[1::2] = 0.5 * (W[:-1] + W[1:])
-        walk_pts.append(Q)
-    curve_pts = np.concatenate(walk_pts)
-    if not omega.contains_points(curve_pts).all():
+    walks = cert._walks
+    heads = np.concatenate([W[:-1] for W in walks])
+    tails = np.concatenate([W[1:] for W in walks])
+    p = 0.5 * (heads + tails)  # the segments' midpoints, exact
+    if not omega.contains_points(np.concatenate([*walks, p])).all():
         raise CertificateInvalidError("polyline exits the domain")
-    steps = np.arange(nblocks) - cert.center_block
-    counts = 4 * np.abs(steps) + 1
+    worst = math.sqrt(omega.dim)  # the first leg's bound
+    limit = cert.constant * (1 - PROOF_MARGIN)
+    if worst > limit:
+        return False, worst, 0
 
-    # start points: member-cube centers first, then random interior fills.  A
-    # fill belongs to the block of the cell it was drawn in, also when it
-    # rounds onto that cell's far face
-    blocks_of_cells = cert.block_of_index(np.arange(omega.i, omega.j + 1))
-    pair_cost = counts + 1
-    xs = [_centers(omega.coords, omega.level)]
-    x_blocks = [blocks_of_cells]
-    total = int(pair_cost[blocks_of_cells].sum())
-    per_point = int(pair_cost.mean()) + 1
-    while total < samples:
-        need = max(64, (samples - total) // per_point + 1)
-        extra, picks = omega.random_points(rng, need)
-        blocks = blocks_of_cells[picks]
-        xs.append(extra)
-        x_blocks.append(blocks)
-        total += int(pair_cost[blocks].sum())
-
-    X = np.concatenate(xs)
-    XB = np.concatenate(x_blocks)
-    # the first leg, from x straight to its block's center: its midpoints and
-    # the curve points measured in one boundary-distance call, one row per axis
-    probes = np.empty((omega.dim, len(curve_pts) + len(X)))
-    probes[:, : len(curve_pts)] = curve_pts.T
-    mid = probes[:, len(curve_pts) :]
-    for a in range(omega.dim):
-        np.add(X[:, a], cert.block_centers[:, a].take(XB), out=mid[a])
-    mid *= 0.5
-    dist = omega.boundary_distance(probes.T)
-
-    # per curve point, the largest squared distance to a start point whose
-    # block's chain passes it; sqrt and the division are correctly rounded and
-    # monotone, so these maxima give the largest ratio exactly
-    key = XB.astype(np.min_scalar_type(nblocks))  # a small-int key sorts by radix
-    by_block = np.argsort(key, kind="stable")
-    ends = np.bincount(key, minlength=nblocks).cumsum().tolist()
-    XT = np.take(X.T, by_block, axis=1)  # (dim, points), grouped by block
-    columns = [[Q[:, a, None] for a in range(omega.dim)] for Q in walk_pts]
-    far = [np.zeros(len(Q)) for Q in walk_pts]
-    lo = 0
-    for hi, step, count in zip(ends, steps.tolist(), counts.tolist()):
-        if lo == hi:
-            continue
-        side = int(step > 0)
-        P, M = columns[side], far[side][:count]
-        for a in range(omega.dim):  # (curve points, points), summed axis by axis in place
-            gap = P[a][:count] - XT[a, lo:hi]
-            gap *= gap
-            if a == 0:
-                squared = gap
-            else:
-                squared += gap
-        np.maximum(M, np.maximum.reduce(squared, axis=1), out=M)
-        lo = hi
-    walk_dist = dist[: len(walk_pts[0])], dist[len(walk_pts[0]) : len(curve_pts)]
-    worst = max(float((np.sqrt(f) / D).max()) for f, D in zip(far, walk_dist))
-    for a in range(omega.dim):  # the leg's norm, summed axis by axis as np.linalg.norm does
-        leg = X[:, a] - mid[a]
-        leg *= leg
-        if a == 0:
-            squared = leg
-        else:
-            squared += leg
-    worst = max(worst, float((np.sqrt(squared) / dist[len(curve_pts) :]).max()))
-    return worst <= cert.constant * (1 + 1e-9), worst
+    # the blocks whose curves use each segment, one row per segment
+    c, blocks = cert.center_block, np.arange(len(cert.block_levels))
+    out = [np.arange(len(W) - 1)[:, None] // 2 + 1 for W in walks]
+    uses = np.concatenate([blocks <= c - out[0], blocks >= c + out[1]])
+    lows, highs = cert._block_bounds
+    half = 0.5 * (tails - heads)  # each segment's half, exact
+    length = np.sqrt((half * half).sum(axis=1))  # its half-length
+    segment = np.arange(len(p))  # the segment of each piece
+    evaluated = 0
+    for depth in range(52 - omega.level):
+        if not len(p):
+            return True, worst, evaluated
+        if evaluated + len(p) > samples:
+            return False, worst, evaluated
+        evaluated += len(p)
+        # the farthest corner of a block: per axis the farther of its faces
+        far = np.maximum(p[:, None] - lows, highs - p[:, None])
+        far *= far
+        F = np.sqrt(far.sum(axis=2).max(axis=1, where=uses[segment], initial=0.0))
+        D = omega.boundary_distance(p)
+        with np.errstate(divide="ignore"):
+            worst = max(worst, float((F / D).max()))
+        if worst > cert.constant * (1 + PROOF_MARGIN):
+            return False, worst, evaluated
+        h = length[segment] * 0.5**depth
+        split = F + h > limit * (D - h)
+        p, segment = p[split], segment[split]
+        step = half[segment] * 0.5 ** (depth + 1)  # a child's midpoint is this far away
+        p = np.concatenate([p - step, p + step])
+        segment = np.concatenate([segment, segment])
+    return False, worst, evaluated
 
 
 def oscillation_check(omega: CubeUnion, u: GridFunction, certificate: JohnCertificate | None = None):

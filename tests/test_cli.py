@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import shlex
@@ -14,7 +15,13 @@ import snum.cli as cli_mod
 import snum.selftest as selftest_mod
 from snum.cli import RunConfig, build_parser, main, run
 from snum.hilbert import HilbertOrdering, hilbert_order
-from snum.john import CertificateInvalidError, ConstructionError, uniform_john_constant
+from snum.john import (
+    CertificateInvalidError,
+    ConstructionError,
+    john_bound_constructive,
+    segment_domain,
+    uniform_john_constant,
+)
 
 
 def test_usage_error_on_bad_flags(capsys):
@@ -277,17 +284,33 @@ def test_john_command(tmp_path):
     assert len({r["constant"] for r in rows}) == 1
 
 
+def test_john_budget_of_one_point_fails_every_multi_block_domain(tmp_path):
+    # a domain of more than one block has at least two walk segments to
+    # measure; one block has none, only its first leg's closed-form bound
+    out = tmp_path / "john.csv"
+    assert main(["john", "--dim", "2", "--order", "2", "--exhaustive",
+                 "--samples", "1", "--out", str(out)]) == 1
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 16 * 17 // 2
+    ordering = hilbert_order(2, 2)
+    for row in rows:
+        cert = john_bound_constructive(segment_domain(ordering, int(row["i"]), int(row["j"])))
+        single = len(cert.block_levels) == 1
+        assert row["verdict"] == ("pass" if single else "fail"), row
+        assert float(row["worst_ratio"]) == pytest.approx(math.sqrt(2), rel=1e-11)
+
+
 def test_john_invalid_certificate_is_a_failed_row(tmp_path, monkeypatch, capsys):
     # the third of five certificates leaves its domain: that row fails, the
     # others are still measured, and the run exits 1 rather than 2
     verify = cli_mod.verify_john_certificate
     calls = []
 
-    def third_invalid(omega, cert, samples, rng=None):
+    def third_invalid(omega, cert, samples):
         calls.append((omega.i, omega.j))
         if len(calls) == 3:
             raise CertificateInvalidError("polyline exits the domain")
-        return verify(omega, cert, samples, rng=rng)
+        return verify(omega, cert, samples)
 
     monkeypatch.setattr(cli_mod, "verify_john_certificate", third_invalid)
     out = tmp_path / "john.csv"
