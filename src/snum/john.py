@@ -426,7 +426,7 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
     length = np.sqrt((half * half).sum(axis=1))  # its half-length
     segment = np.arange(len(p))  # the segment of each piece
     evaluated = 0
-    for depth in range(52 - omega.level):
+    for depth in range(52 - omega.level):  # midpoints stay exact dyadics
         if not len(p):
             return True, worst, evaluated
         if evaluated + len(p) > samples:
