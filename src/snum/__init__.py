@@ -24,6 +24,7 @@ from .john import (
     segment_domain,
     uniform_john_constant,
     verify_john_certificate,
+    verify_segment_domains,
 )
 from .snumbers import (
     Adversary,

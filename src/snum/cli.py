@@ -22,14 +22,7 @@ import numpy as np
 
 from . import selftest as selftest_mod
 from .hilbert import MAX_CUBES, check_face_adjacency, check_prefix_nesting, hilbert_order
-from .john import (
-    CertificateInvalidError,
-    ConstructionError,
-    john_bound_constructive,
-    segment_domain,
-    uniform_john_constant,
-    verify_john_certificate,
-)
+from .john import uniform_john_constant, verify_segment_domains
 from .snumbers import (
     SNumberBound,
     Subspace,
@@ -390,18 +383,15 @@ def _run_john(args) -> int:
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as target:
         writer = csv.writer(target)
         writer.writerow(["i", "j", "constant", "profile_bound", "worst_ratio", "verdict"])
-        for i, j in pairs:
-            omega = segment_domain(ordering, i, j)
-            try:
-                cert = john_bound_constructive(omega)
-                ok, worst, _ = verify_john_certificate(omega, cert, args.samples)
-                bound = cert.profile_bound
-            except (ConstructionError, CertificateInvalidError) as exc:  # a failed row, not a usage error
-                sys.stderr.write(f"snum john: domain {i}..{j}: {exc}\n")
+        for omega, _, result in verify_segment_domains(ordering, pairs, args.samples):
+            if isinstance(result, Exception):  # a failed row, not a usage error
+                sys.stderr.write(f"snum john: domain {omega.i}..{omega.j}: {result}\n")
                 ok, worst, bound = False, math.inf, math.nan
+            else:
+                ok, worst, _, bound = result
             if not ok:
                 status = 1
-            writer.writerow([i, j, f"{constant:.12g}", f"{bound:.12g}",
+            writer.writerow([omega.i, omega.j, f"{constant:.12g}", f"{bound:.12g}",
                              f"{worst:.12g}", "pass" if ok else "fail"])
     return status
 

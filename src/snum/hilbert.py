@@ -109,20 +109,31 @@ class HilbertOrdering:
     0-based curve position (-1 for cells the numbering skips)."""
 
     def __init__(self, dim: int, order: int, coords):
-        self.dim = dim
-        self.order = order
         raw = np.asarray(coords)
         if raw.ndim != 2 or raw.shape[1] != dim:
             raise ValueError(f"coords must be an (N, {dim}) array, got shape {raw.shape}")
         if raw.size and (raw.min() < 0 or raw.max() >= 1 << order):
             raise ValueError("coords outside the level's index range")
-        self.coords = raw.astype(np.int32)
+        self._index(dim, order, raw.astype(np.int32))  # a copy: the caller keeps its array
+
+    @classmethod
+    def _own(cls, dim: int, order: int, coords: np.ndarray) -> HilbertOrdering:
+        """The ordering of an ``(N, dim)`` int32 table in range that no one
+        else holds: the table is frozen and kept, not copied."""
+        ordering = cls.__new__(cls)
+        ordering._index(dim, order, coords)
+        return ordering
+
+    def _index(self, dim: int, order: int, coords: np.ndarray) -> None:
+        self.dim = dim
+        self.order = order
+        self.coords = coords
         self.coords.flags.writeable = False
         self._strides = (1 << order) ** np.arange(dim - 1, -1, -1, dtype=np.int64)
         flat = np.ravel_multi_index(tuple(self.coords.T), (1 << order,) * dim)
         self.inverse = np.full((1 << order) ** dim, -1, dtype=np.int32)
-        self.inverse[flat] = np.arange(len(raw), dtype=np.int32)
-        if np.count_nonzero(self.inverse >= 0) != len(raw):  # a repeated cell is numbered once
+        self.inverse[flat] = np.arange(len(coords), dtype=np.int32)
+        if np.count_nonzero(self.inverse >= 0) != len(coords):  # a repeated cell is numbered once
             raise ValueError("numbering is not injective")
         self.inverse.flags.writeable = False
 
@@ -184,7 +195,7 @@ def hilbert_order(dim: int, order: int) -> HilbertOrdering:
     total = 1 << (dim * order)
     if total > MAX_CUBES:
         raise CapacityError(f"2^(dim*order) = {total} exceeds {MAX_CUBES}")
-    return HilbertOrdering(dim, order, _curve_coords(dim, order))
+    return HilbertOrdering._own(dim, order, _curve_coords(dim, order))
 
 
 def check_face_adjacency(ordering: HilbertOrdering):

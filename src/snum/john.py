@@ -7,13 +7,15 @@ filled dyadic cubes whose sizes are unimodal along the curve; the certificate
 walks block centers from any start point toward the center of the middle-most
 largest block, crossing shared faces at their midpoints.  Summing the segment
 lengths with geometric series gives a constant depending only on the
-dimension, never on the resolution or the index range.
+dimension, never on the resolution or the index range.  The certificates are
+proven in groups of domains: each bisection level of a group is one pass
+over flat (box, point) pair tables, whatever the number of its domains.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product
 
@@ -23,7 +25,7 @@ from .hilbert import HilbertOrdering
 from .spaces import GridFunction, GridMismatchError, LorentzParams, grid_gradient_lorentz_norm
 
 
-DISTANCE_TABLE_ENTRIES = 4_000_000  # (runs, points) entries per boundary_distance table
+DISTANCE_TABLE_ENTRIES = 4_000_000  # floats held by one chunk of a pair table (see _pair_limit)
 PROOF_MARGIN = 1e-9  # relative margin of the John proof's pass and fail tests
 
 
@@ -75,6 +77,146 @@ def uniform_john_constant(dim: int) -> float:
     return 4.0 * (2.0 * (2**dim - 1) + 0.5 + 2.5 * math.sqrt(dim))
 
 
+def _ranges(starts, counts) -> np.ndarray:
+    """The integer ranges starts[k] .. starts[k] + counts[k] - 1, one after
+    another."""
+    out = np.arange(counts.sum())
+    out += np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    return out
+
+
+def _pair_limit(width: int) -> int:
+    """Pairs per chunk of a (box, point) pair table: a kernel holds about
+    four tables of ``width`` floats per pair, so about
+    ``DISTANCE_TABLE_ENTRIES`` floats in all."""
+    return max(1, DISTANCE_TABLE_ENTRIES // (4 * width))
+
+
+def _pairs(first, count, width: int):
+    """Chunks of a (box, point) pair table in which point q meets the boxes
+    first[q] .. first[q] + count[q] - 1, count[q] >= 1, point by point: the
+    points a .. b - 1 (one at least) with at most ``_pair_limit(width)``
+    pairs.  Yields a, b, the box of each pair and the first pair of each
+    point within the chunk."""
+    ends = np.cumsum(count)
+    a = 0
+    while a < len(count):
+        base = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + _pair_limit(width), side="right")))
+        yield a, b, _ranges(first[a:b], count[a:b]), ends[a:b] - count[a:b] - base
+        a = b
+
+
+def _nearest_faces(points, lows, highs, first, count) -> np.ndarray:
+    """Exact Euclidean distance from each point q to the nearest of the face
+    runs first[q] .. first[q] + count[q] - 1.
+
+    One flat (run, point) pair table per chunk (see :func:`_pairs`), of
+    squared gaps summed axis by axis in ascending order and reduced per
+    point.  A run's gap on an axis is clip(x, lo, hi) - x, which is
+    max(lo - x, x - hi, 0) up to its exact sign (on the normal axis, where
+    lo = hi, the plane difference lo - x), so every square is the per-face
+    one and the nearest run is the nearest face.
+    """
+    squared = np.empty(len(points))
+    for a, b, runs, starts in _pairs(first, count, 1):
+        for axis in range(points.shape[1]):
+            x = np.repeat(points[a:b, axis], count[a:b])
+            gap = lows[:, axis].take(runs)
+            np.maximum(gap, x, out=gap)
+            np.minimum(gap, highs[:, axis].take(runs), out=gap)
+            gap -= x
+            gap *= gap
+            if axis:
+                table += gap
+            else:  # 0.0 + x == x: the first axis starts the sum
+                table = gap
+        squared[a:b] = np.minimum.reduceat(table, starts)
+    # sqrt is monotone and correctly rounded: sqrt of the min is exact
+    return np.sqrt(squared)
+
+
+def _farthest_corners(points, lows, highs, first, count) -> np.ndarray:
+    """Distance from each point q to the farthest corner of the blocks
+    first[q] .. first[q] + count[q] - 1: per axis the farther of a block's
+    two faces.  One flat (block, point) pair table per chunk, reduced per
+    point."""
+    squared = np.empty(len(points))
+    for a, b, blocks, starts in _pairs(first, count, points.shape[1]):
+        p = np.repeat(points[a:b], count[a:b], axis=0)
+        far = np.maximum(p - lows[blocks], highs[blocks] - p)
+        far *= far
+        squared[a:b] = np.maximum.reduceat(far.sum(axis=1), starts)
+    return np.sqrt(squared)
+
+
+def _members(ordering: HilbertOrdering, points, first, last, tol: float = 1e-9) -> np.ndarray:
+    """Membership of each point in the closed union of the cubes at curve
+    positions first .. last - 1, one range for all points or one per point:
+    some member cell's closure holds the point, up to ``tol`` in cell units
+    (faces belong).  A point on the far face of the grid is held by the cell
+    below it; points further off the grid get cells off it, which belong to
+    no union."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    s = pts * (1 << ordering.order)
+    base = np.floor(s + tol)
+    own = base.astype(np.int64)
+    other = own - ((np.abs(s - base) <= tol) & (own >= 1))  # the cell below a face
+    cells = np.where(_corner_picks(ordering.dim), other[:, None, :], own[:, None, :])
+    pos = ordering.positions(cells)
+    return ((pos >= np.asarray(first)[..., None]) & (pos < np.asarray(last)[..., None])).any(axis=1)
+
+
+def _face_runs(ordering: HilbertOrdering, i, j) -> tuple:
+    """Boundary faces of the domains i[g] .. j[g] (1-based, inclusive) as
+    axis-aligned boxes (lows, highs), one degenerate axis, and each domain's
+    number of them; a domain's boxes are consecutive, in domain order.
+
+    Unit faces that lie in one plane and abut along a tangent axis are
+    merged into one run.  IEEE subtraction is monotone, so a run's gap to a
+    point on that axis is the least of its pieces' gaps and its other gaps
+    are theirs: the nearest run is exactly as near as the nearest face.
+
+    A unit face (cell, direction 2a or 2a + 1 for the step -1 or +1 along
+    axis a) is on its domain's boundary iff its neighbour is off the grid or
+    its curve position falls outside the domain.  Each gets one integer key
+    (see :func:`_face_keys`) plus its domain's offset, so one sort groups the
+    faces by domain and plane line, and a run is where the key steps by 1;
+    the offsets are 2 apart at least, so no run crosses two domains.  A
+    domain's runs come sorted by direction.
+    """
+    d, n = ordering.dim, 1 << ordering.order
+    side = 1.0 / n
+    strides, shifts, weights, per_direction = _face_keys(d, n)
+    sizes = j - i + 1
+    z = np.concatenate([ordering.coords[a - 1 : b] for a, b in zip(i.tolist(), j.tolist())])
+    owner = np.repeat(np.arange(len(i), dtype=np.int32), sizes)
+    low, high = (i - 1).astype(np.int32)[owner], j.astype(np.int32)[owner]
+    flat = z @ strides.astype(np.int32)  # flat cell ids are below MAX_CUBES
+    outside = np.empty((len(z), 2 * d), dtype=bool)
+    for k, shift in enumerate(shifts.tolist()):  # one direction at a time: no (cells, 2 d) table
+        # off-grid neighbours read some clipped entry; they are outside anyway
+        neighbour = ordering.inverse.take(flat + shift, mode="clip")
+        np.logical_or(neighbour < low, neighbour >= high, out=outside[:, k])
+    outside[:, 0::2] |= z == 0
+    outside[:, 1::2] |= z == n - 1
+    cells, dirs = np.nonzero(outside)
+    keys = (owner[cells] * (2 * d) + dirs) * per_direction
+    for axis in range(d):
+        keys += z[cells, axis] * weights[dirs, axis]
+    order = np.argsort(keys, kind="stable")
+    keys, cells, dirs = keys[order], cells[order], dirs[order]
+    breaks = np.flatnonzero(keys[1:] - keys[:-1] != 1)
+    starts = np.concatenate([[0], breaks + 1])
+    ends = np.append(breaks, len(keys) - 1)
+    first, last = z[cells[starts]], z[cells[ends]]
+    a, up = np.divmod(dirs[starts], 2)
+    lo, hi = first * side, (last + 1) * side
+    rows = np.arange(len(starts))
+    lo[rows, a] = hi[rows, a] = (first[rows, a] + up) * side
+    return lo, hi, np.bincount(owner[cells[starts]], minlength=len(i))
+
+
 class CubeUnion:
     """Closed union of the cubes numbered i..j (1-based, inclusive).
 
@@ -96,101 +238,19 @@ class CubeUnion:
     def cube_count(self) -> int:
         return self.j - self.i + 1
 
-    def positions(self, cells) -> np.ndarray:
-        """0-based position within the union of each cell (shape S + (dim,));
-        -1 for cells outside it."""
-        pos = self.ordering.positions(cells) - (self.i - 1)
-        return np.where((pos >= 0) & (pos < self.cube_count), pos, -1)
-
-    def contains_points(self, points, tol: float = 1e-9) -> np.ndarray:
-        """Membership of each point in the closed union (faces belong): some
-        member cell's closure holds the point, up to ``tol`` in cell units.  A
-        point on the far face of the grid is held by the cell below it; points
-        further off the grid get cells off it, which belong to no union."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        s = pts * (1 << self.level)
-        base = np.floor(s + tol)
-        own = base.astype(np.int64)
-        other = own - ((np.abs(s - base) <= tol) & (own >= 1))  # the cell below a face
-        cells = np.where(_corner_picks(self.dim), other[:, None, :], own[:, None, :])
-        pos = self.ordering.positions(cells)
-        return ((pos >= self.i - 1) & (pos < self.j)).any(axis=1)
-
     @cached_property
     def _face_arrays(self):
-        """Boundary faces as axis-aligned boxes (lows, highs), one degenerate axis.
-
-        Unit faces that lie in one plane and abut along a tangent axis are
-        merged into one run.  IEEE subtraction is monotone, so a run's gap to a
-        point on that axis is the least of its pieces' gaps and its other gaps
-        are theirs: the nearest run is exactly as near as the nearest face.
-
-        A unit face (cell, direction 2a or 2a + 1 for the step -1 or +1 along
-        axis a) is on the boundary iff its neighbour is off the grid or its
-        curve position falls outside the union.  Each gets one integer key (see
-        :func:`_face_keys`), so one sort groups the faces by plane line and a
-        run is where the key steps by 1.  The runs come sorted by direction.
-        """
-        d, n = self.dim, 1 << self.level
-        side = 1.0 / n
-        strides, shifts, weights, per_direction = _face_keys(d, n)
-        z = self.coords.astype(np.int64)
-        outside = np.empty((len(z), 2 * d), dtype=bool)
-        np.equal(z, 0, out=outside[:, 0::2])
-        np.equal(z, n - 1, out=outside[:, 1::2])
-        # off-grid neighbours read some clipped entry; they are outside anyway
-        neighbour = self.ordering.inverse.take((z @ strides)[:, None] + shifts, mode="clip")
-        outside |= (neighbour < self.i - 1) | (neighbour >= self.j)
-        cells, dirs = np.nonzero(outside)
-        keys = dirs * per_direction + (z[cells] * weights[dirs]).sum(axis=1)
-        order = np.argsort(keys, kind="stable")
-        keys, cells, dirs = keys[order], cells[order], dirs[order]
-        breaks = np.flatnonzero(keys[1:] - keys[:-1] != 1)
-        starts = np.concatenate([[0], breaks + 1])
-        ends = np.append(breaks, len(keys) - 1)
-        first, last = z[cells[starts]], z[cells[ends]]
-        a, up = np.divmod(dirs[starts], 2)
-        lo, hi = first * side, (last + 1) * side
-        rows = np.arange(len(starts))
-        lo[rows, a] = hi[rows, a] = (first[rows, a] + up) * side
-        return lo, hi
-
-    @cached_property
-    def _face_columns(self) -> tuple:
-        """The face runs' lows and highs, shape (dim, runs, 1): one column of
-        runs per axis."""
-        return tuple(bounds.T[:, :, None].copy() for bounds in self._face_arrays)
+        """Boundary face runs (lows, highs) of this domain alone (see
+        :func:`_face_runs`)."""
+        return _face_runs(self.ordering, np.array([self.i]), np.array([self.j]))[:2]
 
     def boundary_distance(self, points) -> np.ndarray:
-        """Exact Euclidean distance to the boundary, via the face decomposition.
-
-        Per chunk of points, one (runs, points) table of squared gaps, summed
-        axis by axis in ascending order and reduced over the runs.  A run's
-        gap on an axis is clip(x, lo, hi) - x, which is max(lo - x, x - hi, 0)
-        up to its exact sign (on the normal axis, where lo = hi, the plane
-        difference lo - x), so every square is the per-face one and the
-        nearest run is the nearest face.
-        """
+        """Exact Euclidean distance to the boundary, via the face runs (see
+        :func:`_nearest_faces`)."""
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xs = np.ascontiguousarray(pts.T)  # (dim, points): each axis one contiguous row
-        lows, highs = self._face_columns
-        squared = np.empty(len(pts))
-        chunk = max(1, min(len(pts), DISTANCE_TABLE_ENTRIES // lows.shape[1]))
-        buffers = np.empty((2, lows.shape[1], chunk))  # the sum, and one axis's gaps
-        for s in range(0, len(pts), chunk):
-            x = xs[:, s : s + chunk]
-            table, gap = buffers[:, :, : x.shape[1]]
-            for b in range(self.dim):
-                out = table if b == 0 else gap  # 0.0 + x == x: the first axis starts the sum
-                np.maximum(x[b], lows[b], out=out)
-                np.minimum(out, highs[b], out=out)
-                out -= x[b]
-                out *= out
-                if b > 0:
-                    table += gap
-            table.min(axis=0, out=squared[s : s + chunk])
-        # sqrt is monotone and correctly rounded: sqrt of the min is exact
-        return np.sqrt(squared)
+        lows, highs = self._face_arrays
+        every = np.broadcast_to(len(lows), len(pts))
+        return _nearest_faces(pts, lows, highs, np.zeros_like(every), every)
 
     def cell_mask(self, cells_per_side: int) -> np.ndarray:
         """Boolean mask over the cells of a nested uniform grid."""
@@ -235,8 +295,8 @@ def _maximal_blocks(lo: int, hi: int, base: int):
 
 @dataclass
 class JohnCertificate:
-    """Certified curve construction: for sampled x and curve parameter t,
-    dist(gamma(t), boundary) >= constant^-1 |x - gamma(t)|.
+    """Certified curve construction: for every x of the domain and curve
+    parameter t, dist(gamma(t), boundary) >= constant^-1 |x - gamma(t)|.
 
     Block b of the domain's maximal-block tiling is the dyadic cube
     ``2^-block_levels[b] * (block_coords[b] + [0, 1]^d)``.
@@ -250,67 +310,93 @@ class JohnCertificate:
     center_block: int
     runs_left: list
     runs_right: list
-    _block_starts: np.ndarray = field(repr=False)  # 0-based first position per block
 
-    def block_of_index(self, index):
-        """Maximal-block position of 1-based cube indices (an int or an
-        array), clamped to ``[0, len(block_levels) - 1]``."""
-        found = np.searchsorted(self._block_starts, np.asarray(index) - 1, side="right") - 1
-        return np.minimum(np.maximum(found, 0), len(self.block_levels) - 1)
 
-    @cached_property
-    def block_centers(self) -> np.ndarray:
-        """One exact center per block."""
-        return _centers(self.block_coords, self.block_levels)
+class _Walks:
+    """The walks of a group of certificates, as flat arrays.
 
-    @cached_property
-    def _block_bounds(self) -> tuple:
-        """Each block's lows and highs, exact, (blocks, dim) each."""
-        sides = np.ldexp(1.0, -self.block_levels)[:, None]
-        return self.block_coords * sides, (self.block_coords + 1) * sides
+    The certificates' blocks are concatenated: certificate g's are rows
+    ``block_start[g] .. block_start[g + 1] - 1`` of ``lows``, ``highs`` and
+    ``centers``, exact.  Every block o but a center block has one gate, the
+    midpoint of the face it shares with its inner neighbour (o + 1 left of
+    the center block, o - 1 right of it), and two walk segments: from the
+    inner block's center to the gate, and from the gate to o's center.  For
+    the k-th such block they are rows 2k and 2k + 1 of ``heads`` and
+    ``tails``; both lie on the curves of o and of every block beyond it on
+    its side, the blocks ``used_first`` .. ``used_first + used_count - 1``.
+    ``half`` is each segment's half-step and ``length`` its half-length: the
+    segments are dyadic, so twice ``length`` is exactly the full length.
+    ``broken`` marks the certificates with a gate between blocks that do not
+    touch.
+    """
 
-    @cached_property
-    def _walks(self) -> tuple:
-        """The walks out of the center block toward the first and toward the
-        last block: block centers alternating with shared-face midpoints, so
-        a block m steps out is vertex 2m of its side's walk."""
-        lows, highs = self._block_bounds
-        # the shared face of blocks b and b + 1, and its midpoint
-        lo, hi = np.maximum(lows[:-1], lows[1:]), np.minimum(highs[:-1], highs[1:])
-        if (hi < lo).any():
-            raise ConstructionError("blocks are not adjacent")
-        gates = 0.5 * (lo + hi)
-        c, centers = self.center_block, self.block_centers
-        walks = []
-        for ring, doors in ((centers[c::-1], gates[:c][::-1]), (centers[c:], gates[c:])):
-            path = np.empty((2 * len(ring) - 1, self.union.dim))
-            path[0::2], path[1::2] = ring, doors
-            walks.append(path)
-        return tuple(walks)
+    def __init__(self, certs):
+        self.dim = dim = certs[0].block_coords.shape[1]
+        sizes = np.array([len(cert.block_levels) for cert in certs])
+        self.block_start = np.concatenate([[0], np.cumsum(sizes)])
+        self.block_owner = np.repeat(np.arange(len(certs)), sizes)
+        levels = np.concatenate([cert.block_levels for cert in certs])
+        coords = np.concatenate([cert.block_coords for cert in certs])
+        self.sides = np.ldexp(1.0, -levels)
+        self.lows, self.highs = coords * self.sides[:, None], (coords + 1) * self.sides[:, None]
+        self.centers = _centers(coords, levels)
+        center = self.block_start[:-1] + np.array([cert.center_block for cert in certs])
+        self.steps = np.arange(len(levels)) - center[self.block_owner]  # signed, out of the center
+        self.outer = outer = np.flatnonzero(self.steps)
+        inner = outer - np.sign(self.steps[outer])
+        lo = np.maximum(self.lows[outer], self.lows[inner])
+        hi = np.minimum(self.highs[outer], self.highs[inner])
+        self.gates = 0.5 * (lo + hi)
+        self.gate_owner = owner = self.block_owner[outer]
+        self.broken = np.bincount(owner[(hi < lo).any(axis=1)], minlength=len(certs)) > 0
+        self.heads = np.stack([self.centers[inner], self.gates], axis=1).reshape(-1, dim)
+        self.tails = np.stack([self.gates, self.centers[outer]], axis=1).reshape(-1, dim)
+        self.segment_owner = np.repeat(owner, 2)
+        left = self.steps[outer] < 0
+        used_first = np.where(left, self.block_start[owner], outer)
+        used_end = np.where(left, outer + 1, self.block_start[owner + 1])
+        self.used_first = np.repeat(used_first, 2)
+        self.used_count = np.repeat(used_end - used_first, 2)
+        self.half = 0.5 * (self.tails - self.heads)  # exact
+        self.length = np.sqrt((self.half * self.half).sum(axis=1))
 
-    @cached_property
-    def profile_bound(self) -> float:
-        """The chain estimate evaluated on the actual generation profile.
+    def profile_bounds(self) -> np.ndarray:
+        """The chain estimate of each certificate, evaluated on its actual
+        generation profile (``nan`` where its walk is broken).
 
         A single block (a cube, or the full cube after the generations
         collapse) yields sqrt(d), the straight-segment diagonal/side ratio;
-        otherwise the maximum over start/target block pairs of 4 * (half-diagonal
-        legs plus the connecting path length) / (target side).
+        otherwise the maximum over target/start block pairs of 4 * (half-
+        diagonal legs plus the connecting path length) / (target side).  On
+        each side of a certificate, position m is the block m steps out (0
+        the center block), and the path from its center to the center
+        block's sums the legs, two segments each, of positions 1 .. m; the
+        pairs of positions t < x are one flat upper-triangular table.
         """
-        half = 0.5 * math.sqrt(self.union.dim)
-        bound = math.sqrt(self.union.dim)
-        c, sides = self.center_block, np.ldexp(1.0, -self.block_levels)
-        for walk, h in zip(self._walks, (sides[c::-1], sides[c:])):
-            # path length from each block's center to x0, one leg per block;
-            # the walk is dyadic, so every squared segment length is exact
-            step = walk[1:] - walk[:-1]
-            step *= step
-            segments = np.sqrt(step.sum(axis=1))
-            pref = np.zeros(len(h))
-            np.cumsum(segments[1::2] + segments[0::2], out=pref[1:])
-            # row t: gamma(t) in block t; column x > t: x in an outer block
-            reach = half * h + (pref - pref[:, None]) + half * h[:, None]
-            bound = float(np.triu(4.0 * reach / h[:, None], 1).max(initial=bound))
+        count = len(self.block_start) - 1
+        half = 0.5 * math.sqrt(self.dim)
+        # per side (row 2g left, 2g + 1 right) and position: the block's
+        # side and the path length from its center
+        rows = 2 * self.block_owner + (self.steps > 0)
+        reach = np.abs(self.steps)
+        h = np.ones((2 * count, int(reach.max()) + 1))
+        h[rows, reach] = self.sides
+        h[rows[reach == 0] + 1, 0] = self.sides[reach == 0]  # both sides start there
+        path = np.zeros(h.shape)
+        full = 2.0 * self.length
+        path[rows[self.outer], reach[self.outer]] = full[1::2] + full[0::2]
+        np.cumsum(path, axis=1, out=path)
+        last = np.zeros(2 * count, dtype=np.int64)
+        np.maximum.at(last, rows, reach)
+        side = np.repeat(np.arange(2 * count), last)
+        t = _ranges(np.zeros_like(last), last)
+        cnt = last[side] - t
+        x = _ranges(t + 1, cnt)
+        side, t = np.repeat(side, cnt), np.repeat(t, cnt)
+        reach = half * h[side, x] + (path[side, x] - path[side, t]) + half * h[side, t]
+        bound = np.full(count, math.sqrt(self.dim))
+        np.maximum.at(bound, side // 2, 4.0 * reach / h[side, t])
+        bound[self.broken] = math.nan
         return bound
 
 
@@ -358,37 +444,41 @@ def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
         center_block=center_block,
         runs_left=runs(np.arange(center_block - 1, -1, -1)),
         runs_right=runs(np.arange(center_block + 1, len(levels))),
-        _block_starts=starts,
     )
 
 
-def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: int) -> tuple:
-    """Prove the certificate's John condition, or find a pair that breaks it.
+def _verify_group(domains, certs, samples: int) -> list:
+    """Prove each certificate's John condition on its domain, or find a pair
+    that breaks it; all domains of the group at once.
 
     The condition: |x - gamma(t)| <= constant * dist(gamma(t), boundary) for
     every point x of the domain and every point gamma(t) of x's curve, which
     runs from x to the center of x's block and then along its side's walk
-    to the center block.
+    to the center block (see :class:`_Walks`).
     - The first leg, gamma = x + tau (c - x) with c the block's center: the
       distance to the block's boundary is concave on the block, so it is at
       least tau side / 2 there, while |x - gamma| <= tau sqrt(d) side / 2.
       The leg's ratio is at most sqrt(d), so a constant that does not
       exceed sqrt(d) by the margin fails before any walk point.
-    - Walk segment s of one side is on the curves of the blocks at least
-      s // 2 + 1 steps out on that side.  F(p) is the largest distance from
-      p to a corner of those blocks, so the largest |x - p| over their
-      points; D(p) is ``boundary_distance(p)``.  Both are 1-Lipschitz, so on
-      a piece of a segment with midpoint p and half-length h the ratio is at
-      most (F + h) / (D - h).  The pieces start as the segments; a piece
-      passes iff F + h <= constant (1 - ``PROOF_MARGIN``) (D - h), and every
-      other piece is split in two.  Each level measures the live pieces of
-      both walks in one boundary-distance call and one masked
-      (pieces, blocks) table of farthest corners.
+    - On a walk segment, F(p) is the largest distance from p to a corner of
+      the blocks whose curves use the segment, so the largest |x - p| over
+      their points; D(p) is the distance to the domain's boundary.  Both
+      are 1-Lipschitz, so on a piece of a segment with midpoint p and
+      half-length h the ratio is at most (F + h) / (D - h).  The pieces
+      start as the segments; a piece passes iff F + h <= constant (1 -
+      ``PROOF_MARGIN``) (D - h), and every other piece is split in two.
+      Each level measures the live pieces of every domain of the group in
+      one flat (block, point) table of farthest corners and one flat (face
+      run, point) table of distances.
 
     An evaluated F / D above constant (1 + ``PROOF_MARGIN``) is a real
-    violating pair (a corner, p) and fails at once; so does a run that needs
-    more than ``samples`` evaluated points.  Returns ``(ok, worst,
-    evaluated)``: ``worst`` is max(sqrt(d), the largest evaluated F / D).
+    violating pair (a corner, p) and fails its domain at once; so does a
+    domain that needs more than ``samples`` evaluated points.  Each domain's
+    result is ``(ok, worst, evaluated, profile_bound)``: ``worst`` is
+    max(sqrt(d), the largest evaluated F / D); or, for a certificate whose
+    blocks do not touch, a ``ConstructionError``, and for one whose walk
+    leaves its domain, a ``CertificateInvalidError``.  Every test is per
+    piece or per domain, so a domain's result does not depend on its group.
 
     The margin: a midpoint at depth L (the segments are depth 0) is a dyadic
     rational with k + L + 2 fraction bits at level k, exact while
@@ -406,48 +496,120 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
-    walks = cert._walks
-    heads = np.concatenate([W[:-1] for W in walks])
-    tails = np.concatenate([W[1:] for W in walks])
-    p = 0.5 * (heads + tails)  # the segments' midpoints, exact
-    if not omega.contains_points(np.concatenate([*walks, p])).all():
-        raise CertificateInvalidError("polyline exits the domain")
-    worst = math.sqrt(omega.dim)  # the first leg's bound
-    limit = cert.constant * (1 - PROOF_MARGIN)
-    if worst > limit:
-        return False, worst, 0
+    if not domains:
+        return []
+    ordering = domains[0].ordering
+    if any(omega.ordering is not ordering for omega in domains):
+        raise ValueError("a group's domains share one ordering")
+    count, dim = len(domains), ordering.dim
+    i = np.array([omega.i for omega in domains])
+    j = np.array([omega.j for omega in domains])
+    walks = _Walks(certs)
+    # every walk vertex and segment midpoint lies in its own domain
+    mids = 0.5 * (walks.heads + walks.tails)  # exact
+    owner = np.concatenate([walks.block_owner, walks.gate_owner, walks.segment_owner])
+    inside = _members(ordering, np.concatenate([walks.centers, walks.gates, mids]),
+                      (i - 1)[owner], j[owner])
+    exits = np.bincount(owner[~inside], minlength=count) > 0
 
-    # the blocks whose curves use each segment, one row per segment
-    c, blocks = cert.center_block, np.arange(len(cert.block_levels))
-    out = [np.arange(len(W) - 1)[:, None] // 2 + 1 for W in walks]
-    uses = np.concatenate([blocks <= c - out[0], blocks >= c + out[1]])
-    lows, highs = cert._block_bounds
-    half = 0.5 * (tails - heads)  # each segment's half, exact
-    length = np.sqrt((half * half).sum(axis=1))  # its half-length
-    segment = np.arange(len(p))  # the segment of each piece
-    evaluated = 0
-    for depth in range(52 - omega.level):  # midpoints stay exact dyadics
-        if not len(p):
-            return True, worst, evaluated
-        if evaluated + len(p) > samples:
-            return False, worst, evaluated
-        evaluated += len(p)
-        # the farthest corner of a block: per axis the farther of its faces
-        far = np.maximum(p[:, None] - lows, highs - p[:, None])
-        far *= far
-        F = np.sqrt(far.sum(axis=2).max(axis=1, where=uses[segment], initial=0.0))
-        D = omega.boundary_distance(p)
+    constant = np.array([cert.constant for cert in certs])
+    limit = constant * (1 - PROOF_MARGIN)
+    worst = np.full(count, math.sqrt(dim))  # the first leg's bound
+    evaluated = np.zeros(count, dtype=np.int64)
+    ok = np.zeros(count, dtype=bool)
+    live = ~walks.broken & ~exits & (worst <= limit)
+    lows, highs, runs = _face_runs(ordering, i, j)
+    first_run = np.cumsum(runs) - runs
+    segment = np.flatnonzero(live[walks.segment_owner])  # the segment of each piece
+    p = mids[segment]
+    for depth in range(52 - ordering.order):  # midpoints stay exact dyadics
+        own = walks.segment_owner[segment]
+        pieces = np.bincount(own, minlength=count)
+        ok |= live & (pieces == 0)
+        live &= (pieces > 0) & (evaluated + pieces <= samples)
+        keep = live[own]
+        if not keep.any():
+            break
+        p, segment, own = p[keep], segment[keep], own[keep]
+        evaluated[live] += pieces[live]
+        F = _farthest_corners(p, walks.lows, walks.highs,
+                              walks.used_first[segment], walks.used_count[segment])
+        D = _nearest_faces(p, lows, highs, first_run[own], runs[own])
         with np.errstate(divide="ignore"):
-            worst = max(worst, float((F / D).max()))
-        if worst > cert.constant * (1 + PROOF_MARGIN):
-            return False, worst, evaluated
-        h = length[segment] * 0.5**depth
-        split = F + h > limit * (D - h)
+            np.maximum.at(worst, own, F / D)
+        live &= worst <= constant * (1 + PROOF_MARGIN)
+        h = walks.length[segment] * 0.5**depth
+        split = (F + h > limit[own] * (D - h)) & live[own]
         p, segment = p[split], segment[split]
-        step = half[segment] * 0.5 ** (depth + 1)  # a child's midpoint is this far away
-        p = np.concatenate([p - step, p + step])
-        segment = np.concatenate([segment, segment])
-    return False, worst, evaluated
+        step = walks.half[segment] * 0.5 ** (depth + 1)  # a child's midpoint is this far away
+        p = np.stack([p - step, p + step], axis=1).reshape(-1, dim)
+        segment = np.repeat(segment, 2)
+
+    results = []
+    rows = zip(ok.tolist(), worst.tolist(), evaluated.tolist(), walks.profile_bounds().tolist())
+    for broken, leaves, row in zip(walks.broken.tolist(), exits.tolist(), rows):
+        if broken:
+            results.append(ConstructionError("blocks are not adjacent"))
+        elif leaves:
+            results.append(CertificateInvalidError("polyline exits the domain"))
+        else:
+            results.append(row)
+    return results
+
+
+def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: int) -> tuple:
+    """Prove the certificate's John condition on ``omega``, or find a pair
+    that breaks it: a group of one (see :func:`_verify_group`).  Returns
+    ``(ok, worst, evaluated)``; raises the ``ConstructionError`` or
+    ``CertificateInvalidError`` that fails the domain."""
+    result = _verify_group([omega], [cert], samples)[0]
+    if isinstance(result, Exception):
+        raise result
+    return result[:3]
+
+
+def verify_segment_domains(ordering: HilbertOrdering, pairs, samples: int):
+    """Certify and prove the segment domains i..j of ``pairs`` on the
+    ordering, in groups; yield ``(omega, cert, result)`` per pair, in order.
+
+    ``result`` is ``(ok, worst, evaluated, profile_bound)`` (see
+    :func:`_verify_group`), or the ``ConstructionError`` or
+    ``CertificateInvalidError`` that fails the domain; ``cert`` is ``None``
+    when the certificate cannot be built.  A domain's first proof level
+    measures its 2 (blocks - 1) walk segments against at most 2 d cubes
+    face runs; a group takes domains (one at least) while these (run, point)
+    pairs, 2 d cubes for a domain without segments, fit one chunk of the
+    distance table (see :func:`_pair_limit`), so memory stays bounded
+    however many pairs there are.
+    """
+    group, entries = [], 0
+    for i, j in pairs:
+        omega = segment_domain(ordering, i, j)
+        try:
+            cert = john_bound_constructive(omega)
+            segments = 2 * (len(cert.block_levels) - 1)
+        except ConstructionError as exc:
+            cert, segments = exc, 0
+        cost = 2 * ordering.dim * omega.cube_count * max(1, segments)
+        if group and entries + cost > _pair_limit(1):
+            yield from _verified(group, samples)
+            group, entries = [], 0
+        group.append((omega, cert))
+        entries += cost
+    if group:
+        yield from _verified(group, samples)
+
+
+def _verified(group, samples: int):
+    """The rows of one group of :func:`verify_segment_domains`."""
+    built = [(omega, cert) for omega, cert in group if not isinstance(cert, Exception)]
+    results = iter(_verify_group([omega for omega, _ in built], [cert for _, cert in built],
+                                 samples))
+    for omega, cert in group:
+        if isinstance(cert, Exception):
+            yield omega, None, cert
+        else:
+            yield omega, cert, next(results)
 
 
 def oscillation_check(omega: CubeUnion, u: GridFunction, certificate: JohnCertificate | None = None):

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .hilbert import check_face_adjacency, check_prefix_nesting, decode, hilbert_order
-from .john import john_bound_constructive, segment_domain, uniform_john_constant, verify_john_certificate
+from .john import uniform_john_constant, verify_segment_domains
 from .snumbers import (
     BERNSTEIN_LOWER_MAX_N,
     approximation_upper,
@@ -208,29 +208,24 @@ def check_john_uniformity() -> CheckResult:
     constants = set()
     worst, points = 0.0, 0
 
-    ordering = hilbert_order(2, 3)
-    for i in range(1, 65):
-        for j in range(i, 65):
-            omega = segment_domain(ordering, i, j)
-            cert = john_bound_constructive(omega)
-            constants.add(cert.constant)
-            ok, ratio, evaluated = verify_john_certificate(omega, cert, 10_000)
-            worst, points = max(worst, ratio), points + evaluated
-            if not ok:
-                problems.append(f"k=3 ({i},{j}): ratio {ratio}")
+    runs = [(3, [(i, j) for i in range(1, 65) for j in range(i, 65)])]
     for order in (4, 5):
-        ordering = hilbert_order(2, order)
-        total = len(ordering)
+        total = 1 << (2 * order)
+        pairs = []
         for _ in range(500):
             i = int(rng.integers(1, total + 1))
-            j = int(rng.integers(i, total + 1))
-            omega = segment_domain(ordering, i, j)
-            cert = john_bound_constructive(omega)
+            pairs.append((i, int(rng.integers(i, total + 1))))
+        runs.append((order, pairs))
+    for order, pairs in runs:
+        for omega, cert, result in verify_segment_domains(hilbert_order(2, order), pairs, 10_000):
+            if isinstance(result, Exception):
+                problems.append(f"k={order} ({omega.i},{omega.j}): {result}")
+                continue
             constants.add(cert.constant)
-            ok, ratio, evaluated = verify_john_certificate(omega, cert, 10_000)
+            ok, ratio, evaluated, _ = result
             worst, points = max(worst, ratio), points + evaluated
             if not ok:
-                problems.append(f"k={order} ({i},{j}): ratio {ratio}")
+                problems.append(f"k={order} ({omega.i},{omega.j}): ratio {ratio}")
     if constants != {uniform_john_constant(2)}:
         problems.append(f"constant not unique: {constants}")
     return _finish(

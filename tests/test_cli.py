@@ -12,11 +12,11 @@ import pytest
 
 import snum
 import snum.cli as cli_mod
+import snum.john as john_mod
 import snum.selftest as selftest_mod
 from snum.cli import RunConfig, build_parser, main, run
 from snum.hilbert import HilbertOrdering, hilbert_order
 from snum.john import (
-    CertificateInvalidError,
     ConstructionError,
     john_bound_constructive,
     segment_domain,
@@ -303,16 +303,17 @@ def test_john_budget_of_one_point_fails_every_multi_block_domain(tmp_path):
 def test_john_invalid_certificate_is_a_failed_row(tmp_path, monkeypatch, capsys):
     # the third of five certificates leaves its domain: that row fails, the
     # others are still measured, and the run exits 1 rather than 2
-    verify = cli_mod.verify_john_certificate
+    construct = john_mod.john_bound_constructive
     calls = []
 
-    def third_invalid(omega, cert, samples):
+    def third_invalid(omega):
         calls.append((omega.i, omega.j))
-        if len(calls) == 3:
-            raise CertificateInvalidError("polyline exits the domain")
-        return verify(omega, cert, samples)
+        if len(calls) == 3:  # the certificate of one cube outside the domain
+            k = 1 if omega.i > 1 else omega.j + 1
+            return construct(segment_domain(omega.ordering, k, k))
+        return construct(omega)
 
-    monkeypatch.setattr(cli_mod, "verify_john_certificate", third_invalid)
+    monkeypatch.setattr(john_mod, "john_bound_constructive", third_invalid)
     out = tmp_path / "john.csv"
     assert main(["john", "--dim", "2", "--order", "2", "--pairs", "5",
                  "--samples", "200", "--out", str(out)]) == 1
@@ -327,7 +328,7 @@ def test_john_invalid_certificate_is_a_failed_row(tmp_path, monkeypatch, capsys)
 def test_john_construction_error_is_a_failed_row(tmp_path, monkeypatch, capsys):
     # the third of five domains has no certificate: its row carries the
     # uniform constant, no profile bound and an infinite ratio, and fails
-    construct = cli_mod.john_bound_constructive
+    construct = john_mod.john_bound_constructive
     calls = []
 
     def third_unbuildable(omega):
@@ -336,7 +337,7 @@ def test_john_construction_error_is_a_failed_row(tmp_path, monkeypatch, capsys):
             raise ConstructionError("largest filled cubes are not consecutive")
         return construct(omega)
 
-    monkeypatch.setattr(cli_mod, "john_bound_constructive", third_unbuildable)
+    monkeypatch.setattr(john_mod, "john_bound_constructive", third_unbuildable)
     out = tmp_path / "john.csv"
     assert main(["john", "--dim", "2", "--order", "2", "--pairs", "5",
                  "--samples", "200", "--out", str(out)]) == 1
@@ -369,7 +370,7 @@ def test_john_out_opened_before_any_domain(name, tmp_path, monkeypatch, capsys):
         raise AssertionError("a domain was measured before --out was opened")
 
     (tmp_path / "plain").write_text("")
-    monkeypatch.setattr(cli_mod, "verify_john_certificate", never)
+    monkeypatch.setattr(cli_mod, "verify_segment_domains", never)
     with pytest.raises(SystemExit) as err:
         main(["john", "--dim", "2", "--order", "2", "--out", str(tmp_path / name)])
     assert err.value.code == 2

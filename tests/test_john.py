@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,15 +8,20 @@ import numpy as np
 import pytest
 
 from snum.hilbert import HilbertOrdering, hilbert_order
+import snum.john as john_mod
 from snum.john import (
     DISTANCE_TABLE_ENTRIES,
     CertificateInvalidError,
     ConstructionError,
+    _members,
+    _verify_group,
+    _Walks,
     john_bound_constructive,
     oscillation_check,
     segment_domain,
     uniform_john_constant,
     verify_john_certificate,
+    verify_segment_domains,
 )
 from snum.spaces import GridFunction, GridMismatchError
 
@@ -24,6 +30,34 @@ def _on_grid(fn, dim, cells_per_side):
     """The grid function with nodal values fn(x_1, ..., x_d) at the grid nodes."""
     axes = [np.arange(cells_per_side + 1) / cells_per_side] * dim
     return GridFunction(dim, cells_per_side, fn(*np.meshgrid(*axes, indexing="ij")))
+
+
+def _contains(omega, points):
+    """Membership of each point in the closed union of the domain."""
+    return _members(omega.ordering, points, omega.i - 1, omega.j)
+
+
+def _profile_bound(cert):
+    """The certificate's profile bound, as a group of one."""
+    return float(_Walks([cert]).profile_bounds()[0])
+
+
+def _walks_of(cert):
+    """The certificate's two walks out of its center block, vertex by
+    vertex, rebuilt from the flat segments of a group of one: each block's
+    first segment starts where the walk has got to, and its second starts
+    at the first's gate."""
+    flat = _Walks([cert])
+    steps = flat.steps[flat.outer]
+    walks = []
+    for side in (steps < 0, steps > 0):
+        path = [flat.centers[cert.center_block]]
+        for k in np.flatnonzero(side)[np.argsort(np.abs(steps[side]))]:
+            assert flat.heads[2 * k].tobytes() == path[-1].tobytes()
+            assert flat.heads[2 * k + 1].tobytes() == flat.tails[2 * k].tobytes()
+            path += [flat.tails[2 * k], flat.tails[2 * k + 1]]
+        walks.append(np.array(path))
+    return tuple(walks)
 
 
 def _unit_faces(omega):
@@ -71,7 +105,7 @@ class TestSegmentDomain:
     def test_membership_includes_faces(self, ordering_k3):
         omega = segment_domain(ordering_k3, 1, 4)  # the first coarse quadrant
         pts = [[0.0, 0.0], [0.25, 0.25], [0.75, 0.75]]
-        assert omega.contains_points(pts).tolist() == [True, True, False]
+        assert _contains(omega, pts).tolist() == [True, True, False]
 
     def test_boundary_distance_exact_on_l_shape(self):
         # three cells of the first-order curve: (0,0),(0,1),(1,1)
@@ -149,13 +183,7 @@ class TestSegmentDomain:
             any(all(c / 8 <= v <= (c + 1) / 8 for c, v in zip(cell, p)) for cell in members)
             for p in pts
         ]
-        assert omega.contains_points(pts).tolist() == expected
-
-    def test_positions_within_union(self, ordering_k3):
-        omega = segment_domain(ordering_k3, 10, 20)
-        assert np.array_equal(omega.positions(omega.coords), np.arange(11))
-        outside = ordering_k3.coords[[8, 20]]  # cubes 9 and 21
-        assert omega.positions(outside).tolist() == [-1, -1]
+        assert _contains(omega, pts).tolist() == expected
 
     @pytest.mark.parametrize("dim,order,i,j", [
         (1, 4, 3, 11), (2, 3, 3, 40), (2, 4, 17, 200), (3, 2, 5, 50),
@@ -209,24 +237,25 @@ class TestSegmentDomain:
 class TestConstructiveCertificate:
     def test_single_cube_profile_is_diagonal_ratio(self, ordering_k3):
         cert = john_bound_constructive(segment_domain(ordering_k3, 7, 7))
-        assert cert.profile_bound == pytest.approx(math.sqrt(2), rel=1e-12)
+        assert _profile_bound(cert) == pytest.approx(math.sqrt(2), rel=1e-12)
 
     def test_full_cube_collapses_to_single_generation(self, ordering_k3):
         cert = john_bound_constructive(segment_domain(ordering_k3, 1, 64))
         assert len(cert.block_levels) == 1 and cert.block_levels[0] == 0
-        assert cert.profile_bound == pytest.approx(math.sqrt(2), rel=1e-12)
+        assert _profile_bound(cert) == pytest.approx(math.sqrt(2), rel=1e-12)
         assert np.allclose(cert.center, [0.5, 0.5])
 
     def test_constant_shared_across_random_pairs(self):
         ordering = hilbert_order(2, 4)
         rng = np.random.default_rng(42)
-        constants = set()
+        pairs = []
         for _ in range(500):
             i = int(rng.integers(1, 257))
-            j = int(rng.integers(i, 257))
-            cert = john_bound_constructive(segment_domain(ordering, i, j))
+            pairs.append((i, int(rng.integers(i, 257))))
+        constants = set()
+        for _, cert, (_, _, _, bound) in verify_segment_domains(ordering, pairs, 10_000):
             constants.add(cert.constant)
-            assert cert.profile_bound <= cert.constant + 1e-9
+            assert bound <= cert.constant + 1e-9
         assert constants == {uniform_john_constant(2)}
 
     def test_run_length_bounds_exhaustive(self):
@@ -256,11 +285,12 @@ class TestConstructiveCertificate:
     def test_walks_run_from_the_center_to_the_end_blocks_inside(self, ordering_k3):
         omega = segment_domain(ordering_k3, 3, 30)
         cert = john_bound_constructive(omega)
-        left, right = cert._walks
+        left, right = _walks_of(cert)
+        centers = _Walks([cert]).centers
         assert left[0].tolist() == right[0].tolist() == cert.center.tolist()
-        assert left[-1].tolist() == cert.block_centers[0].tolist()
-        assert right[-1].tolist() == cert.block_centers[-1].tolist()
-        assert omega.contains_points(np.vstack([left, right])).all()
+        assert left[-1].tolist() == centers[0].tolist()
+        assert right[-1].tolist() == centers[-1].tolist()
+        assert _contains(omega, np.vstack([left, right])).all()
 
 
 def _cubes(cert):
@@ -328,6 +358,21 @@ def _profile_bound_by_pairs(cert):
     return bound
 
 
+def _block_starts(cert):
+    """The 0-based position of each block's first cube."""
+    omega = cert.union
+    sizes = np.left_shift(1, omega.dim * (omega.level - cert.block_levels))
+    return omega.i - 1 + np.cumsum(sizes) - sizes
+
+
+def _block_of_index(cert, index):
+    """Maximal-block position of 1-based cube indices (an int or an
+    array), clamped to ``[0, len(block_levels) - 1]``: ``searchsorted`` over
+    the blocks' first positions."""
+    found = np.searchsorted(_block_starts(cert), np.asarray(index) - 1, side="right") - 1
+    return np.minimum(np.maximum(found, 0), len(cert.block_levels) - 1)
+
+
 def _bisection_block(starts, nblocks, index):
     """Reference lookup: the largest block whose start is <= index - 1,
     clamped to block 0 from below."""
@@ -354,14 +399,14 @@ class TestBlockLookup:
             # the domain, and positions before and after it
             indices = np.arange(max(1, i - 5), min(256, j + 5) + 1)
             indices = np.concatenate([[-3, 0], indices, [300]])
-            expected = [_bisection_block(cert._block_starts, nblocks, int(x)) for x in indices]
-            assert cert.block_of_index(indices).tolist() == expected
-            assert [int(cert.block_of_index(int(x))) for x in indices] == expected
+            expected = [_bisection_block(_block_starts(cert), nblocks, int(x)) for x in indices]
+            assert _block_of_index(cert, indices).tolist() == expected
+            assert [int(_block_of_index(cert, int(x))) for x in indices] == expected
             assert min(expected) >= 0 and max(expected) <= nblocks - 1
 
     def test_block_centers_are_exact(self, ordering_k3):
         cert = john_bound_constructive(segment_domain(ordering_k3, 3, 50))
-        for center, (level, coords) in zip(cert.block_centers, _cubes(cert)):
+        for center, (level, coords) in zip(_Walks([cert]).centers, _cubes(cert)):
             exact = [Fraction(2 * z + 1, 1 << (level + 1)) for z in coords]
             assert [Fraction(v) for v in center] == exact
 
@@ -372,10 +417,10 @@ class TestBlockLookup:
         for i in range(1, total + 1):
             for j in range(i, total + 1):
                 cert = john_bound_constructive(segment_domain(ordering_k3, i, j))
-                for walk, expected in zip(cert._walks, _walks_reference(cert)):
+                for walk, expected in zip(_walks_of(cert), _walks_reference(cert)):
                     assert walk.shape == expected.shape
                     assert walk.tobytes() == expected.tobytes(), (i, j)
-                assert cert.profile_bound.hex() == _profile_bound_by_pairs(cert).hex(), (i, j)
+                assert _profile_bound(cert).hex() == _profile_bound_by_pairs(cert).hex(), (i, j)
 
 
 def _face_arrays_reference(omega):
@@ -386,7 +431,8 @@ def _face_arrays_reference(omega):
         for step in (-1, 1):
             nb = omega.coords.astype(np.int64)
             nb[:, a] += step
-            z = omega.coords[omega.positions(nb) < 0].astype(np.int64)
+            pos = omega.ordering.positions(nb)
+            z = omega.coords[(pos < omega.i - 1) | (pos >= omega.j)].astype(np.int64)
             first = last = z
             if omega.dim > 1:  # runs along the first tangent axis t
                 t = 1 if a == 0 else 0
@@ -460,13 +506,13 @@ def _verify_reference(omega, cert, samples, rng):
         Q[1::2] = 0.5 * (W[:-1] + W[1:])
         walk_pts.append(Q)
     curve_pts = np.vstack(walk_pts)
-    if not omega.contains_points(curve_pts).all():
+    if not _contains(omega, curve_pts).all():
         raise CertificateInvalidError("polyline exits the domain")
     walk_dist = np.split(omega.boundary_distance(curve_pts), [len(walk_pts[0])])
     steps = np.arange(nblocks) - cert.center_block
     counts = 4 * np.abs(steps) + 1
 
-    blocks_of_cells = cert.block_of_index(np.arange(omega.i, omega.j + 1))
+    blocks_of_cells = _block_of_index(cert, np.arange(omega.i, omega.j + 1))
     xs = [(2 * omega.coords.astype(np.int64) + 1) / float(1 << (omega.level + 1))]
     x_blocks = [blocks_of_cells]
     pair_cost = counts + 1
@@ -474,7 +520,7 @@ def _verify_reference(omega, cert, samples, rng):
     while total < samples:
         need = max(64, (samples - total) // (int(pair_cost.mean()) + 1) + 1)
         extra, picks = _random_points(omega, rng, need)
-        eb = cert.block_of_index(omega.i + picks)
+        eb = _block_of_index(cert, omega.i + picks)
         xs.append(extra)
         x_blocks.append(eb)
         total += int(pair_cost[eb].sum())
@@ -505,7 +551,8 @@ class TestReferenceParity:
         (1, 5, None), (2, 3, None), (3, 2, None), (2, 5, 200), (3, 3, 200),
     ])
     def test_bits_and_draws_match_the_reference(self, dim, order, count):
-        # every domain of the small orderings, sampled ones of the larger:
+        # every domain of the small orderings, sampled ones of the larger,
+        # each set proven as one group:
         # the same face runs and profile bound bit for bit, and a proof that
         # is sound against the sampler's draws: it passes the uniform
         # constant and fails a constant just below the sampled worst ratio;
@@ -521,26 +568,108 @@ class TestReferenceParity:
             starts = draw.integers(1, total + 1, count)
             pairs = [(int(i), int(draw.integers(i, total + 1))) for i in starts]
         rng = np.random.default_rng(order)
-        for n, (i, j) in enumerate(pairs):
-            omega = segment_domain(ordering, i, j)
+        domains = [segment_domain(ordering, i, j) for i, j in pairs]
+        certs = [john_bound_constructive(omega) for omega in domains]
+        proofs = _verify_group(domains, certs, 10_000)
+        first_level = _verify_group(domains, certs, 1)
+        segments, sampled = [], []
+        for n, (omega, cert, proof, short) in enumerate(zip(domains, certs, proofs, first_level)):
+            i, j = omega.i, omega.j
             lows, highs = omega._face_arrays
             ref_lows, ref_highs = _face_arrays_reference(omega)
             assert lows.shape == ref_lows.shape, (i, j)
             assert (lows.tobytes(), highs.tobytes()) == (ref_lows.tobytes(), ref_highs.tobytes())
-            cert = john_bound_constructive(omega)
-            assert cert.profile_bound.hex() == _profile_bound_reference(cert).hex(), (i, j)
-            ok, worst, _ = verify_john_certificate(omega, cert, 10_000)
+            ok, worst, _, bound = proof
+            assert bound.hex() == _profile_bound_reference(cert).hex(), (i, j)
             assert ok and math.sqrt(dim) <= worst <= cert.constant, (i, j)
-            sampled_ok, sampled = _verify_reference(omega, cert, (200, 1000, 4000)[n % 3], rng)
+            sampled_ok, ratio = _verify_reference(omega, cert, (200, 1000, 4000)[n % 3], rng)
             assert sampled_ok, (i, j)
-            segments = 2 * (len(cert.block_levels) - 1)
-            assert verify_john_certificate(omega, cert, 1)[0] == (segments == 0), (i, j)
-            cert.constant = sampled * (1 - 1e-6)
-            assert not verify_john_certificate(omega, cert, 10_000)[0], (i, j)
-            if dim > 1:  # on the line, 1.5 can exceed the supremum
+            segments.append(2 * (len(cert.block_levels) - 1))
+            assert short[0] == (segments[-1] == 0), (i, j)
+            sampled.append(ratio)
+        for cert, ratio in zip(certs, sampled):
+            cert.constant = ratio * (1 - 1e-6)
+        assert not any(ok for ok, *_ in _verify_group(domains, certs, 10_000))
+        if dim > 1:  # on the line, 1.5 can exceed the supremum
+            for cert in certs:
                 cert.constant = 1.5
-                ok, _, early = verify_john_certificate(omega, cert, 10_000)
-                assert ok == (segments == 0 and dim == 2) and early <= segments, (i, j)
+            for (i, j), count, (ok, _, early, _) in zip(
+                    pairs, segments, _verify_group(domains, certs, 10_000)):
+                assert ok == (count == 0 and dim == 2) and early <= count, (i, j)
+
+
+class TestGroups:
+    def test_a_domain_does_not_depend_on_its_group(self, ordering_k3):
+        # passing domains, one that runs out of the 14-point budget (2..60
+        # needs 20), one that fails at once under a lowered constant, one
+        # whose walk leaves its domain and one whose blocks do not touch:
+        # each gives the same result in one group as alone
+        pairs = [(3, 40), (1, 64), (7, 7), (16, 34), (2, 60), (40, 50), (20, 21), (9, 30)]
+        domains = [segment_domain(ordering_k3, i, j) for i, j in pairs]
+        certs = [john_bound_constructive(omega) for omega in domains]
+        certs[5].constant = 4.0
+        certs[6] = john_bound_constructive(segment_domain(ordering_k3, 1, 4))
+        broken = dataclasses.replace(certs[3], block_coords=certs[3].block_coords.copy())
+        broken.block_coords[-1, 0] += 2
+        domains.append(domains[3])
+        certs.append(broken)
+
+        def key(result):
+            if isinstance(result, Exception):
+                return type(result), str(result)
+            ok, worst, evaluated, bound = result
+            return ok, worst.hex(), evaluated, bound.hex()
+
+        together = [key(result) for result in _verify_group(domains, certs, 14)]
+        alone = [key(_verify_group([omega], [cert], 14)[0]) for omega, cert in zip(domains, certs)]
+        assert together == alone
+        assert [row[0] for row in together] == [
+            True, True, True, True, False, False, CertificateInvalidError, True, ConstructionError]
+        assert together[4][2] <= 14 and float.fromhex(together[4][1]) <= 4.0
+        assert float.fromhex(together[5][1]) > 4.0 * (1 + 1e-9) and together[5][2] < 14
+
+    def test_distance_passes_grow_with_levels_not_domains(self, ordering_k3, monkeypatch):
+        # all 2,080 (2, 3) domains: a group measures each bisection level of
+        # all its domains in one distance pass, so the passes are at most the
+        # groups times the levels of the deepest domain alone, and the groups
+        # are few
+        calls = {"groups": 0, "passes": 0}
+        face_runs, nearest = john_mod._face_runs, john_mod._nearest_faces
+
+        def counted_groups(*args):
+            calls["groups"] += 1
+            return face_runs(*args)
+
+        def counted_passes(*args):
+            calls["passes"] += 1
+            return nearest(*args)
+
+        monkeypatch.setattr(john_mod, "_face_runs", counted_groups)
+        monkeypatch.setattr(john_mod, "_nearest_faces", counted_passes)
+        pairs = [(i, j) for i in range(1, 65) for j in range(i, 65)]
+        rows = list(verify_segment_domains(ordering_k3, pairs, 10_000))
+        assert [(omega.i, omega.j) for omega, _, _ in rows] == pairs
+        assert all(result[0] for _, _, result in rows)
+        groups, passes = calls["groups"], calls["passes"]
+        levels = 0
+        for omega, cert, _ in rows:
+            calls["passes"] = 0
+            verify_john_certificate(omega, cert, 10_000)
+            levels = max(levels, calls["passes"])
+        assert levels <= passes <= groups * levels and 100 * groups < len(pairs)
+
+    @pytest.mark.parametrize("dim,order", [(2, 3), (3, 2)])
+    def test_full_segment_length_is_twice_the_half_length(self, dim, order):
+        # every walk segment is dyadic: the full lengths that the profile
+        # bound sums are exactly twice the half-lengths that the proof uses
+        ordering = hilbert_order(dim, order)
+        total = len(ordering)
+        walks = _Walks([john_bound_constructive(segment_domain(ordering, i, j))
+                        for i in range(1, total + 1) for j in range(i, total + 1)])
+        step = walks.tails - walks.heads
+        step *= step
+        full = np.sqrt(step.sum(axis=1))
+        assert len(full) and full.tobytes() == (2.0 * walks.length).tobytes()
 
 
 class TestVerification:
