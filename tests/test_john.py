@@ -7,8 +7,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from snum.hilbert import HilbertOrdering, hilbert_order
 import snum.john as john_mod
+from snum.hilbert import HilbertOrdering, hilbert_order
 from snum.john import (
     DISTANCE_TABLE_ENTRIES,
     CertificateInvalidError,
