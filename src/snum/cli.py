@@ -24,6 +24,7 @@ from . import selftest as selftest_mod
 from .hilbert import MAX_CUBES, check_face_adjacency, check_prefix_nesting, hilbert_order
 from .john import uniform_john_constant, verify_segment_domains
 from .snumbers import (
+    DegenerateBasisError,
     SNumberBound,
     Subspace,
     approximation_upper,
@@ -526,6 +527,9 @@ def main(argv=None) -> int:
         if args.command == "selftest":
             names = {s.strip() for s in args.only.split(",") if s.strip()} or None
             return selftest_mod.run_selftest(names)
+    except DegenerateBasisError as exc:  # a failed certified invariant, not a usage error
+        sys.stderr.write(f"snum {args.command}: basis is not linearly independent: {exc}\n")
+        return 1
     except (KeyError, ValueError, OSError) as exc:  # OSError names the path
         parser.error(str(exc))
     return 0

@@ -110,19 +110,18 @@ class Subspace:
             self.piece_lengths = np.array([float(b - a) for a, b in zip(bps, bps[1:])])
             table = self.piece_values * np.sqrt(self.piece_lengths)  # L2 inner products
             gram = table @ table.T
-        else:  # summed over blocks of nodes, never one (dim, nodes) table
-            values = [f.nodal_values.ravel() for f in self.basis]
-            if len({v.size for v in values}) > 1:
+        else:  # one vdot per pair of overlapping boxes, never one (dim, nodes) table
+            if len({(f.dim, f.cells_per_side) for f in self.basis}) > 1:
                 raise GridMismatchError("basis functions live on different grids")
-            width = max(1, GRAM_BLOCK_ENTRIES // self.dim)
+            lo = np.array([f.origin for f in self.basis])
+            hi = lo + np.array([f.values.shape for f in self.basis])
+            overlaps = np.all((lo[:, None] < hi[None]) & (lo[None] < hi[:, None]), axis=2)
             gram = np.zeros((self.dim, self.dim))
-            for lo in range(0, values[0].size, width):
-                # a row that is zero on the block adds nothing
-                rows = [k for k, v in enumerate(values) if v[lo:lo + width].any()]
-                if not rows:
-                    continue
-                block = np.stack([values[k][lo:lo + width] for k in rows])
-                gram[np.ix_(rows, rows)] += block @ block.T
+            for i, j in zip(*np.nonzero(np.triu(overlaps))):
+                start, stop = np.maximum(lo[i], lo[j]), np.minimum(hi[i], hi[j])
+                common = [self.basis[k].values[tuple(map(slice, start - lo[k], stop - lo[k]))]
+                          for k in (i, j)]
+                gram[i, j] = gram[j, i] = np.vdot(*common)
         if np.linalg.matrix_rank(gram) < self.dim:
             raise DegenerateBasisError("basis Gram matrix is singular")
 
@@ -224,7 +223,6 @@ MAX_SWEEPS = 80  # exchange sweeps per descent
 PEAK_ROWS = 4  # rows of largest |g| brought in before a full exchange sweep
 CHUNK_SETS = 100_000  # index sets per chunk of a lexicographic sweep
 BLOCK_ENTRIES = 1 << 22  # matrix entries per stacked block of index sets
-GRAM_BLOCK_ENTRIES = 1 << 20  # basis values stacked per block of a grid Gram
 FLOOR = 1.0 + 1e-12  # no set scores below 1 (|g| = 1 at its own points): a search here is done
 SCREEN_TOL = 16  # safety factor on the prune stages' first-order rounding bounds
 
@@ -1321,7 +1319,8 @@ def hat_functions(dim: int, m: int, cells_per_side: int) -> list:
 
     Each profile is evaluated on the interior nodes of its ball's bounding
     box and is 0 elsewhere; boundary nodes are exact 0, which the float
-    profile misses by rounding when m is odd.
+    profile misses by rounding when m is odd.  It is stored on the box of its
+    nonzero nodes.
     """
     if cells_per_side % (2 * m):
         raise GridMismatchError(
@@ -1341,9 +1340,11 @@ def hat_functions(dim: int, m: int, cells_per_side: int) -> list:
         dist = np.sqrt(
             sum((g - float(c)) ** 2 for g, c in zip(mesh, center))
         )
-        values = np.zeros((cells_per_side + 1,) * dim)
-        values[box] = np.maximum(0.0, r - dist)
-        out.append(GridFunction(dim, cells_per_side, values, boundary_zero=True))
+        values = np.maximum(0.0, r - dist)
+        nonzero = np.nonzero(values)  # the center node is r > 0
+        trim = tuple(slice(ids.min(), ids.max() + 1) for ids in nonzero)
+        out.append(GridFunction(dim, cells_per_side, values[trim].copy(), boundary_zero=True,
+                                origin=[b.start + t.start for b, t in zip(box, trim)]))
     return out
 
 
@@ -1484,7 +1485,7 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
     ordering = hilbert_order(d, curve_order)
     stride = R >> (curve_order + 1)
     node_ids = tuple(((2 * ordering.coords + 1) * stride).T)  # cube centers, curve order
-    matrix = np.column_stack([u.nodal_values[node_ids] for u in subspace.basis])
+    matrix = np.column_stack([u.values_at(node_ids) for u in subspace.basis])
     empty = np.flatnonzero(~matrix.any(axis=0))
     if len(empty):  # e.g. a hat whose ball holds no cube center
         return SNumberBound(

@@ -286,8 +286,11 @@ def _layer_intervals(f):
     """Thresholds 0 = t_0 < ... < t_M and measures mu_i = |{|f| > t_{i-1}}|,
     as arrays."""
     vals, meas = _value_measure_pairs(f)
-    order = np.argsort(vals)
-    vals, meas = vals[order], meas[order]
+    if isinstance(f, CellField):  # one common measure: sorted, it is the same array
+        vals = np.sort(vals)
+    else:
+        order = np.argsort(vals)
+        vals, meas = vals[order], meas[order]
     cum = np.concatenate([[0.0], np.cumsum(meas)])
     first = vals != 0.0  # the first nonzero entry of each run of equal values
     first[1:] &= vals[1:] != vals[:-1]
@@ -346,33 +349,78 @@ def _lorentz_norm_exact(f, params: LorentzParams) -> Fraction:
 class GridFunction:
     """Continuous piecewise-multilinear function on the uniform grid over (0,1)^d.
 
-    ``nodal_values`` has shape ``(cells_per_side + 1,) * dim``.  The gradient
-    surrogate is the multilinear gradient evaluated at cell centers, one
-    constant vector per cell.
+    ``values`` holds the nodal values on a box of nodes that starts at node
+    ``origin`` and has ``values.shape``; every node outside the box is 0.  A
+    function on the whole grid is the box that covers it: origin 0 and shape
+    ``(cells_per_side + 1,) * dim``.  The gradient surrogate is the
+    multilinear gradient evaluated at cell centers, one constant vector per
+    cell.
     """
 
-    __slots__ = ("dim", "cells_per_side", "nodal_values", "boundary_zero")
+    __slots__ = ("dim", "cells_per_side", "values", "origin", "boundary_zero")
 
-    def __init__(self, dim, cells_per_side, nodal_values, boundary_zero=False):
+    def __init__(self, dim, cells_per_side, values, boundary_zero=False, origin=None):
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        nv = np.asarray(nodal_values, dtype=float)
-        expected = (cells_per_side + 1,) * dim
-        if nv.shape != expected:
-            nv = nv.reshape(expected)
+        nv = np.asarray(values, dtype=float)
+        nodes = cells_per_side + 1
+        if origin is None:  # the whole grid
+            if nv.shape != (nodes,) * dim:
+                raise GridMismatchError(
+                    f"values of shape {nv.shape} do not match the grid's node "
+                    f"shape {(nodes,) * dim}"
+                )
+            origin = (0,) * dim
+        else:
+            origin = tuple(int(o) for o in origin)
+            if (nv.ndim != dim or len(origin) != dim
+                    or any(o < 0 or o + s > nodes for o, s in zip(origin, nv.shape))):
+                raise GridMismatchError(
+                    f"a box of shape {nv.shape} at node {origin} leaves the grid's "
+                    f"node shape {(nodes,) * dim}"
+                )
         if boundary_zero:
-            for a in range(dim):
-                face0 = np.take(nv, 0, axis=a)
-                face1 = np.take(nv, -1, axis=a)
-                if np.any(face0 != 0.0) or np.any(face1 != 0.0):
+            for a in range(dim):  # only box faces that lie on the grid's boundary
+                faces = [0] if origin[a] == 0 else []
+                if origin[a] + nv.shape[a] == nodes:
+                    faces.append(-1)
+                if any(np.any(np.take(nv, f, axis=a) != 0.0) for f in faces):
                     raise ValueError("boundary_zero set but boundary nodes are not 0")
         object.__setattr__(self, "dim", int(dim))
         object.__setattr__(self, "cells_per_side", int(cells_per_side))
-        object.__setattr__(self, "nodal_values", nv)
+        object.__setattr__(self, "values", nv)
+        object.__setattr__(self, "origin", origin)
         object.__setattr__(self, "boundary_zero", bool(boundary_zero))
 
     def __setattr__(self, *a):
         raise AttributeError("GridFunction is immutable")
+
+    @property
+    def box(self) -> tuple:
+        """The slices of the full node grid that ``values`` covers."""
+        return tuple(slice(o, o + s) for o, s in zip(self.origin, self.values.shape))
+
+    @property
+    def nodal_values(self) -> np.ndarray:
+        """Read-only values at every node, shape ``(cells_per_side + 1,) * dim``."""
+        if self.values.shape == (self.cells_per_side + 1,) * self.dim:
+            full = self.values.view()
+        else:
+            full = np.zeros((self.cells_per_side + 1,) * self.dim)
+            full[self.box] = self.values
+        full.flags.writeable = False
+        return full
+
+    def values_at(self, node_ids) -> np.ndarray:
+        """``nodal_values[node_ids]`` for nonnegative node ids, one integer
+        array per axis, read from the box alone."""
+        rel = [np.asarray(ids) - o for ids, o in zip(node_ids, self.origin)]
+        inside = np.logical_and.reduce(
+            [(r >= 0) & (r < s) for r, s in zip(rel, self.values.shape)]
+        )
+        out = np.zeros(inside.shape)
+        out[inside] = self.values[tuple(r[inside] for r in rel)]
+        return out
 
     @classmethod
     def random_interior(cls, rng, dim, cells_per_side, scale=1.0):
@@ -384,14 +432,26 @@ class GridFunction:
         return cls(dim, cells_per_side, nv, boundary_zero=True)
 
     def combine(self, others, coefficients) -> "GridFunction":
+        """The whole-grid function sum_k c_k f_k, summed left to right.
+
+        Each term is added into its own box only.  The dense sum would add
+        c_k * 0 = +-0 elsewhere, which changes no value: the accumulator starts
+        at +0 and a sum of two floats is -0 only when both are, so it never
+        holds -0.
+        """
         funcs = [self, *others]
-        nv = sum(c * f.nodal_values for c, f in zip(coefficients, funcs))
+        if any((f.dim, f.cells_per_side) != (self.dim, self.cells_per_side) for f in others):
+            raise GridMismatchError("combined functions live on different grids")
+        nv = np.zeros((self.cells_per_side + 1,) * self.dim)
+        for c, f in zip(coefficients, funcs):
+            nv[f.box] += c * f.values
         return GridFunction(self.dim, self.cells_per_side, nv,
                             boundary_zero=all(f.boundary_zero for f in funcs))
 
     def sup_norm(self) -> float:
-        # multilinear max over a cell sits at a vertex, so the node max is exact
-        return float(np.abs(self.nodal_values).max())
+        # multilinear max over a cell sits at a vertex, so the node max is
+        # exact; the nodes outside the box are 0
+        return float(np.abs(self.values).max(initial=0.0))
 
     def gradient_field(self) -> CellField:
         """|gradient| at cell centers, cellwise-constant surrogate."""

@@ -22,6 +22,7 @@ from snum.john import (
     segment_domain,
     uniform_john_constant,
 )
+from snum.snumbers import DegenerateBasisError
 
 
 def test_usage_error_on_bad_flags(capsys):
@@ -459,6 +460,21 @@ def test_cube_command(tmp_path):
     lines = plot.read_text().splitlines()
     assert lines[0].startswith("kind\tn")
     assert len(lines) > 2
+
+
+def test_degenerate_basis_is_a_failed_invariant(tmp_path, monkeypatch, capsys):
+    # a singular Gram in a cube run exits 1 and names the invariant, not 2
+    def singular(basis):
+        raise DegenerateBasisError("basis Gram matrix is singular")
+
+    monkeypatch.setattr(cli_mod, "Subspace", singular)
+    out = tmp_path / "cube.json"
+    assert main(["cube", "--dim", "2", "--m", "2", "--grid", "16", "--curve-order", "2",
+                 "--out", str(out)]) == 1
+    message = capsys.readouterr().err
+    assert "snum cube: basis is not linearly independent" in message
+    assert "basis Gram matrix is singular" in message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("m,status,reason", [

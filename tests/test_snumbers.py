@@ -126,9 +126,7 @@ class TestSubspace:
         rng = np.random.default_rng(0)
         assert random_mean_zero_step_subspace(rng, 3, 16).dim == 3
 
-    def test_grid_gram_in_blocks_keeps_rank_verdicts(self, monkeypatch):
-        # 7-value blocks split every basis function across many partial blocks
-        monkeypatch.setattr(snumbers_mod, "GRAM_BLOCK_ENTRIES", 7)
+    def test_grid_gram_in_blocks_keeps_rank_verdicts(self):
         rng = np.random.default_rng(5)
         basis = [GridFunction.random_interior(rng, 2, 8) for _ in range(3)]
         assert Subspace(basis).dim == 3
@@ -149,7 +147,18 @@ class TestSubspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= dense / 4
+        assert peak <= dense / 256
+
+    def test_grid_gram_over_overlapping_boxes(self):
+        # m = 5 leaves 12 pairs of overlapping trimmed boxes; the Gram's rank
+        # verdicts match the dense Gram's, with overlaps and without
+        hats = hat_functions(2, 5, 80)
+        dense = np.stack([h.nodal_values.ravel() for h in hats])
+        assert np.linalg.matrix_rank(dense @ dense.T) == len(hats) == Subspace(hats).dim
+        with pytest.raises(DegenerateBasisError):
+            Subspace([*hats, hats[0].combine(hats[1:2], [1.0, -1.0])])
+        with pytest.raises(DegenerateBasisError):
+            Subspace([hats[3], hats[3]])
 
 
 class TestZigzag:
@@ -1134,6 +1143,42 @@ class TestDdim:
         for m in (3, 5, 7):
             hats = hat_functions(2, m, 16 * m)
             assert all(h.boundary_zero and h.nodal_values.max() > 0 for h in hats)
+
+    def test_hats_are_stored_on_their_boxes(self):
+        # trimming drops only zeros: the box holds every nonzero node and
+        # no face of it is all zero
+        hats = hat_functions(3, 4, 64)
+        assert sum(h.values.nbytes for h in hats) <= 64 * 17**3 * 8
+        for h in hats[::7]:
+            full = h.nodal_values
+            assert np.count_nonzero(full) == np.count_nonzero(h.values)
+            for a in range(3):
+                assert np.take(h.values, 0, axis=a).any()
+                assert np.take(h.values, -1, axis=a).any()
+
+    def test_box_combine_matches_the_dense_sum_bitwise(self):
+        # mixed signs, -1.0 on nodes where every hat is zero, and cancelling
+        # pairs; the dense sum runs left to right from 0 over full arrays
+        rng = np.random.default_rng(11)
+        for dim, m, cells in ((2, 5, 80), (3, 2, 16), (2, 3, 12)):
+            hats = hat_functions(dim, m, cells)
+            for coeffs in (rng.normal(size=len(hats)),
+                           [-1.0] * len(hats),
+                           [(-1.0) ** k * 0.5 for k in range(len(hats))]):
+                coeffs = [float(c) for c in coeffs]
+                dense = sum(c * h.nodal_values for c, h in zip(coeffs, hats))
+                combo = hats[0].combine(hats[1:], coeffs)
+                assert combo.nodal_values.tobytes() == dense.tobytes()
+            twice = hats[0].combine([hats[0]], [1.0, -1.0])
+            assert twice.nodal_values.tobytes() == np.zeros((cells + 1,) * dim).tobytes()
+        with pytest.raises(GridMismatchError):  # a box that fits, on another grid
+            hats[0].combine(hat_functions(2, 3, 6)[:1], [1.0, 1.0])
+
+    def test_values_at_matches_the_full_view(self):
+        # every node of the grid: inside the box, outside it and on its faces
+        for hat in hat_functions(3, 2, 16)[::3] + hat_functions(2, 5, 40)[::6]:
+            ids = tuple(np.indices(hat.nodal_values.shape).reshape(hat.dim, -1))
+            assert hat.values_at(ids).tobytes() == hat.nodal_values[ids].tobytes()
 
     def test_empty_hat_is_an_inconclusive_cube_record(self):
         # m = 6 at curve order 3: four balls hold no cube center

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from snum.snumbers import hat_functions
 from snum.spaces import (
     CellField,
     ExactValueError,
     GridFunction,
+    GridMismatchError,
     LorentzParams,
     MeanZeroTag,
     StepFunction1D,
@@ -230,6 +232,30 @@ class TestLorentzNorm:
             assert thresholds.tobytes() == np.array(ref_thresholds).tobytes()
             assert mus.tobytes() == np.array(ref_mus, dtype=float).tobytes()
 
+    def test_cell_fields_sort_by_value_alone(self):
+        # the value-only sort of a cell field gives the argsort path's layers
+        # bit for bit: on a tie-heavy field and at cell measures that are not
+        # powers of two (grid 48)
+        def by_argsort(f):
+            vals, meas = _value_measure_pairs(f)
+            order = np.argsort(vals)
+            vals, meas = vals[order], meas[order]
+            cum = np.concatenate([[0.0], np.cumsum(meas)])
+            first = vals != 0.0
+            first[1:] &= vals[1:] != vals[:-1]
+            starts = np.flatnonzero(first)
+            return np.concatenate([[0.0], vals[starts]]), float(meas.sum()) - cum[starts]
+
+        rng = np.random.default_rng(8)
+        ties = rng.integers(-3, 4, size=(48, 48, 48)) * 0.25
+        ties[rng.random(ties.shape) < 0.1] = -0.0
+        hats = hat_functions(2, 3, 48)
+        fields = [CellField(ties, 1 / 48**3), CellField(ties, 0.1),
+                  hats[0].combine(hats[1:], rng.normal(size=len(hats))).gradient_field()]
+        for f in fields:
+            for got, want in zip(_layer_intervals(f), by_argsort(f)):
+                assert got.tobytes() == want.tobytes()
+
     @given(steps(max_pieces=5), st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2), (2.5, 1.5)]))
     @settings(max_examples=25, deadline=None)
     def test_closed_form_matches_quadrature(self, f, pq):
@@ -282,6 +308,30 @@ class TestGridFunction:
         vals = np.ones((3, 3))
         with pytest.raises(ValueError):
             GridFunction(2, 2, vals, boundary_zero=True)
+
+    @pytest.mark.parametrize("dim,cells,shape,origin", [
+        (1, 8, (3, 3), None),  # 9 values, but not a 1-d node row
+        (2, 2, (9,), None),  # 9 values, but flat
+        (2, 4, (4, 4), None),  # a whole-grid function needs every node
+        (2, 4, (3, 3), (3, 0)),  # the box leaves the grid
+        (2, 4, (2, 2), (-1, 0)),
+        (2, 4, (2, 2, 2), (0, 0)),
+    ])
+    def test_mis_shaped_values_rejected(self, dim, cells, shape, origin):
+        with pytest.raises(GridMismatchError) as err:
+            GridFunction(dim, cells, np.ones(shape), origin=origin)
+        assert str(shape) in str(err.value)
+        assert str((cells + 1,) * dim) in str(err.value)
+
+    def test_box_is_zero_outside(self):
+        u = GridFunction(2, 4, np.arange(1.0, 7.0).reshape(2, 3), origin=(1, 2))
+        full = u.nodal_values
+        assert full.shape == (5, 5) and not full.flags.writeable
+        assert full[1:3, 2:5].tobytes() == u.values.tobytes()
+        assert np.count_nonzero(full) == 6 and u.sup_norm() == 6.0
+        with pytest.raises(ValueError):  # node (1, 4) is on the grid's boundary
+            GridFunction(2, 4, u.values, boundary_zero=True, origin=(1, 2))
+        assert GridFunction(2, 4, u.values[:, :2], boundary_zero=True, origin=(1, 2)).boundary_zero
 
     def test_sup_norm_exact_on_nodes(self):
         vals = np.array([0.0, 1.0, -2.0, 0.0]).reshape(4)
