@@ -462,6 +462,10 @@ def run(config: RunConfig) -> int:
             if "isomorphism" in config.kinds and config.grid % (2 * n):
                 sys.stderr.write(f"grid {config.grid} is not divisible by 2n = {2*n}\n")
                 return 2
+            if "bernstein" in config.kinds and n >= config.grid:
+                sys.stderr.write(f"grid {config.grid} holds only {config.grid - 1} mean-zero "
+                                 f"dimensions, too few for a bernstein subspace of n = {n}\n")
+                return 2
         bounds = _run_volterra(config)
     elif config.command == "cube":
         bounds = _run_cube(config)

@@ -92,22 +92,32 @@ class SNumberBound:
 class Subspace:
     """A finite-dimensional subspace given by a linearly independent basis.
 
-    Step-function bases also keep their common refinement: ``piece_values``
-    (dim, pieces) on the intervals of lengths ``piece_lengths`` between the
-    float ``breakpoints``.
+    A step-function subspace is its cell table: ``piece_values`` (dim, pieces)
+    on the intervals of lengths ``piece_lengths`` between the float
+    ``breakpoints``, which are the ``knots`` in the basis's own numbers.  The
+    table is either a (dim, cells) float array of values on equal cells, or
+    the common refinement of a ``StepFunction1D`` basis.
     """
 
     def __init__(self, basis):
-        self.basis = list(basis)
-        if not self.basis:
+        if isinstance(basis, np.ndarray):
+            self.breakpoints = np.arange(basis.shape[1] + 1) / basis.shape[1]
+            self.knots = self.breakpoints.tolist()
+            self.piece_values = basis
+            self.piece_lengths = np.diff(self.breakpoints)
+        else:
+            basis = self.basis = list(basis)
+        self.dim = len(basis)
+        if not self.dim:
             raise DegenerateBasisError("empty basis")
-        if isinstance(self.basis[0], StepFunction1D):
-            bps = sorted(set().union(*[set(f.breakpoints) for f in self.basis]))
-            self.breakpoints = np.array([float(b) for b in bps])
+        if isinstance(basis[0], StepFunction1D):
+            self.knots = sorted(set().union(*[set(f.breakpoints) for f in basis]))
+            self.breakpoints = np.array([float(b) for b in self.knots])
             self.piece_values = np.array(
-                [[float(v) for v in f.refine(bps).values] for f in self.basis]
+                [[float(v) for v in f.refine(self.knots).values] for f in basis]
             )
-            self.piece_lengths = np.array([float(b - a) for a, b in zip(bps, bps[1:])])
+            self.piece_lengths = np.array([float(b - a) for a, b in zip(self.knots, self.knots[1:])])
+        if isinstance(basis[0], (np.ndarray, StepFunction1D)):
             table = self.piece_values * np.sqrt(self.piece_lengths)  # L2 inner products
             gram = table @ table.T
         else:  # one vdot per pair of overlapping boxes, never one (dim, nodes) table
@@ -125,30 +135,37 @@ class Subspace:
         if np.linalg.matrix_rank(gram) < self.dim:
             raise DegenerateBasisError("basis Gram matrix is singular")
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    @functools.cached_property
+    def basis(self) -> list:
+        """A table's rows as step functions, built on first use."""
+        return [StepFunction1D(self.knots, row) for row in self.piece_values.tolist()]
+
+    def cell_values(self, coefficients) -> np.ndarray:
+        """The values of sum_k c_k f_k on the pieces, summed left to right."""
+        out = self.piece_values[0] * coefficients[0]
+        for c, row in zip(coefficients[1:], self.piece_values[1:]):
+            out = out + row * c
+        return out
 
     def element(self, coefficients):
         """The combination sum_k c_k f_k of the basis, summed left to right."""
         coefficients = [float(c) for c in coefficients]
-        if isinstance(self.basis[0], GridFunction):
+        if not hasattr(self, "knots"):  # a grid basis
             return self.basis[0].combine(self.basis[1:], coefficients)
-        out = self.basis[0] * coefficients[0]
-        for c, f in zip(coefficients[1:], self.basis[1:]):
-            out = out + f * c
-        return out
+        return StepFunction1D(self.knots, self.cell_values(coefficients).tolist())
 
 
 def random_mean_zero_step_subspace(rng, n: int, cells: int) -> Subspace:
-    """Random n-dimensional subspace of mean-zero step functions."""
-    basis = []
-    for _ in range(n):
-        vals = rng.standard_normal(cells)
-        basis.append(
-            mean_zero_project(StepFunction1D.from_cells(vals.tolist()))
-        )
-    return Subspace(basis)
+    """Random n-dimensional subspace of mean-zero step functions on equal cells.
+
+    Each row is projected as ``mean_zero_project`` projects a
+    ``StepFunction1D.from_cells``: its mean is the left-to-right sum of
+    value times cell length.
+    """
+    values = rng.standard_normal((n, cells))
+    lengths = np.diff(np.arange(cells + 1) / cells)
+    means = np.cumsum(values * lengths, axis=1)[:, -1]
+    return Subspace(values - means[:, None])
 
 
 def random_grid_subspace(rng, n: int, dim: int, cells_per_side: int) -> Subspace:
@@ -732,11 +749,18 @@ def bernstein_upper_1d(subspace: Subspace, eps: float = 0.05, rng=None) -> SNumb
     The pullback h of the alternating element has mass at least 2n by
     telescoping (the last leg uses the zero boundary value of the
     antiderivative), so inf ||Vf||_inf / ||f||_1 <= sup_norm(Vh) / (2n).
+
+    Everything is read off the subspace's cell table with running sums, left
+    to right: the basis integrals are the last row of the node matrix, and
+    the node values of Vh are those of ``volterra_apply(h)``, whose curve
+    returns them exactly at float breakpoints.
     """
     n = subspace.dim
-    for f in subspace.basis:
-        MeanZeroTag(tolerance=1e-9).require(f)
-    res = zigzag_find(_volterra_node_matrix(subspace), eps=eps, rng=rng)
+    matrix = _volterra_node_matrix(subspace)
+    for mean in matrix[-1]:
+        if not abs(mean) <= 1e-9:
+            raise ValueError(f"function has mean {mean:.3e}, beyond tolerance 1e-09")
+    res = zigzag_find(matrix, eps=eps, rng=rng)
     if res.witness is None:
         return SNumberBound(
             kind="bernstein", n=n, status="inconclusive", mode=FLOAT,
@@ -744,18 +768,13 @@ def bernstein_upper_1d(subspace: Subspace, eps: float = 0.05, rng=None) -> SNumb
             label="interval embedding: bernstein <= (1+eps)/(2n)",
         )
     w = res.witness
-    h = subspace.element(w.coefficients)
+    h = subspace.cell_values([float(c) for c in w.coefficients])
     nu = w.sup_norm_value
-    l1 = float(h.l1_norm())
+    l1 = float(np.cumsum(np.abs(h) * subspace.piece_lengths)[-1])
 
-    curve = volterra_apply(h)
-    t_pts = subspace.breakpoints[w.indices]
-    telescoping = [abs(float(curve(t_pts[0])))]
-    telescoping += [
-        abs(float(curve(b)) - float(curve(a)))
-        for a, b in zip(t_pts, t_pts[1:])
-    ]
-    telescoping.append(abs(float(curve(t_pts[-1]))))  # boundary leg: |Vh(1) - Vh(t_n)|
+    nodes = np.cumsum(np.concatenate(([0.0], h * subspace.piece_lengths)))[w.indices]
+    # the legs 0 -> t_1 -> ... -> t_n, and the boundary leg |Vh(1) - Vh(t_n)|
+    telescoping = np.abs(np.concatenate((nodes[:1], np.diff(nodes), nodes[-1:]))).tolist()
     if l1 < sum(telescoping) - 1e-6:
         raise AssertionError("mass breakdown below the telescoping sum")
 
@@ -766,12 +785,13 @@ def bernstein_upper_1d(subspace: Subspace, eps: float = 0.05, rng=None) -> SNumb
         n=n,
         upper=universal if res.status == "certified" else None,
         witness={
-            "alternation_points": t_pts.tolist(),
+            "alternation_points": subspace.breakpoints[w.indices].tolist(),
             "sup_norm": nu,
             "mass": l1,
             "telescoping_terms": telescoping,
             "ratio_bound_for_subspace": ratio_at_h,
-            "element": step_to_json_dict(h),
+            "element": {"type": "step1d", "breakpoints": [_num_to_json(b) for b in subspace.knots],
+                        "values": h.tolist()},
             "eps": eps,
         },
         mode=FLOAT,

@@ -493,6 +493,8 @@ def grid_gradient_lorentz_norm(field: CellField, params, cell_mask=None):
 
 
 def _num_to_json(x):
+    if type(x) is float:
+        return x
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
     if isinstance(x, (int, np.integer)):

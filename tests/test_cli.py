@@ -39,6 +39,26 @@ def test_usage_error_on_incompatible_grid():
     assert main(["volterra", "--n", "2", "--grid", "3", "--kinds", "i"]) == 2
 
 
+@pytest.mark.parametrize("n,grid,bad_n", [("3", "2", 3), ("1", "1", 1), ("1..3", "3", 3)])
+def test_bernstein_needs_more_cells_than_n(n, grid, bad_n, tmp_path, monkeypatch, capsys):
+    # G cells carry only G - 1 mean-zero dimensions: a usage error before any row
+    rows = []
+    monkeypatch.setattr(cli_mod, "bernstein_upper_1d", lambda *a, **k: rows.append(a))
+    out = tmp_path / "r.json"
+    assert main(["volterra", "--kinds", "b", "--n", n, "--grid", grid, "--out", str(out)]) == 2
+    message = capsys.readouterr().err
+    assert f"grid {grid} holds only {int(grid) - 1} mean-zero dimensions" in message
+    assert f"n = {bad_n}" in message
+    assert "Traceback" not in message and "linearly independent" not in message
+    assert not rows and not out.exists()
+
+
+def test_bernstein_at_one_dimension_below_the_grid(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["volterra", "--kinds", "b", "--n", "2", "--grid", "3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["results"][0]["n"] == 2
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["volterra", "--n", "1", "--grid", "0"], "--grid"),
     (["volterra", "--n", "1", "--grid", "-4"], "--grid"),

@@ -2,13 +2,16 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import snum.snumbers as snumbers_mod
+from snum.cli import main as cli_main
 from snum.hilbert import hilbert_order
 from snum.john import segment_domain
 from snum.snumbers import (
@@ -47,8 +50,9 @@ from snum.spaces import (
     from_json_dict,
     grid_gradient_lorentz_norm,
     random_step_function,
+    step_to_json_dict,
 )
-from snum.volterra import dipole, volterra_apply
+from snum.volterra import dipole, mean_zero_project, volterra_apply
 
 
 def _dual_value(B, y):
@@ -833,6 +837,53 @@ class TestBernstein1d:
                 [[float(curve(t)) for curve in curves] for t in subspace.breakpoints]
             )
             assert matrix.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("n,cells", [(1, 8), (2, 7), (3, 64), (4, 239), (5, 240)])
+    def test_table_path_matches_step_function_algebra(self, n, cells, monkeypatch):
+        # bit for bit what the same draws give through StepFunction1D objects
+        seed = [n, cells]
+        subspace = random_mean_zero_step_subspace(np.random.default_rng(seed), n, cells)
+        rng = np.random.default_rng(seed)
+        basis = [mean_zero_project(StepFunction1D.from_cells(rng.standard_normal(cells).tolist()))
+                 for _ in range(n)]
+        assert subspace.piece_values.tobytes() == np.array([f.values for f in basis]).tobytes()
+        assert subspace.knots == list(basis[0].breakpoints)
+
+        found = []
+        search = snumbers_mod.zigzag_find
+        monkeypatch.setattr(snumbers_mod, "zigzag_find",
+                            lambda *a, **k: found.append(search(*a, **k)) or found[-1])
+        witness = bernstein_upper_1d(subspace, rng=np.random.default_rng(1)).witness
+        w = found[0].witness
+        c = [float(x) for x in w.coefficients]
+        h = basis[0] * c[0]
+        for ck, f in zip(c[1:], basis[1:]):
+            h = h + f * ck
+        curve = volterra_apply(h)
+        t = subspace.breakpoints[w.indices]
+        terms = ([abs(float(curve(t[0])))]
+                 + [abs(float(curve(b)) - float(curve(a))) for a, b in zip(t, t[1:])]
+                 + [abs(float(curve(t[-1])))])
+        assert json.dumps(witness["element"]) == json.dumps(step_to_json_dict(h))
+        assert witness["mass"] == float(h.l1_norm())
+        assert json.dumps(witness["telescoping_terms"]) == json.dumps(terms)
+        # a caller's basis of the same functions gives the same witness
+        again = bernstein_upper_1d(Subspace(basis), rng=np.random.default_rng(1)).witness
+        assert json.dumps(again, sort_keys=True) == json.dumps(witness, sort_keys=True)
+
+    def test_reported_witnesses_read_back(self, tmp_path):
+        # the interval rows of the CLI: the stored element carries the stored numbers
+        out = tmp_path / "r.json"
+        assert cli_main(["volterra", "--n", "1..3", "--grid", "240", "--kinds", "b",
+                         "--subspaces", "20", "--seed", "1", "--out", str(out)]) == 0
+        rows = json.loads(out.read_text())["results"]
+        assert [r["n"] for r in rows] == [1, 2, 3]
+        for row in rows:
+            witness = json.loads(Path(row["witness_path"]).read_text())
+            h = from_json_dict(witness["element"])
+            assert h.l1_norm() == witness["mass"]
+            assert abs(volterra_apply(h).sup_norm() - witness["sup_norm"]) <= 1e-12
+            assert witness["ratio_bound_for_subspace"] == witness["sup_norm"] / witness["mass"]
 
     def test_lower_bits_pinned_on_selftest_subspaces(self):
         # the one_dim_bernstein selftest subspaces with n <= 3 (their searches
