@@ -242,6 +242,7 @@ CHUNK_SETS = 100_000  # index sets per chunk of a lexicographic sweep
 BLOCK_ENTRIES = 1 << 22  # matrix entries per stacked block of index sets
 FLOOR = 1.0 + 1e-12  # no set scores below 1 (|g| = 1 at its own points): a search here is done
 SCREEN_TOL = 16  # safety factor on the prune stages' first-order rounding bounds
+SCREEN_COND_LIMIT = 1e6  # a hull edge worse conditioned than this keeps every row
 
 SINGULAR_DET = 1e-12  # a set is singular when |det| of its unit rows is at most this
 
@@ -290,15 +291,23 @@ def _sup_values(matrix, coeffs):
     return np.fromiter((np.abs(matrix @ c).max() for c in coeffs), float, len(coeffs))
 
 
-def _row_lower_bounds(matrix, coeffs, slack=None):
+def _peak_sample(matrix, coeffs):
+    """(rows, sampled): each column's peak row of ``matrix`` and the largest
+    |m . c| over those rows for each row c of ``coeffs``."""
+    rows = np.unique(np.abs(matrix).argmax(axis=0))
+    return rows, np.abs(matrix[rows] @ coeffs.T).max(axis=0)
+
+
+def _row_lower_bounds(matrix, coeffs, slack=None, sample=None):
     """(lower, least): for each row c of ``coeffs`` a lower bound on
     max |matrix @ c| as any product rounds it, and an upper bound on the
     least of those values; (empty, inf) for no rows.
 
-    The values are sampled on a few rows: each column's peak row, then the
-    peak row of the set with the least sampled value, until that row is
-    already in the sample; that set's full value is the upper bound.  In
-    any summation order, with or without fused multiply-adds, a computed
+    The values are sampled on a few rows: each column's peak row (the
+    caller's ``_peak_sample`` if it passes one; it is extended in place),
+    then the peak row of the set with the least sampled value, until that
+    row is already in the sample; that set's full value is the upper bound.
+    In any summation order, with or without fused multiply-adds, a computed
     m . c is within gamma_n sum_k |m_k c_k| <= gamma_n max|m| ||c||_1 of the
     exact one (gamma_n = n u / (1 - n u)).  A sampled value and the full
     product's value at the same row both carry that error, so each bound
@@ -309,8 +318,7 @@ def _row_lower_bounds(matrix, coeffs, slack=None):
         return np.empty(0), math.inf
     if slack is None:
         slack = 2 * SCREEN_TOL * _gamma(matrix.shape[1]) * np.abs(matrix).max() * np.abs(coeffs).sum(axis=1)
-    rows = np.unique(np.abs(matrix).argmax(axis=0))
-    sampled = np.abs(matrix[rows] @ coeffs.T).max(axis=0)
+    rows, sampled = _peak_sample(matrix, coeffs) if sample is None else sample
     while True:
         k = int(np.argmin(sampled))
         g = np.abs(matrix @ coeffs[k])
@@ -433,9 +441,9 @@ def _closed_form_survivors(matrix, sets, alt, bound: float):
     """
     cramer = _CramerSets(matrix, sets)
     coeffs, slack = cramer.interpolants(alt)
-    rows = np.unique(np.abs(matrix).argmax(axis=0))
-    lower = np.abs(matrix[rows] @ coeffs.T).max(axis=0) - slack
-    least = _row_lower_bounds(matrix, coeffs, slack)[1]
+    sample = _peak_sample(matrix, coeffs)
+    lower = sample[1] - slack
+    least = _row_lower_bounds(matrix, coeffs, slack, sample)[1]
     cap = least + slack[lower <= least].max(initial=0.0)
     keep = cramer.band.copy()
     keep[np.flatnonzero(cramer.good)[lower <= min(bound, cap)]] = True
@@ -480,6 +488,113 @@ def _best_of_sets(matrix, sets, alt, bound: float) -> _BatchResult:
         return _BatchResult(math.inf, None, None, len(idx), len(sets))
     k = int(np.argmin(vals))
     return _BatchResult(float(vals[k]), sets[k], coeffs[k], len(idx), len(sets))
+
+
+def _symmetric_hull(points):
+    """The vertices v_0, ..., v_h of half the boundary of conv{+-points} of
+    an (m, 2) array, counterclockwise from a point v_0 of largest norm to
+    v_h = -v_0; None when the walk does not get there in 2m steps.
+
+    Gift wrapping (Jarvis, 1973): each step takes the point of least turn
+    from the last edge, the farthest one among exact ties.  Rounding may add
+    a near-collinear vertex or miss one; ``_gauge_bounds`` holds for any
+    vertices that are rows or negated rows.
+    """
+    pts = np.concatenate([points, -points])
+    start = pts[int(np.argmax((pts * pts).sum(axis=1)))]
+    hull, edge = [start], np.array([-start[1], start[0]])  # v_0's tangent
+    for _ in range(len(pts)):
+        d = pts - hull[-1]
+        dist = (d * d).sum(axis=1)
+        turn = np.arctan2(edge[0] * d[:, 1] - edge[1] * d[:, 0], d @ edge)
+        turn[dist == 0] = np.inf
+        ties = np.flatnonzero(turn == turn.min())
+        k = ties[np.argmax(dist[ties])]
+        hull.append(pts[k])
+        if (pts[k] == -start).all():
+            return np.array(hull)
+        edge = d[k]
+    return None
+
+
+def _gauge_bounds(matrix, rows):
+    """(s, delta) for the given rows of an (npts, 2) matrix, or None: in
+    floats every pair of ``rows`` that contains row i and that LAPACK
+    solves scores at least (1 - delta_i) / s_i in ``_best_of_sets``.
+
+    s_i = ||lam||_1 bounds the gauge of m_i in K = conv{+-m_r} from above,
+    where m_i = lam B for the rows B = [p_1; p_2] of the hull edge
+    (``_symmetric_hull``) that gives the least ||lam||_1; for the edge whose
+    cone holds m_i that is the gauge itself.  Let c be the coefficients of
+    a pair holding row i, E = max_r |m_r . c| exactly, mu = max|m| and
+    beta = sum |inv(B)|.  The p_k are rows up to sign, so ||c||_1 <= beta E.
+    With rho = m_i - lam B (the residual of the computed lam),
+    |m_i . c| <= s E + |rho| beta E, and ``solve``'s backward error
+    gamma_6 |L||U| <= 4 gamma_6 mu gives |m_i . c| >= 1 - 4 gamma_6 mu beta E;
+    so E >= 1 / (s + e) with e = (|rho| + 4 gamma_6 mu) beta.  The computed
+    value is at least E - gamma_2 mu ||c||_1 >= E (1 - gamma_2 mu beta), so
+    at least (1 - delta) / s with delta = gamma_2 mu beta + e / s, to which
+    the rounding of rho itself adds gamma_3 (1 + s) mu beta / s; the whole
+    is times ``SCREEN_TOL``.  None when the hull walk fails or an edge is
+    worse conditioned than ``SCREEN_COND_LIMIT``, where that first-order
+    bound is not to be trusted.
+    """
+    points = matrix[rows]
+    hull = _symmetric_hull(points)
+    if hull is None:
+        return None
+    B = np.stack([hull[:-1], hull[1:]], axis=1)  # (h, 2, 2): edge k from v_k to v_k+1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not (np.linalg.cond(B) <= SCREEN_COND_LIMIT).all():
+            return None
+    inv = np.linalg.inv(B)
+    lam = points @ inv  # (h, m, 2): m_i = lam[k, i] @ B[k]
+    norms = np.abs(lam).sum(axis=2)
+    edge = norms.argmin(axis=0)
+    i = np.arange(len(points))
+    s, lam = norms[edge, i], lam[edge, i]
+    rho = np.abs(points - (lam[:, None] @ B[edge])[:, 0]).max(axis=1)
+    beta = np.abs(inv).sum(axis=(1, 2))[edge]
+    mu = np.abs(matrix).max()
+    with np.errstate(divide="ignore"):
+        delta = SCREEN_TOL * beta * (rho + (4 * _gamma(6) + _gamma(2) * s + _gamma(3) * (1 + s)) * mu) / s
+    return s, delta
+
+
+def _best_pair(matrix, cands, alt) -> _BatchResult:
+    """``_best_of_sets`` on every pair of ``cands`` in lexicographic order
+    with no bound, handed only the pairs that can still win.
+
+    A pair scores at least the bound (1 - delta_i) / s_i of each of its
+    rows (``_gauge_bounds``), and only rows on the boundary of K have a
+    bound near 1.  The first batch pairs the rows with s_i (1 + delta_i) >= 1;
+    its least value V is at or above the least of all.  Every pair with a
+    row whose bound exceeds V scores above V, so the rows whose bound is at
+    most V hold every pair that can tie or beat V; when some of them are
+    outside the first batch, a second batch pairs them all.  The batches
+    keep the lexicographic order, and ``_best_of_sets`` scores each set on
+    its own, so the winner, its value and its coefficients are those of the
+    full batch.  Without bounds, or when the first batch has no nonsingular
+    pair, every pair is scored.  The counts add up over the batches.
+    """
+    def best(rows):
+        return _best_of_sets(matrix, rows[np.stack(np.triu_indices(len(rows), 1), axis=1)], alt, math.inf)
+
+    bounds = _gauge_bounds(matrix, cands)
+    if bounds is None:
+        return best(cands)
+    s, delta = bounds
+    top = s * (1 + delta) >= 1
+    first = best(cands[top])
+    if first.set is None:
+        rows = cands
+    else:
+        reach = 1 - delta <= first.value * s
+        if not (reach & ~top).any():
+            return first
+        rows = cands[reach]
+    last = best(rows)
+    return _BatchResult(*last[:3], first.rescored + last.rescored, first.solved + last.solved)
 
 
 def _subset_groups(m: int, n: int):
@@ -550,7 +665,10 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     Every candidate is the interpolant of the signs on a nonsingular index
     set, scored by ``_best_of_sets``; a singular set is never a candidate.
     Exhaustive over index sets (lexicographic, ties to the first = smallest
-    optimum) when the count fits ``EXHAUSTIVE_LIMIT``; otherwise iterated
+    optimum) when the count fits ``EXHAUSTIVE_LIMIT``; at n = 2 that sweep
+    scores only the pairs of rows on or near the boundary of the symmetric
+    hull of the rows (``_best_pair``), with the full sweep's winner and
+    evaluation count.  Otherwise iterated
     local search (one-index exchange descent: the exchanges that bring in
     the ``PEAK_ROWS`` rows of largest |g| first, every exchange when none
     of those improves, stopping at ``FLOOR``; with random two-index kicks
@@ -629,7 +747,10 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
         return cur_val, T, cur_c
 
     total_sets = comb(len(cands), n)
-    if total_sets <= EXHAUSTIVE_LIMIT:
+    if total_sets <= EXHAUSTIVE_LIMIT and n == 2:
+        evals += total_sets
+        improve(*counted(_best_pair(matrix, cands, alt)))
+    elif total_sets <= EXHAUSTIVE_LIMIT:
         exhaustive_sweep()
     else:
         spread = np.unique(np.linspace(0, len(cands) - 1, n).round().astype(int))

@@ -255,8 +255,12 @@ class TestZigzag:
     # indices, value, status and evaluations recorded when index sets were
     # still tuples and lists: the array search walks the same path.  The
     # kicks and escalation paths were recorded again when each descent step
-    # began taking peak-row exchanges first
+    # began taking peak-row exchanges first; the n = 2 case was recorded
+    # before the pair sweep kept only the hull rows
     @pytest.mark.parametrize("matrix,seed,eps,indices,value,status,evaluations", [
+        # exhaustive pairs: C(300, 2) = 44850 sets
+        (np.random.default_rng(5).standard_normal((300, 2)), 0, 0.05,
+         [92, 251], 1.0, "certified", 44850),
         # exhaustive: C(40, 3) = 9880 sets
         (np.random.default_rng(1).standard_normal((40, 3)), 0, 0.05,
          [8, 11, 31], 1.0, "certified", 9880),
@@ -269,7 +273,7 @@ class TestZigzag:
         # eps = 0 is missed by one ulp, so the C(30, 5) = 142506 sets are swept
         (np.random.default_rng(0).standard_normal((30, 5)), 6, 0.0,
          [1, 4, 13, 15, 19], 1.0000000000000002, "inconclusive", 1025 + 142506),
-    ], ids=["exhaustive", "exhaustive-lp", "kicks", "escalation"])
+    ], ids=["exhaustive-pairs", "exhaustive", "exhaustive-lp", "kicks", "escalation"])
     def test_search_path_pinned(self, matrix, seed, eps, indices, value, status, evaluations):
         res = zigzag_find(matrix, eps=eps, rng=np.random.default_rng(seed))
         assert res.witness.indices.tolist() == indices
@@ -449,6 +453,17 @@ class TestPeakRows:
                                        + 25 * res.full_sweeps) + math.comb(30, 5)
 
 
+def _full_pair_batches(batches):
+    """The batch of every pair of candidate rows, one for each matrix of the
+    recorded n = 2 sweep batches: what ``_best_pair`` stands for."""
+    full = {}
+    for matrix, _, alt, bound in batches:
+        if id(matrix) not in full:
+            cands = np.flatnonzero(np.abs(matrix).max(axis=1) > 1e-12)
+            full[id(matrix)] = (matrix, next(snumbers_mod._combination_chunks(cands, 2)), alt, bound)
+    return list(full.values())
+
+
 def _assert_table_winner(matrix, sets, alt, bound=np.inf):
     """The pruned step picks the full table's first argmin below ``bound``:
     same index, set, coefficient bytes and value bits."""
@@ -467,7 +482,7 @@ def _assert_table_winner(matrix, sets, alt, bound=np.inf):
 
 class TestPrunedScoring:
     def test_interval_batches_match_the_full_table(self, monkeypatch):
-        # the 20 exhaustive n = 2 batches of the seed-1 interval command
+        # the full n = 2 batches of the 20 seed-1 interval searches
         from snum.cli import RunConfig, _volterra_task
 
         batches = []
@@ -481,6 +496,7 @@ class TestPrunedScoring:
         config = RunConfig(command="volterra", grid=240, seed=1, subspaces=20)
         _volterra_task(config, "bernstein", 2)
         monkeypatch.undo()
+        batches = _full_pair_batches(batches)
         assert len(batches) == 20
         for matrix, sets, alt, bound in batches:
             assert sets.shape == (math.comb(239, 2), 2) and bound == np.inf
@@ -649,6 +665,8 @@ class TestClosedFormStage:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_interval_batches_match_the_unstaged_path(self, n):
         batches, _ = _interval_searches(n)
+        if n == 2:
+            batches = _full_pair_batches(batches)
         # the 20 exhaustive sweeps at n = 1 and 2; the n = 3 descent starts,
         # peak-row and full exchange sweeps
         assert len(batches) == (20 if n < 3 else 180)
@@ -747,6 +765,162 @@ class TestClosedFormStage:
             matrix, sets = _small_rows_family(rng, eps)
             sets = np.vstack([sets, np.sort(rng.choice(len(matrix), (50, 3), replace=True), axis=1)])
             _assert_stage_parity(matrix, sets, snumbers_mod._alternation_target(3))
+
+
+@functools.lru_cache(maxsize=None)
+def _interval_node_matrices(seed):
+    """The node matrices of the n = 2 bernstein rows of the interval command
+    at ``seed``."""
+    from snum.cli import RunConfig, _volterra_task
+
+    matrices, zigzag = [], snumbers_mod.zigzag_find
+
+    def recorded(matrix, *args, **kwargs):
+        matrices.append(matrix)
+        return zigzag(matrix, *args, **kwargs)
+
+    snumbers_mod.zigzag_find = recorded
+    try:
+        _volterra_task(RunConfig(command="volterra", grid=240, seed=seed, subspaces=20), "bernstein", 2)
+    finally:
+        snumbers_mod.zigzag_find = zigzag
+    return matrices
+
+
+def _full_pair_sweep(matrix, cands, alt):
+    """Every pair of ``cands`` in one batch: the sweep without the hull-row prune."""
+    return snumbers_mod._best_of_sets(matrix, next(snumbers_mod._combination_chunks(cands, 2)), alt, math.inf)
+
+
+def _scaled(matrix):
+    """The matrix and candidate rows that ``zigzag_find`` sweeps."""
+    scaled = matrix / np.abs(matrix).max(axis=0)
+    return scaled, np.flatnonzero(np.abs(scaled).max(axis=1) > 1e-12)
+
+
+def _assert_pair_parity(monkeypatch, matrix):
+    """The hull-row sweep and the full batch pick the same pair with the same
+    value bits and coefficient bytes, and ``zigzag_find`` reports the same
+    witness, value, status and evaluations with either."""
+    alt = snumbers_mod._alternation_target(2)
+    picks = []
+    for sweep in (snumbers_mod._best_pair, _full_pair_sweep):
+        val, best, c = sweep(*_scaled(matrix), alt)[:3]
+        picks.append((np.float64(val).tobytes(), best is None or best.tolist(), c is None or c.tobytes()))
+    assert picks[0] == picks[1]
+    summaries = []
+    for sweep in (snumbers_mod._best_pair, _full_pair_sweep):
+        monkeypatch.setattr(snumbers_mod, "_best_pair", sweep)
+        res = zigzag_find(matrix)
+        w = res.witness
+        summaries.append((w is None or (w.indices.tolist(), w.coefficients.tobytes()),
+                          np.float64(res.value).tobytes(), res.status, res.evaluations))
+    monkeypatch.undo()
+    assert summaries[0] == summaries[1]
+    assert summaries[0][3] == math.comb(len(_scaled(matrix)[1]), 2)
+
+
+def _edge_rows(seed, k=8):
+    """k rows on the edge from (1, y) to -(x, 1) of the symmetric hull, the
+    same rows one ulp closer to 0, ten interior rows, then the two vertex
+    rows.  In exact arithmetic an edge row paired with (x, 1) scores 1, the
+    least value; rounding puts those values and the rows' gauges on either
+    side of 1."""
+    rng = np.random.default_rng(seed)
+    a = np.array([1.0, rng.uniform(-0.5, 0.5)])
+    b = np.array([rng.uniform(-0.5, 0.5), 1.0])
+    t = rng.uniform(0, 1, (k, 1))
+    on = t * a - (1 - t) * b
+    return np.vstack([on, np.nextafter(on, 0), 0.5 * rng.uniform(-1, 1, (10, 2)), a, b])
+
+
+def _pair_cases():
+    rng = np.random.default_rng(21)
+    theta = np.linspace(0.0, math.pi, 241, endpoint=False)
+    return [
+        pytest.param(rng.standard_normal((241, 2)), id="gaussian"),
+        # every row is a vertex of the hull
+        pytest.param(np.stack([np.cos(theta), np.sin(theta)], axis=1), id="circle"),
+        # entries in {-1, 0, 1}: exact ties on the hull edges
+        pytest.param(rng.integers(-1, 2, (60, 2)).astype(float), id="ties"),
+        *[pytest.param(_edge_rows(seed), id=f"edge-{seed}") for seed in range(12)],
+        pytest.param(np.repeat(rng.standard_normal((40, 2)), 3, axis=0), id="duplicated"),
+        # every pair is singular: no hull, no winner
+        pytest.param(np.outer(rng.standard_normal(50), [1.0, -2.0]), id="rank-one"),
+    ]
+
+
+def _recorded_pair_batches(monkeypatch, matrix):
+    """The ``_best_of_sets`` batches of ``zigzag_find(matrix)`` and its result."""
+    batches, best_of_sets = [], snumbers_mod._best_of_sets
+
+    def recorded(*args):
+        batches.append(args)
+        return best_of_sets(*args)
+
+    monkeypatch.setattr(snumbers_mod, "_best_of_sets", recorded)
+    res = zigzag_find(matrix)
+    monkeypatch.setattr(snumbers_mod, "_best_of_sets", best_of_sets)
+    return batches, res
+
+
+class TestHullPairs:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_interval_searches_match_the_full_batch(self, monkeypatch, seed):
+        matrices = _interval_node_matrices(seed)
+        assert len(matrices) == 20
+        for matrix in matrices:
+            _assert_pair_parity(monkeypatch, matrix)
+
+    @pytest.mark.parametrize("matrix", _pair_cases())
+    def test_pruned_sweep_matches_the_full_batch(self, monkeypatch, matrix):
+        _assert_pair_parity(monkeypatch, matrix)
+
+    def test_interval_sweeps_score_few_pairs(self, monkeypatch):
+        # the hull holds a few of the 239 rows: one small batch per search
+        for matrix in _interval_node_matrices(1):
+            batches, res = _recorded_pair_batches(monkeypatch, matrix)
+            assert len(batches) == 1 and len(batches[0][1]) <= 55
+            assert res.evaluations == math.comb(239, 2)
+
+    @pytest.mark.parametrize("matrix", [
+        # the edge from (1, 0) to (1, 1e-8) has condition number about 2e8
+        np.vstack([[1.0, 0.0], [1.0, 1e-8], [0.0, 1.0],
+                   0.5 * np.random.default_rng(0).uniform(-1, 1, (30, 2))]),
+        # a rank-one hull has singular edges
+        np.outer(np.random.default_rng(1).standard_normal(30), [1.0, -2.0]),
+    ], ids=["ill-conditioned", "rank-one"])
+    def test_ill_conditioned_edges_keep_every_row(self, monkeypatch, matrix):
+        assert snumbers_mod._gauge_bounds(*_scaled(matrix)) is None
+        batches, res = _recorded_pair_batches(monkeypatch, matrix)
+        assert [len(args[1]) for args in batches] == [math.comb(len(_scaled(matrix)[1]), 2)]
+        assert res.evaluations == len(batches[0][1])
+
+    def test_rows_that_reach_the_first_value_are_paired_again(self, monkeypatch):
+        # every delta widened by 0.05: rows of gauge 0.94-0.96 in the square
+        # hull of (1, 0) and (0, 1) fall outside the first batch, yet some of
+        # their bounds (1 - delta) / s reach its value 1
+        rng = np.random.default_rng(3)
+        g, x = rng.uniform(0.94, 0.96, 60), rng.uniform(-1, 1, 60)
+        matrix = np.vstack([np.stack([g * x, g * (1 - np.abs(x)) * rng.choice([-1, 1], 60)], axis=1),
+                            [[1.0, 0.0], [0.0, 1.0]]])
+        gauge_bounds = snumbers_mod._gauge_bounds
+
+        def widened(*args):
+            s, delta = gauge_bounds(*args)
+            return s, delta + 0.05
+
+        monkeypatch.setattr(snumbers_mod, "_gauge_bounds", widened)
+        batches, res = _recorded_pair_batches(monkeypatch, matrix)
+        assert len(batches) == 2 and res.value == 1.0
+        scaled, cands = _scaled(matrix)
+        s, delta = widened(scaled, cands)
+        lower = dict(zip(cands.tolist(), ((1 - delta) / s).tolist()))
+        kept = {tuple(pair) for args in batches for pair in args[1].tolist()}
+        assert len(kept) < math.comb(len(cands), 2)
+        for pair in itertools.combinations(cands.tolist(), 2):
+            assert pair in kept or max(lower[pair[0]], lower[pair[1]]) > res.value
+        _assert_pair_parity(monkeypatch, matrix)
 
 
 class TestIsomorphism1d:
