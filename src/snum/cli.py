@@ -397,6 +397,14 @@ def _run_john(args) -> int:
     return status
 
 
+def _check_size(args, flag: str, order: int) -> None:
+    """A usage error naming ``flag`` when the ordering's 2^(dim*order) cubes
+    exceed ``MAX_CUBES``."""
+    if args.dim * order > MAX_CUBES.bit_length() - 1:  # log2(MAX_CUBES)
+        args.usage_error(f"argument {flag}: 2^(dim*{flag[2:].replace('-', '_')}) = "
+                         f"2^{args.dim * order} cubes exceed {MAX_CUBES}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="snum",
@@ -449,6 +457,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "evaluates; a domain whose proof needs more fails")
     p_john.add_argument("--seed", type=_nonnegative_int, default=0)
     p_john.add_argument("--out")
+
+    for command in (p_cube, p_hil, p_john):  # usage errors found after parsing name the command
+        command.set_defaults(usage_error=command.error)
 
     p_self = sub.add_parser("selftest", help="run the acceptance matrix")
     p_self.add_argument("--only", default="", help="comma list of check names")
@@ -505,10 +516,8 @@ def main(argv=None) -> int:
             return run(config)
         if args.command == "cube":
             if args.dim < 2:
-                parser.error("argument --dim: the cube construction needs dim >= 2")
-            if args.dim * args.curve_order > MAX_CUBES.bit_length() - 1:  # log2(MAX_CUBES)
-                parser.error(f"argument --curve-order: 2^(dim*curve_order) = "
-                             f"2^{args.dim * args.curve_order} cubes exceed {MAX_CUBES}")
+                args.usage_error("argument --dim: the cube construction needs dim >= 2")
+            _check_size(args, "--curve-order", args.curve_order)
             config = RunConfig(
                 command="cube",
                 dimension=args.dim,
@@ -525,8 +534,10 @@ def main(argv=None) -> int:
             )
             return run(config)
         if args.command == "hilbert":
+            _check_size(args, "--order", args.order)
             return _run_hilbert(args)
         if args.command == "john":
+            _check_size(args, "--order", args.order)
             return _run_john(args)
         if args.command == "selftest":
             names = {s.strip() for s in args.only.split(",") if s.strip()} or None

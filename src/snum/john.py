@@ -8,8 +8,10 @@ walks block centers from any start point toward the center of the middle-most
 largest block, crossing shared faces at their midpoints.  Summing the segment
 lengths with geometric series gives a constant depending only on the
 dimension, never on the resolution or the index range.  The certificates are
-proven in groups of domains: each bisection level of a group is one pass
-over flat (box, point) pair tables, whatever the number of its domains.
+built and proven in groups of domains: a group's blocks are one flat table,
+read off the base-2^d digits of its endpoints, and each bisection level of a
+group is one pass over flat (box, point) pair tables, whatever the number of
+its domains.  Groups are sized by their real (face run, piece) pairs.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from .hilbert import HilbertOrdering
 from .spaces import GridFunction, GridMismatchError, LorentzParams, grid_gradient_lorentz_norm
 
 
-DISTANCE_TABLE_ENTRIES = 4_000_000  # floats held by one chunk of a pair table (see _pair_limit)
+DISTANCE_TABLE_ENTRIES = 4_000_000  # bound of a chunk's face pass and a group's first proof level
+PAIR_TABLE_ENTRIES = 1 << 16  # floats held by one chunk of a pair table (see _pair_limit)
 PROOF_MARGIN = 1e-9  # relative margin of the John proof's pass and fail tests
 
 
@@ -88,8 +91,20 @@ def _ranges(starts, counts) -> np.ndarray:
 def _pair_limit(width: int) -> int:
     """Pairs per chunk of a (box, point) pair table: a kernel holds about
     four tables of ``width`` floats per pair, so about
-    ``DISTANCE_TABLE_ENTRIES`` floats in all."""
-    return max(1, DISTANCE_TABLE_ENTRIES // (4 * width))
+    ``PAIR_TABLE_ENTRIES`` floats in all."""
+    return max(1, PAIR_TABLE_ENTRIES // (4 * width))
+
+
+def _spans(sizes, limit: int):
+    """Consecutive items a .. b - 1 (one at least) whose sizes sum to at most
+    ``limit``, from the first item to the last; yields a, b."""
+    ends = np.cumsum(sizes)
+    a = 0
+    while a < len(sizes):
+        base = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(np.searchsorted(ends, base + limit, side="right")))
+        yield a, b
+        a = b
 
 
 def _pairs(first, count, width: int):
@@ -98,13 +113,9 @@ def _pairs(first, count, width: int):
     points a .. b - 1 (one at least) with at most ``_pair_limit(width)``
     pairs.  Yields a, b, the box of each pair and the first pair of each
     point within the chunk."""
-    ends = np.cumsum(count)
-    a = 0
-    while a < len(count):
-        base = int(ends[a - 1]) if a else 0
-        b = max(a + 1, int(np.searchsorted(ends, base + _pair_limit(width), side="right")))
-        yield a, b, _ranges(first[a:b], count[a:b]), ends[a:b] - count[a:b] - base
-        a = b
+    for a, b in _spans(count, _pair_limit(width)):
+        starts = np.cumsum(count[a:b]) - count[a:b]
+        yield a, b, _ranges(first[a:b], count[a:b]), starts
 
 
 def _nearest_faces(points, lows, highs, first, count) -> np.ndarray:
@@ -279,18 +290,49 @@ def segment_domain(ordering: HilbertOrdering, i: int, j: int) -> CubeUnion:
     return CubeUnion(ordering, i, j)
 
 
-def _maximal_blocks(lo: int, hi: int, base: int):
-    """Canonical tiling of the integer interval [lo, hi] by maximal aligned
-    base**t blocks; block sizes are unimodal along the interval."""
-    blocks = []
-    pos = lo
-    while pos <= hi:
-        size = 1
-        while pos % (size * base) == 0 and pos + size * base - 1 <= hi:
-            size *= base
-        blocks.append((pos, size))
-        pos += size
-    return blocks
+def _block_table(ordering: HilbertOrdering, i, j) -> tuple:
+    """The certificates' blocks of the segment domains i[g] .. j[g] (1-based,
+    inclusive), one domain after another: ``(block_start, levels, coords,
+    center)``.  Domain g's blocks are rows ``block_start[g] ..
+    block_start[g + 1] - 1``; block b is the dyadic cube ``2^-levels[b] *
+    (coords[b] + [0, 1]^d)``, and ``center[g]`` counts from
+    ``block_start[g]`` to the middle-most of the domain's largest blocks.
+
+    The blocks tile the curve positions lo .. hi - 1 (lo = i - 1, hi = j)
+    by maximal aligned runs of B^t positions, B = 2^d, so their sizes are
+    unimodal along the curve.  With a_t = ceil(lo / B^t) and
+    b_t = floor(hi / B^t), the top level T is the largest t with a_t < b_t;
+    below it the left blocks are a_t .. B a_{t+1} - 1 and the right ones
+    B b_{t+1} .. b_t - 1, in units of B^t, and at T they are a_T .. b_T - 1.
+    Under a prefix-nested ordering the B^t positions of a block fill one cube
+    of level k - t, whose coordinates are its first cube's shifted by t.
+    """
+    if not (ordering.is_face_adjacent and ordering.is_prefix_nested):
+        raise ConstructionError(
+            "construction needs a face-adjacent, prefix-nested ordering"
+        )
+    d, k = ordering.dim, ordering.order
+    lo = np.asarray(i, dtype=np.int64)[:, None] - 1
+    hi = np.asarray(j, dtype=np.int64)[:, None]
+    shifts = d * np.arange(k + 2)  # B^t = 2^(d t), t = 0 .. k + 1
+    a, b = -(-lo >> shifts), hi >> shifts
+    rows = np.arange(len(lo))
+    top = np.count_nonzero(a < b, axis=1) - 1  # a block of B^t fits iff one of B^(t-1) does
+    t = np.arange(k + 1)
+    below = t < top[:, None]
+    left = np.where(below, (a[:, 1:] << d) - a[:, :-1], 0)
+    right = np.where(below, b[:, :-1] - (b[:, 1:] << d), 0)
+    whole = (b - a)[rows, top]
+    center = left.sum(axis=1) + (whole - 1) // 2
+    left[rows, top] = whole
+    # per domain, the runs in curve order: left t = 0 .. k, then right t = k .. 0
+    counts = np.concatenate([left, right[:, ::-1]], axis=1)
+    first = np.concatenate([a[:, :-1], (b[:, 1:] << d)[:, ::-1]], axis=1)
+    t = np.repeat(np.tile(np.concatenate([t, t[::-1]]), len(lo)), counts.ravel())
+    positions = _ranges(first.ravel(), counts.ravel()) << (d * t)
+    coords = ordering.coords[positions].astype(np.int64) >> t[:, None]
+    block_start = np.concatenate([[0], np.cumsum(counts.sum(axis=1))])
+    return block_start, k - t, coords, center
 
 
 @dataclass
@@ -308,8 +350,6 @@ class JohnCertificate:
     block_levels: np.ndarray
     block_coords: np.ndarray
     center_block: int
-    runs_left: list
-    runs_right: list
 
 
 class _Walks:
@@ -327,28 +367,31 @@ class _Walks:
     ``half`` is each segment's half-step and ``length`` its half-length: the
     segments are dyadic, so twice ``length`` is exactly the full length.
     ``broken`` marks the certificates with a gate between blocks that do not
-    touch.
+    touch, and ``separated`` those whose largest blocks are not consecutive.
     """
 
-    def __init__(self, certs):
-        self.dim = dim = certs[0].block_coords.shape[1]
-        sizes = np.array([len(cert.block_levels) for cert in certs])
-        self.block_start = np.concatenate([[0], np.cumsum(sizes)])
-        self.block_owner = np.repeat(np.arange(len(certs)), sizes)
-        levels = np.concatenate([cert.block_levels for cert in certs])
-        coords = np.concatenate([cert.block_coords for cert in certs])
+    def __init__(self, table):
+        block_start, levels, coords, center = table
+        self.dim = dim = coords.shape[1]
+        count = len(block_start) - 1
+        self.block_start = block_start
+        self.block_owner = np.repeat(np.arange(count), np.diff(block_start))
         self.sides = np.ldexp(1.0, -levels)
         self.lows, self.highs = coords * self.sides[:, None], (coords + 1) * self.sides[:, None]
         self.centers = _centers(coords, levels)
-        center = self.block_start[:-1] + np.array([cert.center_block for cert in certs])
+        center = block_start[:-1] + center
         self.steps = np.arange(len(levels)) - center[self.block_owner]  # signed, out of the center
+        top = levels == np.minimum.reduceat(levels, block_start[:-1])[self.block_owner]
+        opens = top.copy()  # the first block of each run of largest blocks
+        opens[1:] &= ~top[:-1] | (self.block_owner[1:] != self.block_owner[:-1])
+        self.separated = np.bincount(self.block_owner[opens], minlength=count) > 1
         self.outer = outer = np.flatnonzero(self.steps)
-        inner = outer - np.sign(self.steps[outer])
+        self.inner = inner = outer - np.sign(self.steps[outer])
         lo = np.maximum(self.lows[outer], self.lows[inner])
         hi = np.minimum(self.highs[outer], self.highs[inner])
         self.gates = 0.5 * (lo + hi)
         self.gate_owner = owner = self.block_owner[outer]
-        self.broken = np.bincount(owner[(hi < lo).any(axis=1)], minlength=len(certs)) > 0
+        self.broken = np.bincount(owner[(hi < lo).any(axis=1)], minlength=count) > 0
         self.heads = np.stack([self.centers[inner], self.gates], axis=1).reshape(-1, dim)
         self.tails = np.stack([self.gates, self.centers[outer]], axis=1).reshape(-1, dim)
         self.segment_owner = np.repeat(owner, 2)
@@ -400,8 +443,21 @@ class _Walks:
         return bound
 
 
+def _certificates(domains, table):
+    """The certificate of each domain of a group, from the group's block
+    table (see :func:`_block_table`)."""
+    block_start, levels, coords, center = table
+    middle = block_start[:-1] + center
+    centers = _centers(coords[middle], levels[middle])
+    constant = uniform_john_constant(coords.shape[1])
+    bounds = zip(block_start[:-1].tolist(), block_start[1:].tolist(), center.tolist())
+    for omega, (a, b, c), x in zip(domains, bounds, centers):
+        yield JohnCertificate(omega, x, constant, levels[a:b], coords[a:b], c)
+
+
 def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
-    """Certificate from the maximal-block labeling along the curve.
+    """Certificate from the maximal-block labeling along the curve: a group
+    of one (see :func:`_block_table`).
 
     The central point is the center of the middle-most largest filled cube;
     per curve direction the same-generation run lengths then satisfy
@@ -409,47 +465,17 @@ def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
     uniform constant of :func:`uniform_john_constant`, independent of the
     resolution and of the index range.
     """
-    ordering = omega.ordering
-    if not (ordering.is_face_adjacent and ordering.is_prefix_nested):
-        raise ConstructionError(
-            "construction needs a face-adjacent, prefix-nested ordering"
-        )
-    d, k = omega.dim, omega.level
-    raw = _maximal_blocks(omega.i - 1, omega.j - 1, 1 << d)
-    starts = np.array([pos for pos, _ in raw])
-    t = np.array([(size.bit_length() - 1) // d for _, size in raw])  # size = (2^d)^t
-    levels = k - t
-    coords = ordering.coords[starts].astype(np.int64) >> t[:, None]
-
-    oldest = np.flatnonzero(levels == levels.min())
-    if oldest[-1] - oldest[0] != len(oldest) - 1:
-        raise ConstructionError("largest filled cubes are not consecutive")
-    center_block = int(oldest[0] + (len(oldest) - 1) // 2)
-
-    def runs(indices):
-        out = []
-        for lvl in levels[indices].tolist():
-            if out and out[-1][0] == lvl:
-                out[-1] = (lvl, out[-1][1] + 1)
-            else:
-                out.append((lvl, 1))
-        return out
-
-    return JohnCertificate(
-        union=omega,
-        center=_centers(coords[center_block], levels[center_block]),
-        constant=uniform_john_constant(d),
-        block_levels=levels,
-        block_coords=coords,
-        center_block=center_block,
-        runs_left=runs(np.arange(center_block - 1, -1, -1)),
-        runs_right=runs(np.arange(center_block + 1, len(levels))),
-    )
+    return next(_certificates([omega], _block_table(omega.ordering, [omega.i], [omega.j])))
 
 
-def _verify_group(domains, certs, samples: int) -> list:
+def _verify_group(ordering: HilbertOrdering, i, j, constant, samples: int,
+                  table=None, faces=None) -> list:
     """Prove each certificate's John condition on its domain, or find a pair
-    that breaks it; all domains of the group at once.
+    that breaks it; all domains i[g] .. j[g] of the group at once.  The
+    certificates are the rows of ``table`` (see :func:`_block_table`; the
+    domains' own blocks by default), each with its ``constant`` (one for all,
+    or one per domain); ``faces`` are the domains' face runs (see
+    :func:`_face_runs`; built by default).
 
     The condition: |x - gamma(t)| <= constant * dist(gamma(t), boundary) for
     every point x of the domain and every point gamma(t) of x's curve, which
@@ -476,9 +502,10 @@ def _verify_group(domains, certs, samples: int) -> list:
     domain that needs more than ``samples`` evaluated points.  Each domain's
     result is ``(ok, worst, evaluated, profile_bound)``: ``worst`` is
     max(sqrt(d), the largest evaluated F / D); or, for a certificate whose
-    blocks do not touch, a ``ConstructionError``, and for one whose walk
-    leaves its domain, a ``CertificateInvalidError``.  Every test is per
-    piece or per domain, so a domain's result does not depend on its group.
+    largest blocks are not consecutive or whose blocks do not touch, a
+    ``ConstructionError``, and for one whose walk leaves its domain, a
+    ``CertificateInvalidError``.  Every test is per piece or per domain, so
+    a domain's result does not depend on its group.
 
     The margin: a midpoint at depth L (the segments are depth 0) is a dyadic
     rational with k + L + 2 fraction bits at level k, exact while
@@ -496,29 +523,38 @@ def _verify_group(domains, certs, samples: int) -> list:
     """
     if samples < 1:
         raise ValueError("need samples >= 1")
-    if not domains:
+    i, j = np.asarray(i, dtype=np.int64), np.asarray(j, dtype=np.int64)
+    count, dim = len(i), ordering.dim
+    if not count:
         return []
-    ordering = domains[0].ordering
-    if any(omega.ordering is not ordering for omega in domains):
-        raise ValueError("a group's domains share one ordering")
-    count, dim = len(domains), ordering.dim
-    i = np.array([omega.i for omega in domains])
-    j = np.array([omega.j for omega in domains])
-    walks = _Walks(certs)
-    # every walk vertex and segment midpoint lies in its own domain
+    table = _block_table(ordering, i, j) if table is None else table
+    walks = _Walks(table)
+    # every walk vertex and segment midpoint lies in its own domain: it does
+    # if its block (its own, a gate's outer one, a segment's) does, which on
+    # a prefix-nested curve of every cube is an aligned run of positions;
+    # the points of the other blocks are looked up
+    t = np.maximum(ordering.order - table[1], 0)
+    run = ordering.positions(table[2] << t[:, None]) >> (dim * t) << (dim * t)
+    block = walks.block_owner
+    held = (run >= i[block] - 1) & (run + (1 << (dim * t)) <= j[block])
+    held &= (table[1] <= ordering.order) & ordering.is_prefix_nested
+    held &= len(ordering) == 1 << (dim * ordering.order)
     mids = 0.5 * (walks.heads + walks.tails)  # exact
-    owner = np.concatenate([walks.block_owner, walks.gate_owner, walks.segment_owner])
-    inside = _members(ordering, np.concatenate([walks.centers, walks.gates, mids]),
+    block = np.concatenate([np.arange(len(t)), walks.outer,
+                            np.stack([walks.inner, walks.outer], axis=1).ravel()])
+    loose = np.flatnonzero(~held[block])
+    owner = walks.block_owner[block[loose]]
+    inside = _members(ordering, np.concatenate([walks.centers, walks.gates, mids])[loose],
                       (i - 1)[owner], j[owner])
     exits = np.bincount(owner[~inside], minlength=count) > 0
 
-    constant = np.array([cert.constant for cert in certs])
+    constant = np.broadcast_to(np.asarray(constant, dtype=float), count)
     limit = constant * (1 - PROOF_MARGIN)
     worst = np.full(count, math.sqrt(dim))  # the first leg's bound
     evaluated = np.zeros(count, dtype=np.int64)
     ok = np.zeros(count, dtype=bool)
-    live = ~walks.broken & ~exits & (worst <= limit)
-    lows, highs, runs = _face_runs(ordering, i, j)
+    live = ~walks.separated & ~walks.broken & ~exits & (worst <= limit)
+    lows, highs, runs = _face_runs(ordering, i, j) if faces is None else faces
     first_run = np.cumsum(runs) - runs
     segment = np.flatnonzero(live[walks.segment_owner])  # the segment of each piece
     p = mids[segment]
@@ -547,8 +583,11 @@ def _verify_group(domains, certs, samples: int) -> list:
 
     results = []
     rows = zip(ok.tolist(), worst.tolist(), evaluated.tolist(), walks.profile_bounds().tolist())
-    for broken, leaves, row in zip(walks.broken.tolist(), exits.tolist(), rows):
-        if broken:
+    for separated, broken, leaves, row in zip(walks.separated.tolist(), walks.broken.tolist(),
+                                              exits.tolist(), rows):
+        if separated:
+            results.append(ConstructionError("largest filled cubes are not consecutive"))
+        elif broken:
             results.append(ConstructionError("blocks are not adjacent"))
         elif leaves:
             results.append(CertificateInvalidError("polyline exits the domain"))
@@ -562,10 +601,30 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
     that breaks it: a group of one (see :func:`_verify_group`).  Returns
     ``(ok, worst, evaluated)``; raises the ``ConstructionError`` or
     ``CertificateInvalidError`` that fails the domain."""
-    result = _verify_group([omega], [cert], samples)[0]
+    table = (np.array([0, len(cert.block_levels)]), cert.block_levels, cert.block_coords,
+             np.array([cert.center_block]))
+    result = _verify_group(omega.ordering, [omega.i], [omega.j], cert.constant, samples, table)[0]
     if isinstance(result, Exception):
         raise result
     return result[:3]
+
+
+def _chunks(ordering: HilbertOrdering, pairs):
+    """The segment domains of ``pairs``, in lists whose face pass (2 d
+    unit-face slots per cube, a few arrays each, see :func:`_face_runs`)
+    holds at most ``DISTANCE_TABLE_ENTRIES`` / 4 slots, one domain at
+    least."""
+    limit = DISTANCE_TABLE_ENTRIES // (8 * ordering.dim)
+    chunk, cubes = [], 0
+    for i, j in pairs:
+        omega = CubeUnion(ordering, i, j)
+        if chunk and cubes + omega.cube_count > limit:
+            yield chunk
+            chunk, cubes = [], 0
+        chunk.append(omega)
+        cubes += omega.cube_count
+    if chunk:
+        yield chunk
 
 
 def verify_segment_domains(ordering: HilbertOrdering, pairs, samples: int):
@@ -575,41 +634,37 @@ def verify_segment_domains(ordering: HilbertOrdering, pairs, samples: int):
     ``result`` is ``(ok, worst, evaluated, profile_bound)`` (see
     :func:`_verify_group`), or the ``ConstructionError`` or
     ``CertificateInvalidError`` that fails the domain; ``cert`` is ``None``
-    when the certificate cannot be built.  A domain's first proof level
-    measures its 2 (blocks - 1) walk segments against at most 2 d cubes
-    face runs; a group takes domains (one at least) while these (run, point)
-    pairs, 2 d cubes for a domain without segments, fit one chunk of the
-    distance table (see :func:`_pair_limit`), so memory stays bounded
-    however many pairs there are.
+    when the certificate cannot be built.  Each chunk of domains (see
+    :func:`_chunks`) has its block table and face runs built once.  A
+    domain's first proof level measures its 2 (blocks - 1) walk segments
+    (one point if none) against its face runs; a group takes the chunk's
+    domains (one at least) while these pairs, four floats each, would fill
+    at most ``DISTANCE_TABLE_ENTRIES``, so memory stays bounded however many
+    pairs there are.
     """
-    group, entries = [], 0
-    for i, j in pairs:
-        omega = segment_domain(ordering, i, j)
+    for domains in _chunks(ordering, pairs):
+        i = np.array([omega.i for omega in domains])
+        j = np.array([omega.j for omega in domains])
         try:
-            cert = john_bound_constructive(omega)
-            segments = 2 * (len(cert.block_levels) - 1)
+            table = _block_table(ordering, i, j)
         except ConstructionError as exc:
-            cert, segments = exc, 0
-        cost = 2 * ordering.dim * omega.cube_count * max(1, segments)
-        if group and entries + cost > _pair_limit(1):
-            yield from _verified(group, samples)
-            group, entries = [], 0
-        group.append((omega, cert))
-        entries += cost
-    if group:
-        yield from _verified(group, samples)
-
-
-def _verified(group, samples: int):
-    """The rows of one group of :func:`verify_segment_domains`."""
-    built = [(omega, cert) for omega, cert in group if not isinstance(cert, Exception)]
-    results = iter(_verify_group([omega for omega, _ in built], [cert for _, cert in built],
-                                 samples))
-    for omega, cert in group:
-        if isinstance(cert, Exception):
-            yield omega, None, cert
-        else:
-            yield omega, cert, next(results)
+            for omega in domains:
+                yield omega, None, exc
+            continue
+        block_start, levels, coords, center = table
+        lows, highs, runs = _face_runs(ordering, i, j)
+        first_run = np.concatenate([[0], np.cumsum(runs)])
+        certs = _certificates(domains, table)
+        pairs_per_domain = runs * np.maximum(1, 2 * (np.diff(block_start) - 1))
+        for a, b in _spans(pairs_per_domain, DISTANCE_TABLE_ENTRIES // 4):
+            rows = slice(block_start[a], block_start[b])
+            faces = slice(first_run[a], first_run[b])
+            group = (block_start[a : b + 1] - block_start[a], levels[rows], coords[rows],
+                     center[a:b])
+            results = _verify_group(ordering, i[a:b], j[a:b], uniform_john_constant(ordering.dim),
+                                    samples, group, (lows[faces], highs[faces], runs[a:b]))
+            for omega, result in zip(domains[a:b], results):
+                yield omega, next(certs), result
 
 
 def oscillation_check(omega: CubeUnion, u: GridFunction, certificate: JohnCertificate | None = None):

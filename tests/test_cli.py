@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import snum
@@ -321,20 +322,27 @@ def test_john_budget_of_one_point_fails_every_multi_block_domain(tmp_path):
         assert float(row["worst_ratio"]) == pytest.approx(math.sqrt(2), rel=1e-11)
 
 
+def _third_domain(calls, i, j):
+    """Record a group's pairs; the row of the run's third domain in it, or None."""
+    calls.extend(zip(i.tolist(), j.tolist()))
+    row = 2 - (len(calls) - len(i))
+    return row if 0 <= row < len(i) else None
+
+
 def test_john_invalid_certificate_is_a_failed_row(tmp_path, monkeypatch, capsys):
     # the third of five certificates leaves its domain: that row fails, the
     # others are still measured, and the run exits 1 rather than 2
-    construct = john_mod.john_bound_constructive
+    build = john_mod._block_table
     calls = []
 
-    def third_invalid(omega):
-        calls.append((omega.i, omega.j))
-        if len(calls) == 3:  # the certificate of one cube outside the domain
-            k = 1 if omega.i > 1 else omega.j + 1
-            return construct(segment_domain(omega.ordering, k, k))
-        return construct(omega)
+    def third_invalid(ordering, i, j):
+        row = _third_domain(calls, i, j)
+        if row is not None:  # the blocks of one cube outside the domain
+            i, j = i.copy(), j.copy()
+            i[row] = j[row] = 1 if i[row] > 1 else j[row] + 1
+        return build(ordering, i, j)
 
-    monkeypatch.setattr(john_mod, "john_bound_constructive", third_invalid)
+    monkeypatch.setattr(john_mod, "_block_table", third_invalid)
     out = tmp_path / "john.csv"
     assert main(["john", "--dim", "2", "--order", "2", "--pairs", "5",
                  "--samples", "200", "--out", str(out)]) == 1
@@ -349,16 +357,20 @@ def test_john_invalid_certificate_is_a_failed_row(tmp_path, monkeypatch, capsys)
 def test_john_construction_error_is_a_failed_row(tmp_path, monkeypatch, capsys):
     # the third of five domains has no certificate: its row carries the
     # uniform constant, no profile bound and an infinite ratio, and fails
-    construct = john_mod.john_bound_constructive
+    build = john_mod._block_table
     calls = []
 
-    def third_unbuildable(omega):
-        calls.append((omega.i, omega.j))
-        if len(calls) == 3:
-            raise ConstructionError("largest filled cubes are not consecutive")
-        return construct(omega)
+    def third_unbuildable(ordering, i, j):
+        row = _third_domain(calls, i, j)
+        block_start, levels, coords, center = build(ordering, i, j)
+        if row is not None:  # a finer block, then its center block again
+            c = block_start[row] + center[row]
+            levels = np.insert(levels, c + 1, levels[c] + [1, 0])
+            coords = np.insert(coords, c + 1, coords[c] * [[2], [1]], axis=0)
+            block_start = block_start + 2 * (np.arange(len(block_start)) > row)
+        return block_start, levels, coords, center
 
-    monkeypatch.setattr(john_mod, "john_bound_constructive", third_unbuildable)
+    monkeypatch.setattr(john_mod, "_block_table", third_unbuildable)
     out = tmp_path / "john.csv"
     assert main(["john", "--dim", "2", "--order", "2", "--pairs", "5",
                  "--samples", "200", "--out", str(out)]) == 1
@@ -369,6 +381,43 @@ def test_john_construction_error_is_a_failed_row(tmp_path, monkeypatch, capsys):
     assert (rows[2]["profile_bound"], rows[2]["worst_ratio"]) == ("nan", "inf")
     i, j = calls[2]
     assert f"domain {i}..{j}: largest filled cubes are not consecutive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_john_domains_pairs_form_one_proof_group(seed, tmp_path, monkeypatch):
+    # 300 domains of order 5 hold about 90,000 first-level (face run, piece)
+    # pairs, well within one chunk of the distance table
+    prove = john_mod._verify_group
+    groups = []
+
+    def counted(ordering, i, j, *args, **kwargs):
+        groups.append(len(i))
+        return prove(ordering, i, j, *args, **kwargs)
+
+    monkeypatch.setattr(john_mod, "_verify_group", counted)
+    assert main(["john", "--dim", "2", "--order", "5", "--pairs", "300", "--samples", "10000",
+                 "--seed", str(seed), "--out", str(tmp_path / "john.csv")]) == 0
+    assert groups == [300]
+
+
+@pytest.mark.parametrize("argv", [
+    ["john", "--dim", "2", "--order", "12"],
+    ["john", "--dim", "23", "--order", "1", "--exhaustive"],
+    ["hilbert", "--dim", "3", "--order", "8", "--check"],
+])
+def test_ordering_size_is_a_usage_error_of_the_command(argv, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("an ordering was built before its size was checked")
+
+    monkeypatch.setattr(cli_mod, "hilbert_order", never)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as err:
+        main([*argv, "--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert f"snum {argv[0]}: error: argument --order: 2^(dim*order) = 2^" in message
+    assert "cubes exceed 4194304" in message and "Traceback" not in message
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [

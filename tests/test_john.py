@@ -13,6 +13,7 @@ from snum.john import (
     DISTANCE_TABLE_ENTRIES,
     CertificateInvalidError,
     ConstructionError,
+    _block_table,
     _members,
     _verify_group,
     _Walks,
@@ -37,9 +38,26 @@ def _contains(omega, points):
     return _members(omega.ordering, points, omega.i - 1, omega.j)
 
 
+def _table(certs):
+    """The block table of certificates, one after another (see
+    :func:`_block_table`)."""
+    sizes = [len(cert.block_levels) for cert in certs]
+    return (np.concatenate([[0], np.cumsum(sizes)]),
+            np.concatenate([cert.block_levels for cert in certs]),
+            np.concatenate([cert.block_coords for cert in certs]),
+            np.array([cert.center_block for cert in certs]))
+
+
+def _verify(domains, certs, samples):
+    """Prove the certificates on their domains as one group."""
+    return _verify_group(domains[0].ordering, [omega.i for omega in domains],
+                         [omega.j for omega in domains], [cert.constant for cert in certs],
+                         samples, table=_table(certs))
+
+
 def _profile_bound(cert):
     """The certificate's profile bound, as a group of one."""
-    return float(_Walks([cert]).profile_bounds()[0])
+    return float(_Walks(_table([cert])).profile_bounds()[0])
 
 
 def _walks_of(cert):
@@ -47,7 +65,7 @@ def _walks_of(cert):
     vertex, rebuilt from the flat segments of a group of one: each block's
     first segment starts where the walk has got to, and its second starts
     at the first's gate."""
-    flat = _Walks([cert])
+    flat = _Walks(_table([cert]))
     steps = flat.steps[flat.outer]
     walks = []
     for side in (steps < 0, steps > 0):
@@ -260,20 +278,22 @@ class TestConstructiveCertificate:
 
     def test_run_length_bounds_exhaustive(self):
         # per curve direction: first-generation extras <= 2(2^d - 2),
-        # later generations <= 2^d - 1
-        for order in (2, 3, 4):
-            ordering = hilbert_order(2, order)
-            total = len(ordering)
-            for i in range(1, total + 1):
-                for j in range(i, total + 1):
-                    cert = john_bound_constructive(segment_domain(ordering, i, j))
-                    top = cert.block_levels[cert.center_block]
-                    for runs in (cert.runs_left, cert.runs_right):
-                        for pos, (level, count) in enumerate(runs):
-                            if pos == 0 and level == top:
-                                assert count <= 2 * (2**2 - 2)
-                            else:
-                                assert count <= 2**2 - 1
+        # later generations <= 2^d - 1; the same-level runs of every domain
+        # at once, from one block table per order
+        for order in (2, 3, 4, 5):
+            i, j = np.triu_indices(1 << (2 * order))
+            block_start, levels, _, center = _block_table(hilbert_order(2, order), i + 1, j + 1)
+            owner = np.repeat(np.arange(len(i)), np.diff(block_start))
+            steps = np.arange(len(levels)) - (block_start[:-1] + center)[owner]
+            rows = np.flatnonzero(steps)  # the blocks out of the center, side by side
+            opens = np.ones(len(rows), dtype=bool)  # a new run: a new side or a new level
+            opens[1:] = ((np.diff(rows) != 1) | (np.diff(owner[rows]) != 0)
+                         | (np.diff(levels[rows]) != 0))
+            run = np.cumsum(opens) - 1
+            count = np.bincount(run)
+            first = np.bincount(run, weights=np.abs(steps[rows]) == 1) > 0  # next to the center
+            top = (levels == levels[block_start[:-1] + center][owner])[rows][opens]
+            assert len(count) > 0 and (count <= np.where(first & top, 2 * (2**2 - 2), 2**2 - 1)).all()
 
     def test_requires_structured_ordering(self):
         cells = [(i, j) for i in range(2) for j in range(2)]
@@ -286,11 +306,83 @@ class TestConstructiveCertificate:
         omega = segment_domain(ordering_k3, 3, 30)
         cert = john_bound_constructive(omega)
         left, right = _walks_of(cert)
-        centers = _Walks([cert]).centers
+        centers = _Walks(_table([cert])).centers
         assert left[0].tolist() == right[0].tolist() == cert.center.tolist()
         assert left[-1].tolist() == centers[0].tolist()
         assert right[-1].tolist() == centers[-1].tolist()
         assert _contains(omega, np.vstack([left, right])).all()
+
+
+def _maximal_blocks(lo: int, hi: int, base: int):
+    """Reference tiling of the integer interval [lo, hi] by maximal aligned
+    base**t blocks, one block at a time: (first position, size) pairs."""
+    blocks = []
+    pos = lo
+    while pos <= hi:
+        size = 1
+        while pos % (size * base) == 0 and pos + size * base - 1 <= hi:
+            size *= base
+        blocks.append((pos, size))
+        pos += size
+    return blocks
+
+
+def _reference_table(ordering, pairs):
+    """Reference block table of the domains i..j, one domain at a time: the
+    maximal blocks, and the middle-most of the largest, which are
+    consecutive."""
+    d, k = ordering.dim, ordering.order
+    sizes, levels, coords, centers = [], [], [], []
+    for i, j in pairs:
+        blocks = _maximal_blocks(i - 1, j - 1, 1 << d)
+        t = np.array([(size.bit_length() - 1) // d for _, size in blocks])  # size = (2^d)^t
+        starts = np.array([pos for pos, _ in blocks])
+        oldest = np.flatnonzero(t == t.max())
+        assert oldest[-1] - oldest[0] == len(oldest) - 1
+        sizes.append(len(blocks))
+        levels.append(k - t)
+        coords.append(ordering.coords[starts].astype(np.int64) >> t[:, None])
+        centers.append(oldest[0] + (len(oldest) - 1) // 2)
+    return (np.concatenate([[0], np.cumsum(sizes)]), np.concatenate(levels),
+            np.concatenate(coords), np.array(centers))
+
+
+def _drawn_pairs(total, seed, count=300):
+    """The pairs that ``snum john --pairs count --seed seed`` draws."""
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(count):
+        i = int(rng.integers(1, total + 1))
+        pairs.append((i, int(rng.integers(i, total + 1))))
+    return pairs
+
+
+class TestBlockTable:
+    @pytest.mark.parametrize("dim,order,seed", [
+        (1, 5, None), (2, 3, None), (3, 2, None), (2, 4, None), (2, 5, 1), (2, 5, 2), (2, 5, 3),
+    ])
+    def test_matches_the_maximal_blocks(self, dim, order, seed):
+        # every domain of the small orderings and the john-domains pairs
+        # of order 5: the same blocks, coordinates and center, bit for bit
+        ordering = hilbert_order(dim, order)
+        total = len(ordering)
+        if seed is None:
+            pairs = [(i, j) for i in range(1, total + 1) for j in range(i, total + 1)]
+        else:
+            pairs = _drawn_pairs(total, seed)
+        i, j = np.array(pairs).T
+        table = _block_table(ordering, i, j)
+        expected = _reference_table(ordering, pairs)
+        assert [a.dtype for a in table[1:3]] == [np.int64, np.int64]
+        for got, want in zip(table, expected):
+            assert got.shape == want.shape and got.tobytes() == want.astype(got.dtype).tobytes()
+
+    def test_a_group_of_one_is_the_certificate(self, ordering_k3):
+        cert = john_bound_constructive(segment_domain(ordering_k3, 3, 50))
+        for got, want in zip(_table([cert]), _block_table(ordering_k3, [3], [50])):
+            assert got.tobytes() == want.tobytes()
+        center = cert.block_coords[cert.center_block]
+        assert cert.center.tolist() == ((center + 0.5) / (1 << cert.block_levels[cert.center_block])).tolist()
 
 
 def _cubes(cert):
@@ -406,7 +498,7 @@ class TestBlockLookup:
 
     def test_block_centers_are_exact(self, ordering_k3):
         cert = john_bound_constructive(segment_domain(ordering_k3, 3, 50))
-        for center, (level, coords) in zip(_Walks([cert]).centers, _cubes(cert)):
+        for center, (level, coords) in zip(_Walks(_table([cert])).centers, _cubes(cert)):
             exact = [Fraction(2 * z + 1, 1 << (level + 1)) for z in coords]
             assert [Fraction(v) for v in center] == exact
 
@@ -570,8 +662,8 @@ class TestReferenceParity:
         rng = np.random.default_rng(order)
         domains = [segment_domain(ordering, i, j) for i, j in pairs]
         certs = [john_bound_constructive(omega) for omega in domains]
-        proofs = _verify_group(domains, certs, 10_000)
-        first_level = _verify_group(domains, certs, 1)
+        proofs = _verify(domains, certs, 10_000)
+        first_level = _verify(domains, certs, 1)
         segments, sampled = [], []
         for n, (omega, cert, proof, short) in enumerate(zip(domains, certs, proofs, first_level)):
             i, j = omega.i, omega.j
@@ -589,21 +681,44 @@ class TestReferenceParity:
             sampled.append(ratio)
         for cert, ratio in zip(certs, sampled):
             cert.constant = ratio * (1 - 1e-6)
-        assert not any(ok for ok, *_ in _verify_group(domains, certs, 10_000))
+        assert not any(ok for ok, *_ in _verify(domains, certs, 10_000))
         if dim > 1:  # on the line, 1.5 can exceed the supremum
             for cert in certs:
                 cert.constant = 1.5
             for (i, j), count, (ok, _, early, _) in zip(
-                    pairs, segments, _verify_group(domains, certs, 10_000)):
+                    pairs, segments, _verify(domains, certs, 10_000)):
                 assert ok == (count == 0 and dim == 2) and early <= count, (i, j)
 
 
+def _key(result):
+    """A proof result, comparable bit for bit."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    ok, worst, evaluated, bound = result
+    return ok, worst.hex(), evaluated, bound.hex()
+
+
 class TestGroups:
+    def test_points_in_blocks_inside_the_domain_are_not_looked_up(self):
+        # certificates of other domains, overlapping their own or not: the
+        # same results as when every walk point is looked up
+        ordering, looked_up = hilbert_order(2, 3), hilbert_order(2, 3)
+        looked_up.__dict__["is_prefix_nested"] = False  # no block counts as inside
+        rng = np.random.default_rng(5)
+        i, j = np.sort(rng.integers(1, 65, (2, 400)), axis=0)
+        table = _block_table(ordering, *np.sort(rng.integers(1, 65, (2, 400)), axis=0))
+        results = [[_key(result) for result in _verify_group(
+            o, i, j, uniform_john_constant(2), 2000, table=table)] for o in (ordering, looked_up)]
+        assert results[0] == results[1]
+        kinds = [row[0] for row in results[0]]
+        assert kinds.count(CertificateInvalidError) > 100 and kinds.count(True) > 10
+
     def test_a_domain_does_not_depend_on_its_group(self, ordering_k3):
         # passing domains, one that runs out of the 14-point budget (2..60
         # needs 20), one that fails at once under a lowered constant, one
-        # whose walk leaves its domain and one whose blocks do not touch:
-        # each gives the same result in one group as alone
+        # whose walk leaves its domain, one whose blocks do not touch and
+        # one whose largest blocks are not consecutive: each gives the same
+        # result in one group as alone
         pairs = [(3, 40), (1, 64), (7, 7), (16, 34), (2, 60), (40, 50), (20, 21), (9, 30)]
         domains = [segment_domain(ordering_k3, i, j) for i, j in pairs]
         certs = [john_bound_constructive(omega) for omega in domains]
@@ -611,20 +726,24 @@ class TestGroups:
         certs[6] = john_bound_constructive(segment_domain(ordering_k3, 1, 4))
         broken = dataclasses.replace(certs[3], block_coords=certs[3].block_coords.copy())
         broken.block_coords[-1, 0] += 2
-        domains.append(domains[3])
-        certs.append(broken)
+        c = certs[0].center_block  # a finer block, then the center block again
+        separated = dataclasses.replace(
+            certs[0],
+            block_levels=np.insert(certs[0].block_levels, c + 1,
+                                   certs[0].block_levels[c] + [1, 0]),
+            block_coords=np.insert(certs[0].block_coords, c + 1,
+                                   certs[0].block_coords[c] * [[2], [1]], axis=0))
+        domains += [domains[3], domains[0]]
+        certs += [broken, separated]
 
-        def key(result):
-            if isinstance(result, Exception):
-                return type(result), str(result)
-            ok, worst, evaluated, bound = result
-            return ok, worst.hex(), evaluated, bound.hex()
-
-        together = [key(result) for result in _verify_group(domains, certs, 14)]
-        alone = [key(_verify_group([omega], [cert], 14)[0]) for omega, cert in zip(domains, certs)]
+        together = [_key(result) for result in _verify(domains, certs, 14)]
+        alone = [_key(_verify([omega], [cert], 14)[0]) for omega, cert in zip(domains, certs)]
         assert together == alone
         assert [row[0] for row in together] == [
-            True, True, True, True, False, False, CertificateInvalidError, True, ConstructionError]
+            True, True, True, True, False, False, CertificateInvalidError, True, ConstructionError,
+            ConstructionError]
+        assert [str(result) for result in _verify(domains, certs, 14)[-2:]] == [
+            "blocks are not adjacent", "largest filled cubes are not consecutive"]
         assert together[4][2] <= 14 and float.fromhex(together[4][1]) <= 4.0
         assert float.fromhex(together[5][1]) > 4.0 * (1 + 1e-9) and together[5][2] < 14
 
@@ -664,8 +783,8 @@ class TestGroups:
         # bound sums are exactly twice the half-lengths that the proof uses
         ordering = hilbert_order(dim, order)
         total = len(ordering)
-        walks = _Walks([john_bound_constructive(segment_domain(ordering, i, j))
-                        for i in range(1, total + 1) for j in range(i, total + 1)])
+        i, j = np.triu_indices(total)
+        walks = _Walks(_block_table(ordering, i + 1, j + 1))
         step = walks.tails - walks.heads
         step *= step
         full = np.sqrt(step.sum(axis=1))
