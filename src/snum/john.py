@@ -468,14 +468,13 @@ def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
     return next(_certificates([omega], _block_table(omega.ordering, [omega.i], [omega.j])))
 
 
-def _verify_group(ordering: HilbertOrdering, i, j, constant, samples: int,
-                  table=None, faces=None) -> list:
+def _verify_group(ordering: HilbertOrdering, i, j, constant, samples: int, table,
+                  faces=None) -> list:
     """Prove each certificate's John condition on its domain, or find a pair
     that breaks it; all domains i[g] .. j[g] of the group at once.  The
-    certificates are the rows of ``table`` (see :func:`_block_table`; the
-    domains' own blocks by default), each with its ``constant`` (one for all,
-    or one per domain); ``faces`` are the domains' face runs (see
-    :func:`_face_runs`; built by default).
+    certificates are the rows of ``table`` (see :func:`_block_table`), each
+    with its ``constant`` (one for all, or one per domain); ``faces`` are
+    the domains' face runs (see :func:`_face_runs`; built by default).
 
     The condition: |x - gamma(t)| <= constant * dist(gamma(t), boundary) for
     every point x of the domain and every point gamma(t) of x's curve, which
@@ -527,7 +526,6 @@ def _verify_group(ordering: HilbertOrdering, i, j, constant, samples: int,
     count, dim = len(i), ordering.dim
     if not count:
         return []
-    table = _block_table(ordering, i, j) if table is None else table
     walks = _Walks(table)
     # every walk vertex and segment midpoint lies in its own domain: it does
     # if its block (its own, a gate's outer one, a segment's) does, which on
