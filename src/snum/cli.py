@@ -89,16 +89,20 @@ def _parse_exponent(text: str):
 
 
 def _parse_n_list(text: str):
+    """An argparse type: a comma list of positive integers and ranges lo..hi."""
     out = []
-    for part in text.split(","):
-        part = part.strip()
-        if ".." in part:
-            lo, hi = part.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
+    try:
+        for part in text.split(","):
+            part = part.strip()
+            if ".." in part:
+                lo, hi = part.split("..")
+                out.extend(range(int(lo), int(hi) + 1))
+            else:
+                out.append(int(part))
+    except ValueError:
+        out = []
     if not out or any(n < 1 for n in out):
-        raise ValueError(f"bad n list {text!r}")
+        raise argparse.ArgumentTypeError(f"bad n list {text!r}")
     return tuple(dict.fromkeys(out))
 
 
@@ -413,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_vol = sub.add_parser("volterra", help="interval embedding estimators")
-    p_vol.add_argument("--n", required=True, help="scale list, e.g. 1..5 or 1,2,8")
+    p_vol.add_argument("--n", type=_parse_n_list, required=True, help="scale list, e.g. 1..5 or 1,2,8")
     p_vol.add_argument("--grid", type=_positive_int, default=240)
     p_vol.add_argument("--kinds", default="i,b,c,d,a")
     p_vol.add_argument("--seed", type=_nonnegative_int, default=0)
@@ -427,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cube = sub.add_parser("cube", help="cube embedding estimators")
     p_cube.add_argument("--dim", type=_positive_int, default=2)
-    p_cube.add_argument("--m", required=True, help="balls per side, e.g. 1,2,4")
+    p_cube.add_argument("--m", type=_parse_n_list, required=True, help="balls per side, e.g. 1,2,4")
     p_cube.add_argument("--space", type=_exponent_pair, default="",
                         help="Lorentz exponents p,q")
     p_cube.add_argument("--curve-order", type=_positive_int, default=3)
@@ -458,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_john.add_argument("--seed", type=_nonnegative_int, default=0)
     p_john.add_argument("--out")
 
-    for command in (p_cube, p_hil, p_john):  # usage errors found after parsing name the command
+    for command in (p_vol, p_cube, p_hil, p_john):  # usage errors found after parsing name the command
         command.set_defaults(usage_error=command.error)
 
     p_self = sub.add_parser("selftest", help="run the acceptance matrix")
@@ -503,7 +507,7 @@ def main(argv=None) -> int:
             config = RunConfig(
                 command="volterra",
                 grid=args.grid,
-                n_list=_parse_n_list(args.n),
+                n_list=args.n,
                 kinds=_parse_kinds(args),
                 seed=args.seed,
                 eps=args.eps,
@@ -522,7 +526,7 @@ def main(argv=None) -> int:
                 command="cube",
                 dimension=args.dim,
                 grid=args.grid,
-                n_list=_parse_n_list(args.m),
+                n_list=args.m,
                 kinds=_parse_kinds(args),
                 seed=args.seed,
                 zigzag_eps=args.zigzag_eps,

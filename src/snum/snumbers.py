@@ -240,6 +240,7 @@ MAX_SWEEPS = 80  # exchange sweeps per descent
 PEAK_ROWS = 4  # rows of largest |g| brought in before a full exchange sweep
 CHUNK_SETS = 100_000  # index sets per chunk of a lexicographic sweep
 BLOCK_ENTRIES = 1 << 22  # matrix entries per stacked block of index sets
+FULL_ROW_ENTRIES = 1 << 14  # (set, row) values of a batch small enough to bound on every row
 FLOOR = 1.0 + 1e-12  # no set scores below 1 (|g| = 1 at its own points): a search here is done
 SCREEN_TOL = 16  # safety factor on the prune stages' first-order rounding bounds
 SCREEN_COND_LIMIT = 1e6  # a hull edge worse conditioned than this keeps every row
@@ -261,26 +262,31 @@ def _unit_row_dets(stack):
         return np.abs(np.linalg.det(stack / norms[..., None]))
 
 
-def _interpolants(matrix, sets, alt):
+def _interpolants(matrix, sets, alt, good=None):
     """(coefficients, good) of the interpolant of ``alt`` on each index set:
     one square solve of the set's own rows, for the sets whose unit-row
     |det| exceeds ``SINGULAR_DET`` (``good``); the others keep zeros.
 
-    ``sets`` is an (m, n) integer array.  The (sets, n, n) stack is built,
-    tested and solved in blocks of at most ``BLOCK_ENTRIES`` entries; each set
-    is factored on its own, so the blocks do not change its coefficients.
+    ``sets`` is an (m, n) integer array.  A caller that already has that
+    verdict for some sets (the closed form's, outside its band) passes them
+    as ``good``: LAPACK's determinant is taken only of the others, and the
+    known sets are solved directly.  The (sets, n, n) stack is built, tested
+    and solved in blocks of at most ``BLOCK_ENTRIES`` entries; each set is
+    factored on its own, so neither the blocks nor the verdicts handed in
+    change its coefficients.
     """
     m, n = sets.shape
     coeffs = np.zeros((m, n))
-    good = np.zeros(m, dtype=bool)
+    good = np.zeros(m, dtype=bool) if good is None else good.copy()
     step = max(1, BLOCK_ENTRIES // (n * n))
     for start in range(0, m, step):
         sub = matrix[sets[start:start + step]]  # (block, n, n)
-        ok = _unit_row_dets(sub) > SINGULAR_DET
-        good[start:start + step] = ok
+        ok = good[start:start + step]  # a view: LAPACK's verdicts land in ``good``
+        todo = ~ok
+        if todo.any():
+            ok[todo] = _unit_row_dets(sub if todo.all() else sub[todo]) > SINGULAR_DET
         if ok.any():
-            rhs = np.broadcast_to(alt, (int(ok.sum()), n))[..., None]
-            coeffs[start:start + step][ok] = np.linalg.solve(sub[ok], rhs)[..., 0]
+            coeffs[start:start + step][ok] = np.linalg.solve(sub[ok], alt)
     return coeffs, good
 
 
@@ -291,25 +297,49 @@ def _sup_values(matrix, coeffs):
     return np.fromiter((np.abs(matrix @ c).max() for c in coeffs), float, len(coeffs))
 
 
-def _peak_sample(matrix, coeffs):
-    """(rows, sampled): each column's peak row of ``matrix`` and the largest
-    |m . c| over those rows for each row c of ``coeffs``."""
-    rows = np.unique(np.abs(matrix).argmax(axis=0))
-    return rows, np.abs(matrix[rows] @ coeffs.T).max(axis=0)
+class _Rows:
+    """A search's (npts, n) matrix with what every batch reads of it, taken
+    once: its columns as contiguous arrays (``columns``), max|m|
+    (``scale``), the row norms (``norms``) and the sorted distinct peak rows
+    of its columns (``peaks``, with their ``peak_columns``)."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.columns = np.ascontiguousarray(matrix.T)
+        size = np.abs(matrix)
+        self.scale = size.max()
+        self.norms = np.sqrt((matrix * matrix).sum(axis=1))
+        self.peaks = np.unique(size.argmax(axis=0))
+        self.peak_columns = self.columns[:, self.peaks]
+        # ``_row_lower_bounds``' slack per unit of ||c||_1
+        self.row_slack = 2 * SCREEN_TOL * _gamma(matrix.shape[1]) * self.scale
 
 
-def _row_lower_bounds(matrix, coeffs, slack=None, sample=None):
+def _peak_sample(rows, coeffs):
+    """(sampled, values): the largest |m . c| over a sample of the rows of
+    ``rows.matrix`` for each row c of ``coeffs``.  A batch of at most
+    ``FULL_ROW_ENTRIES`` (set, row) values samples every row (``sampled`` is
+    None); a larger one samples each column's peak row."""
+    if len(coeffs) * len(rows.matrix) <= FULL_ROW_ENTRIES:
+        g, sampled = coeffs @ rows.columns, None
+    else:
+        g, sampled = coeffs @ rows.peak_columns, rows.peaks
+    return sampled, np.abs(g, out=g).max(axis=1)
+
+
+def _row_lower_bounds(rows, coeffs, slack=None):
     """(lower, least): for each row c of ``coeffs`` a lower bound on
     max |matrix @ c| as any product rounds it, and an upper bound on the
     least of those values; (empty, inf) for no rows.
 
-    The values are sampled on a few rows: each column's peak row (the
-    caller's ``_peak_sample`` if it passes one; it is extended in place),
-    then the peak row of the set with the least sampled value, until that
-    row is already in the sample; that set's full value is the upper bound.
-    In any summation order, with or without fused multiply-adds, a computed
-    m . c is within gamma_n sum_k |m_k c_k| <= gamma_n max|m| ||c||_1 of the
-    exact one (gamma_n = n u / (1 - n u)).  A sampled value and the full
+    The values are sampled (``_peak_sample``).  A small batch is sampled on
+    every row, so the least sampled value is a full value and gives the
+    upper bound.  A larger one is sampled on each column's peak row, then on
+    the peak row of the set with the least sampled value, until that row is
+    already in the sample; that set's full value is the upper bound.  In any
+    summation order, with or without fused multiply-adds, a computed m . c
+    is within gamma_n sum_k |m_k c_k| <= gamma_n max|m| ||c||_1 of the exact
+    one (gamma_n = n u / (1 - n u)).  A sampled value and the full
     product's value at the same row both carry that error, so each bound
     moves by twice it, times the safety factor ``SCREEN_TOL``: the default
     ``slack`` of each set.
@@ -317,22 +347,42 @@ def _row_lower_bounds(matrix, coeffs, slack=None, sample=None):
     if not len(coeffs):
         return np.empty(0), math.inf
     if slack is None:
-        slack = 2 * SCREEN_TOL * _gamma(matrix.shape[1]) * np.abs(matrix).max() * np.abs(coeffs).sum(axis=1)
-    rows, sampled = _peak_sample(matrix, coeffs) if sample is None else sample
+        slack = rows.row_slack * np.abs(coeffs).sum(axis=1)
+    sampled, values = _peak_sample(rows, coeffs)
+    k = int(np.argmin(values))
+    if sampled is None:
+        return values - slack, values[k] + slack[k]
     while True:
-        k = int(np.argmin(sampled))
-        g = np.abs(matrix @ coeffs[k])
+        g = np.abs(rows.matrix @ coeffs[k])
         peak = int(np.argmax(g))
-        if peak in rows:
-            return sampled - slack, g[peak] + slack[k]
-        rows = np.append(rows, peak)
-        np.maximum(sampled, np.abs(coeffs @ matrix[peak]), out=sampled)
+        if peak in sampled:
+            return values - slack, g[peak] + slack[k]
+        sampled = np.append(sampled, peak)
+        np.maximum(values, np.abs(coeffs @ rows.matrix[peak]), out=values)
+        k = int(np.argmin(values))
 
 
+@functools.cache
 def _gamma(k: int) -> float:
     """gamma_k = k u / (1 - k u): the relative error of k roundings."""
     u = np.finfo(float).eps / 2
     return k * u / (1 - k * u)
+
+
+@functools.cache
+def _band_margin(n: int) -> tuple:
+    """(a, b): ``_CramerSets``' band around ``SINGULAR_DET`` is
+    a + b |D| / H wide on either side, safety factor included."""
+    kappa = _gamma(n) * n**1.5 * 2 ** (n - 1) + np.finfo(float).eps / 2
+    return (SCREEN_TOL * (_gamma(2 * n - 1) * math.sqrt(n) + math.expm1(n * math.log1p(kappa))),
+            SCREEN_TOL * _gamma((n + 3) * n * (LOG_RANGE + 2) + 2))
+
+
+# C[j, k] = A[j+1, k+1] A[j+2, k+2] - A[j+1, k+2] A[j+2, k+1] of a 3 x 3
+# matrix A, indices mod 3, as positions 3 j + k among A's nine entries: the
+# two factors of the nine first products, then of the nine second ones
+_COFACTOR_TERMS = np.array([[3 * ((j + 1) % 3) + (k + a) % 3, 3 * ((j + 2) % 3) + (k + b) % 3]
+                            for a, b in ((1, 2), (2, 1)) for j in range(3) for k in range(3)]).T
 
 
 def _cofactors(A):
@@ -343,10 +393,9 @@ def _cofactors(A):
         return np.ones_like(A)
     if n == 2:  # C[j, k] = (-1)^(j+k) A[1-j, 1-k]
         return A[::-1, ::-1] * np.array([[1.0, -1.0], [-1.0, 1.0]])[:, :, None]
-    # C[j, k] = A[j+1, k+1] A[j+2, k+2] - A[j+1, k+2] A[j+2, k+1], indices mod 3
-    nxt, far = [1, 2, 0], [2, 0, 1]
-    a, b = A[nxt], A[far]
-    return a[:, nxt] * b[:, far] - a[:, far] * b[:, nxt]
+    flat = A.reshape(9, -1)
+    terms = flat.take(_COFACTOR_TERMS[0], axis=0) * flat.take(_COFACTOR_TERMS[1], axis=0)
+    return (terms[:9] - terms[9:]).reshape(3, 3, -1)
 
 
 class _CramerSets:
@@ -373,28 +422,27 @@ class _CramerSets:
     - (n + 3) n (``LOG_RANGE`` + 2) + 2 roundings relative to |D| / H:
       (n + 3) n ``LOG_RANGE`` + 2 in numpy's exp(sum log|u_ii|), n + 1 in
       each row norm on either side, and n in H and the division by it.
-    Outside that margin the closed form gives LAPACK's verdict; inside it
-    (``band``) LAPACK decides.
+    Outside that margin (``_band_margin``) the closed form gives LAPACK's
+    verdict, so ``_interpolants`` takes it; inside it (``band``) LAPACK
+    decides.
     """
 
-    def __init__(self, matrix, sets):
+    def __init__(self, rows, sets):
         n = sets.shape[1]
-        cols = np.ascontiguousarray(matrix.T).take(sets.T, axis=1)  # [k, j] = matrix[sets[:, j], k]
-        A = cols.transpose(1, 0, 2)
-        self.n, self.scale = n, np.abs(matrix).max()
-        self.cof = _cofactors(A)
-        self.det = (A[0] * self.cof[0]).sum(axis=0)
-        norms = np.sqrt((cols * cols).sum(axis=0))  # row norms, (n, m)
+        At = rows.columns.take(sets.T, axis=1)  # At[k, j] = A[j, k] = matrix[sets[:, j], k]
+        self.n, self.scale = n, rows.scale
+        self.cof = _cofactors(At)  # the transposed cofactors, cof[k, j] = C[j, k]
+        self.det = (At[:, 0] * self.cof[:, 0]).sum(axis=0)
+        norms = rows.norms[sets.T]  # row norms, (n, m)
         H = norms.prod(axis=0)
         self.rmax, rmin = norms.max(axis=0), norms.min(axis=0)
         self.det_err = _gamma(2 * n - 1) * math.sqrt(n) * H
         self.size = np.abs(self.det)
-        kappa = _gamma(n) * n**1.5 * 2 ** (n - 1) + np.finfo(float).eps / 2
+        fixed, relative = _band_margin(n)
         with np.errstate(divide="ignore", invalid="ignore"):  # a zero row lands in the band
             self.adj_total = n * n * H / rmin
             rel = self.size / H
-            margin = SCREEN_TOL * (_gamma(2 * n - 1) * math.sqrt(n) + math.expm1(n * math.log1p(kappa))
-                                   + _gamma((n + 3) * n * (LOG_RANGE + 2) + 2) * rel)
+            margin = fixed + relative * rel
             self.good = rel - margin > SINGULAR_DET
             self.bad = rel + margin < SINGULAR_DET
         self.band = ~(self.good | self.bad)
@@ -417,7 +465,7 @@ class _CramerSets:
         n = self.n
         u = np.finfo(float).eps / 2
         with np.errstate(divide="ignore", invalid="ignore"):
-            c = (self.cof * alt[:, None, None]).sum(axis=0) / self.det  # (n, m)
+            c = (self.cof * alt[:, None]).sum(axis=1) / self.det  # (n, m)
             norm = np.abs(c).sum(axis=0)
             lapack = _gamma(3 * n) * (1 + n * 2 ** (n - 1) * self.rmax * norm) * self.adj_total
             spread = SCREEN_TOL * (u * norm + (lapack + self.det_err * norm) / (self.size - self.det_err))
@@ -425,29 +473,25 @@ class _CramerSets:
         return c.T[self.good], slack[self.good]
 
 
-def _closed_form_survivors(matrix, sets, alt, bound: float):
-    """The mask of the index sets that the exact path of ``_best_of_sets``
-    must still see, in batch order.
+def _closed_form_survivors(rows, sets, alt, bound: float):
+    """(keep, good): the mask of the index sets that the exact path of
+    ``_best_of_sets`` must still see, in batch order, and the closed form's
+    nonsingular verdicts (``_CramerSets.good``), which are LAPACK's.
 
     Kept are the sets in the singularity ``band`` and the good sets whose
-    Cramer value sampled on each column's peak row, less its slack, can
-    reach min(``bound``, U).  The slack keeps that bound below the exact
-    path's first sample of every set, and U, the least Cramer value
-    (``_row_lower_bounds``) plus the largest slack of a set that can reach
-    it, lies above the least exact value and above the exact path's
-    threshold.  So the kept sets include every set that the exact path's
-    sampling picks, every set it scores in full and its winner, and the
-    exact path takes the same steps on them.
+    Cramer lower bound (``_row_lower_bounds`` with the Cramer slack) can
+    reach min(``bound``, U), where U is the bound on the least Cramer value.
+    The slack keeps each set's lower bound below its exact value, and U
+    above the exact value of the set it comes from.  So every set whose
+    exact value ties or beats the least one is kept, and the exact path
+    picks the full batch's winner from the kept sets.
     """
-    cramer = _CramerSets(matrix, sets)
+    cramer = _CramerSets(rows, sets)
     coeffs, slack = cramer.interpolants(alt)
-    sample = _peak_sample(matrix, coeffs)
-    lower = sample[1] - slack
-    least = _row_lower_bounds(matrix, coeffs, slack, sample)[1]
-    cap = least + slack[lower <= least].max(initial=0.0)
+    lower, least = _row_lower_bounds(rows, coeffs, slack)
     keep = cramer.band.copy()
-    keep[np.flatnonzero(cramer.good)[lower <= min(bound, cap)]] = True
-    return keep
+    keep[np.flatnonzero(cramer.good)[lower <= min(bound, least)]] = True
+    return keep, cramer.good
 
 
 class _BatchResult(NamedTuple):
@@ -460,30 +504,35 @@ class _BatchResult(NamedTuple):
     solved: int  # index sets factored by LAPACK
 
 
-def _best_of_sets(matrix, sets, alt, bound: float) -> _BatchResult:
-    """The first index set with the least interpolation minimax, its value
-    and coefficients, when that value is below ``bound``; value inf (and no
-    set) otherwise.  This is the search's one exact scorer.
+def _best_of_sets(rows, sets, alt, bound: float) -> _BatchResult:
+    """The first index set with the least interpolation minimax on the
+    ``_Rows`` ``rows``, its value and coefficients, when that value is below
+    ``bound``; value inf (and no set) otherwise.  This is the search's one
+    exact scorer.
 
     With dim E = n and n constraints the interpolant is generically unique:
     one square solve per set (``_interpolants``); a singular set has no
     interpolant and cannot win.  Up to ``CRAMER_MAX_N`` a closed-form stage
-    (``_closed_form_survivors``) first drops the sets that cannot win;
-    LAPACK solves the rest.  Of those, only the sets whose row-sampled lower
-    bound (``_row_lower_bounds``) can still reach min(``bound``, the least
-    set's value) are scored on every row (``_sup_values``); their number is
-    ``rescored``.  Every other set's value exceeds that minimum or reaches
-    ``bound``, and each set is scored on its own, so the winner and its
-    value are those of the full value table.
+    (``_closed_form_survivors``) first drops the sets that cannot win, and
+    hands its nonsingular verdicts on: LAPACK takes the determinant of the
+    band's sets only and solves the rest.  Of those, only the sets whose
+    row-sampled lower bound (``_row_lower_bounds``, on every row for a
+    batch of at most ``FULL_ROW_ENTRIES`` values) can still reach
+    min(``bound``, the least set's value) are scored on every row, each on
+    its own (``_sup_values``); their number is ``rescored``.  Every other
+    set's value exceeds that minimum or reaches ``bound``, so the winner and
+    its value are those of the full value table.
     """
+    known = None
     if sets.shape[1] <= CRAMER_MAX_N:
-        sets = sets[_closed_form_survivors(matrix, sets, alt, bound)]
-    coeffs, good = _interpolants(matrix, sets, alt)
+        keep, known = _closed_form_survivors(rows, sets, alt, bound)
+        sets, known = sets[keep], known[keep]
+    coeffs, good = _interpolants(rows.matrix, sets, alt, known)
     vals = np.full(len(sets), np.inf)
     idx = np.flatnonzero(good)
-    lower, least = _row_lower_bounds(matrix, coeffs[idx])
+    lower, least = _row_lower_bounds(rows, coeffs[idx])
     idx = idx[lower <= min(bound, least)]
-    vals[idx] = _sup_values(matrix, coeffs[idx])
+    vals[idx] = _sup_values(rows.matrix, coeffs[idx])
     if not vals.min(initial=math.inf) < bound:
         return _BatchResult(math.inf, None, None, len(idx), len(sets))
     k = int(np.argmin(vals))
@@ -561,9 +610,10 @@ def _gauge_bounds(matrix, rows):
     return s, delta
 
 
-def _best_pair(matrix, cands, alt) -> _BatchResult:
-    """``_best_of_sets`` on every pair of ``cands`` in lexicographic order
-    with no bound, handed only the pairs that can still win.
+def _best_pair(rows, cands, alt) -> _BatchResult:
+    """``_best_of_sets`` on every pair of ``cands`` of the ``_Rows`` ``rows``
+    in lexicographic order with no bound, handed only the pairs that can
+    still win.
 
     A pair scores at least the bound (1 - delta_i) / s_i of each of its
     rows (``_gauge_bounds``), and only rows on the boundary of K have a
@@ -577,23 +627,23 @@ def _best_pair(matrix, cands, alt) -> _BatchResult:
     full batch.  Without bounds, or when the first batch has no nonsingular
     pair, every pair is scored.  The counts add up over the batches.
     """
-    def best(rows):
-        return _best_of_sets(matrix, rows[np.stack(np.triu_indices(len(rows), 1), axis=1)], alt, math.inf)
+    def best(picked):
+        return _best_of_sets(rows, picked[np.stack(np.triu_indices(len(picked), 1), axis=1)], alt, math.inf)
 
-    bounds = _gauge_bounds(matrix, cands)
+    bounds = _gauge_bounds(rows.matrix, cands)
     if bounds is None:
         return best(cands)
     s, delta = bounds
     top = s * (1 + delta) >= 1
     first = best(cands[top])
     if first.set is None:
-        rows = cands
+        picked = cands
     else:
         reach = 1 - delta <= first.value * s
         if not (reach & ~top).any():
             return first
-        rows = cands[reach]
-    last = best(rows)
+        picked = cands[reach]
+    last = best(picked)
     return _BatchResult(*last[:3], first.rescored + last.rescored, first.solved + last.solved)
 
 
@@ -652,10 +702,11 @@ def _exchanges(T: np.ndarray, outside: np.ndarray) -> np.ndarray:
     """Every one-index exchange of the sorted set ``T``, each row sorted:
     row pos * len(outside) + j swaps T[pos] for outside[j]."""
     n, m = len(T), len(outside)
-    rest = np.broadcast_to(T, (n, n))[~np.eye(n, dtype=bool)].reshape(n, 1, n - 1)
-    swapped = np.concatenate([np.broadcast_to(rest, (n, m, n - 1)),
-                              np.broadcast_to(outside[:, None], (n, m, 1))], axis=2)
-    return np.sort(swapped, axis=2).reshape(n * m, n)
+    swapped = np.empty((n, m, n), dtype=np.result_type(T, outside))
+    swapped[:, :, :n - 1] = T[None].repeat(n, axis=0)[~np.eye(n, dtype=bool)].reshape(n, 1, n - 1)
+    swapped[:, :, n - 1] = outside
+    swapped.sort(axis=2)
+    return swapped.reshape(n * m, n)
 
 
 def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
@@ -692,9 +743,11 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
         raise ValueError("a basis column is identically zero")
     matrix = matrix / col_scale
     row_scale = np.abs(matrix).max(axis=1)
-    cands = np.nonzero(row_scale > 1e-12)[0]  # the largest entry is now 1
+    is_cand = row_scale > 1e-12  # the largest entry is now 1
+    cands = np.flatnonzero(is_cand)
     if len(cands) < n:
         raise ValueError("not enough nonzero evaluation points")
+    rows = _Rows(matrix)
 
     best_val, best_T, best_c = math.inf, None, None
     evals = rescored = solved = descents = peak_sweeps = full_sweeps = 0
@@ -711,27 +764,32 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
         if val < best_val - 1e-12:
             best_val, best_T, best_c = val, T, c
 
+    def outside_of(T):  # the candidates not in T, ascending
+        free = is_cand.copy()
+        free[T] = False
+        return np.flatnonzero(free)
+
     def exhaustive_sweep():
         nonlocal evals
         for sets in _combination_chunks(cands, n):
             evals += len(sets)
-            improve(*counted(_best_of_sets(matrix, sets, alt, best_val - 1e-12)))
+            improve(*counted(_best_of_sets(rows, sets, alt, best_val - 1e-12)))
 
-    def sweep(T, rows, bound):
+    def sweep(T, incoming, bound):
         nonlocal evals
-        evals += n * len(rows)
-        return counted(_best_of_sets(matrix, _exchanges(T, rows), alt, bound))
+        evals += n * len(incoming)
+        return counted(_best_of_sets(rows, _exchanges(T, incoming), alt, bound))
 
     def descend(T):
         # Remez's rule first: bring in the rows outside T where the incumbent
         # g deviates most; every exchange only when none of those improves
         nonlocal descents, peak_sweeps, full_sweeps
         descents += 1
-        cur_val, _, cur_c = counted(_best_of_sets(matrix, T[None], alt, math.inf))
+        cur_val, _, cur_c = counted(_best_of_sets(rows, T[None], alt, math.inf))
         for _ in range(MAX_SWEEPS):
             if cur_val <= FLOOR:
                 break
-            outside = cands[~np.isin(cands, T)]
+            outside = outside_of(T)
             val = math.inf
             if cur_c is not None:  # a singular start has no g
                 g = np.abs(matrix[outside] @ cur_c)
@@ -749,7 +807,7 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
     total_sets = comb(len(cands), n)
     if total_sets <= EXHAUSTIVE_LIMIT and n == 2:
         evals += total_sets
-        improve(*counted(_best_pair(matrix, cands, alt)))
+        improve(*counted(_best_pair(rows, cands, alt)))
     elif total_sets <= EXHAUSTIVE_LIMIT:
         exhaustive_sweep()
     else:
@@ -770,7 +828,7 @@ def zigzag_find(matrix, eps: float = 0.05, rng=None) -> ZigzagResult:
                 if best_T is None or best_val <= FLOOR:
                     break
                 T = best_T.copy()
-                outside = cands[~np.isin(cands, T)]
+                outside = outside_of(T)
                 for pos in rng.choice(n, size=min(2, n), replace=False):
                     T[pos] = rng.choice(outside)
                     outside = outside[outside != T[pos]]
@@ -948,18 +1006,20 @@ def bernstein_lower(subspace: Subspace) -> SNumberBound:
     if len(live) < n:
         raise DegenerateBasisError("not enough active nodes for a vertex")
     combos = np.concatenate(list(_combination_chunks(live, n)))
-    cramer = _CramerSets(matrix, combos)  # nothing in it depends on the signs
+    rows = _Rows(matrix)
+    cramer = _CramerSets(rows, combos)  # nothing in it depends on the signs
     good = np.flatnonzero(cramer.good)
     best_mass, best_c = 0.0, None
     for signs in itertools.product((1.0, -1.0), repeat=n - 1):
         sigma = np.array((1.0, *signs))  # global sign symmetry fixes the first
-        # LAPACK solves the sets whose Cramer lower bound can pass the cut
+        # LAPACK solves the sets whose Cramer lower bound can pass the cut,
+        # and takes the determinant of the band's sets only
         keep = cramer.band.copy()
-        keep[good[_row_lower_bounds(matrix, *cramer.interpolants(sigma))[0] <= 1.0 + 1e-9]] = True
-        coeffs, ok = _interpolants(matrix, combos[keep], sigma)
+        keep[good[_row_lower_bounds(rows, *cramer.interpolants(sigma))[0] <= 1.0 + 1e-9]] = True
+        coeffs, ok = _interpolants(matrix, combos[keep], sigma, cramer.good[keep])
         # the feasibility cut, on the sets whose lower bound does not exclude it
         cs = coeffs[ok]
-        cs = cs[_row_lower_bounds(matrix, cs)[0] <= 1.0 + 1e-9]
+        cs = cs[_row_lower_bounds(rows, cs)[0] <= 1.0 + 1e-9]
         cs = cs[_sup_values(matrix, cs) <= 1.0 + 1e-9]
         if not len(cs):
             continue

@@ -10,6 +10,8 @@ precision (used for searches).
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -30,6 +32,13 @@ class ExactValueError(ArithmeticError):
 
 class GridMismatchError(ValueError):
     """Grids of the operands are incompatible (not equal or nested)."""
+
+
+def _sum_left(terms):
+    """0 + t_0 + t_1 + ..., added left to right: exact for ``Fraction``
+    terms, and for floats the same bits on every Python (the builtin
+    ``sum`` compensates float sums from Python 3.12 on)."""
+    return functools.reduce(operator.add, terms, 0)
 
 
 def _is_rational(x) -> bool:
@@ -248,15 +257,15 @@ class StepFunction1D:
     # -- integrals ----------------------------------------------------------
 
     def integral(self):
-        return sum(v * l for v, l in zip(self.values, self.lengths()))
+        return _sum_left(v * l for v, l in zip(self.values, self.lengths()))
 
     def l1_norm(self):
-        return sum(abs(v) * l for v, l in zip(self.values, self.lengths()))
+        return _sum_left(abs(v) * l for v, l in zip(self.values, self.lengths()))
 
     def integrate_against(self, g: "StepFunction1D"):
         """Exact integral of self * g."""
         f, g = StepFunction1D.common_refinement(self, g)
-        return sum(a * b * l for a, b, l in zip(f.values, g.values, f.lengths()))
+        return _sum_left(a * b * l for a, b, l in zip(f.values, g.values, f.lengths()))
 
 
 @dataclass(frozen=True)

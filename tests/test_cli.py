@@ -36,6 +36,25 @@ def test_usage_error_on_bad_flags(capsys):
     assert "--mode" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["volterra", "--n", "abc"],
+    ["volterra", "--n", "1.."],
+    ["volterra", "--n", "1..2..3"],
+    ["volterra", "--n", "0,2"],
+    ["volterra", "--n", "3..1"],
+    ["cube", "--m", "x"],
+])
+def test_bad_n_list_names_the_flag(argv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--out", str(out)])
+    assert err.value.code == 2
+    message = capsys.readouterr().err
+    assert message.endswith(f"snum {argv[0]}: error: argument {argv[1]}: bad n list {argv[2]!r}\n")
+    assert "Traceback" not in message and "int()" not in message
+    assert not out.exists()
+
+
 def test_usage_error_on_incompatible_grid():
     assert main(["volterra", "--n", "2", "--grid", "3", "--kinds", "i"]) == 2
 
@@ -641,7 +660,10 @@ def test_readme_commands_parse():
 def test_parser_lists():
     parser = build_parser()
     args = parser.parse_args(["volterra", "--n", "1..3,7"])
-    assert args.n == "1..3,7"
+    assert args.n == (1, 2, 3, 7)
+    # first appearance order, duplicates dropped; --m is the same list type
+    assert parser.parse_args(["volterra", "--n", "3, 1..2,2"]).n == (3, 1, 2)
+    assert parser.parse_args(["cube", "--m", "1,2,4"]).m == (1, 2, 4)
 
 
 def test_run_rejects_other_commands():

@@ -409,7 +409,7 @@ class TestFloorStop:
         monkeypatch.undo()
         assert res.witness is not None and at_floor
         for scaled, T, alt, val in at_floor:
-            cands = np.flatnonzero(np.abs(scaled).max(axis=1) > 1e-12)
+            cands = np.flatnonzero(np.abs(scaled.matrix).max(axis=1) > 1e-12)
             sets = snumbers_mod._exchanges(T, np.setdiff1d(cands, T))
             assert best_of_sets(scaled, sets, alt, val - 1e-12).set is None
 
@@ -436,7 +436,8 @@ class TestPeakRows:
             T = res.witness.indices
             sets = snumbers_mod._exchanges(T, np.setdiff1d(np.arange(P), T))
             alt = snumbers_mod._alternation_target(n)
-            assert snumbers_mod._best_of_sets(scaled, sets, alt, res.value - 1e-12).set is None
+            rows = snumbers_mod._Rows(scaled)
+            assert snumbers_mod._best_of_sets(rows, sets, alt, res.value - 1e-12).set is None
 
     def test_counters_account_for_every_evaluation(self):
         # 24 rows, n = 7: a peak sweep scores 7 * PEAK_ROWS sets, a full one 7 * 17
@@ -468,7 +469,7 @@ def _assert_table_winner(matrix, sets, alt, bound=np.inf):
     """The pruned step picks the full table's first argmin below ``bound``:
     same index, set, coefficient bytes and value bits."""
     vals, coeffs = _full_table(matrix, sets, alt)
-    val, best, c, rescored, _ = snumbers_mod._best_of_sets(matrix, sets, alt, bound)
+    val, best, c, rescored, _ = snumbers_mod._best_of_sets(snumbers_mod._Rows(matrix), sets, alt, bound)
     k = int(np.argmin(vals))
     assert 0 <= rescored <= len(sets)
     if not vals[k] < bound:
@@ -487,9 +488,9 @@ class TestPrunedScoring:
 
         batches = []
 
-        def recorded(*args):
-            batches.append(args)
-            return pruned(*args)
+        def recorded(rows, *args):
+            batches.append((rows.matrix, *args))
+            return pruned(rows, *args)
 
         pruned = snumbers_mod._best_of_sets
         monkeypatch.setattr(snumbers_mod, "_best_of_sets", recorded)
@@ -534,7 +535,7 @@ class TestPrunedScoring:
         least = vals.min()
         for bound in (least, least / 2):
             assert _assert_table_winner(matrix, sets, alt, bound) <= len(sets) // 100
-            assert snumbers_mod._best_of_sets(matrix, sets, alt, bound)[1] is None
+            assert snumbers_mod._best_of_sets(snumbers_mod._Rows(matrix), sets, alt, bound)[1] is None
         _assert_table_winner(matrix, sets, alt, np.nextafter(least, np.inf))
 
     def test_exhaustive_search_rescores_few_sets(self):
@@ -572,7 +573,7 @@ class TestPrunedScoring:
         assert len(sets) == 8192
         tracemalloc.start()
         try:
-            val, best, *_ = snumbers_mod._best_of_sets(matrix, sets, alt, np.inf)
+            val, best, *_ = snumbers_mod._best_of_sets(snumbers_mod._Rows(matrix), sets, alt, np.inf)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -589,9 +590,9 @@ def _interval_searches(n):
     batches, results = [], []
     best_of_sets, zigzag = snumbers_mod._best_of_sets, snumbers_mod.zigzag_find
 
-    def recorded_batch(*args):
-        batches.append(args)
-        return best_of_sets(*args)
+    def recorded_batch(rows, *args):
+        batches.append((rows.matrix, *args))
+        return best_of_sets(rows, *args)
 
     def recorded_search(*args, **kwargs):
         results.append(zigzag(*args, **kwargs))
@@ -610,7 +611,7 @@ def _unstaged_best(matrix, sets, alt, bound):
     coeffs, good = snumbers_mod._interpolants(matrix, sets, alt)
     vals = np.full(len(sets), np.inf)
     idx = np.flatnonzero(good)
-    lower, least = snumbers_mod._row_lower_bounds(matrix, coeffs[idx])
+    lower, least = snumbers_mod._row_lower_bounds(snumbers_mod._Rows(matrix), coeffs[idx])
     idx = idx[lower <= min(bound, least)]
     vals[idx] = snumbers_mod._sup_values(matrix, coeffs[idx])
     k = int(np.argmin(vals))
@@ -623,8 +624,8 @@ def _assert_stage_parity(matrix, sets, alt, bound=np.inf):
     """``_best_of_sets`` gives the value bits, set and coefficient bytes of
     the unstaged composition; returns the number of sets solved."""
     picks = []
-    for run in (_unstaged_best, snumbers_mod._best_of_sets):
-        result = run(matrix, sets, alt, bound)
+    for result in (_unstaged_best(matrix, sets, alt, bound),
+                   snumbers_mod._best_of_sets(snumbers_mod._Rows(matrix), sets, alt, bound)):
         val, best, c = result[:3]
         picks.append((np.float64(val).tobytes(), best is None or best.tolist(),
                       c is None or c.tobytes()))
@@ -703,6 +704,15 @@ class TestClosedFormStage:
         for bound in (np.inf, np.nextafter(least, np.inf), least, least / 2):
             _assert_stage_parity(matrix, sets, alt, bound)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_cofactors_are_the_adjugate(self, n):
+        # C^T = det(A) inv(A), for each matrix A[:, :, i]
+        A = np.random.default_rng(n).standard_normal((n, n, 50))
+        adjugate = snumbers_mod._cofactors(A).transpose(2, 1, 0)
+        stack = A.transpose(2, 0, 1)
+        expected = np.linalg.det(stack)[:, None, None] * np.linalg.inv(stack)
+        assert np.allclose(adjugate, expected, rtol=1e-12, atol=1e-12)
+
     def test_closed_form_verdicts_are_lapacks(self):
         # outside the band the closed form gives LAPACK's verdict; the
         # threshold families make a band-free verdict wrong
@@ -714,7 +724,7 @@ class TestClosedFormStage:
         generic = rng.standard_normal((30, 2)) * np.logspace(-6, 0, 30)[:, None]
         families.append((generic, np.array(list(itertools.combinations(range(30), 2)))))
         for matrix, sets in families:
-            stage = snumbers_mod._CramerSets(matrix, sets)
+            stage = snumbers_mod._CramerSets(snumbers_mod._Rows(matrix), sets)
             lapack = _lapack_verdicts(matrix, sets)
             assert (stage.good <= lapack).all() and (stage.bad <= ~lapack).all()
         # the threshold families straddle SINGULAR_DET: LAPACK calls some of
@@ -733,7 +743,7 @@ class TestClosedFormStage:
             assert verdicts[0].tolist() == verdicts[1].tolist()
             assert not verdicts[0].any()
             for m in (matrix, scaled):
-                assert not snumbers_mod._CramerSets(m, sets).good.any()
+                assert not snumbers_mod._CramerSets(snumbers_mod._Rows(m), sets).good.any()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_slack_covers_lapack_coefficients(self, seed):
@@ -746,7 +756,7 @@ class TestClosedFormStage:
             sets = np.sort(rng.choice(40, (400, n)), axis=1)
             sets = sets[(np.diff(sets, axis=1) > 0).all(axis=1)]
             alt = snumbers_mod._alternation_target(n)
-            stage = snumbers_mod._CramerSets(matrix, sets)
+            stage = snumbers_mod._CramerSets(snumbers_mod._Rows(matrix), sets)
             coeffs, slack = stage.interpolants(alt)
             exact, ok = snumbers_mod._interpolants(matrix, sets[stage.good], alt)
             assert ok.all()
@@ -765,6 +775,95 @@ class TestClosedFormStage:
             matrix, sets = _small_rows_family(rng, eps)
             sets = np.vstack([sets, np.sort(rng.choice(len(matrix), (50, 3), replace=True), axis=1)])
             _assert_stage_parity(matrix, sets, snumbers_mod._alternation_target(3))
+
+
+def _counted_dets(monkeypatch):
+    """Record the number of stacks of each ``_unit_row_dets`` call."""
+    calls, dets = [], snumbers_mod._unit_row_dets
+
+    def counted(stack):
+        calls.append(len(stack))
+        return dets(stack)
+
+    monkeypatch.setattr(snumbers_mod, "_unit_row_dets", counted)
+    return calls
+
+
+class TestOnePassScoring:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_good_sets_skip_lapacks_determinant(self, monkeypatch, n):
+        # generic rows: the closed form calls every set good, so LAPACK only
+        # solves the kept sets and never takes a determinant
+        rng = np.random.default_rng(n)
+        matrix = rng.standard_normal((30, n))
+        sets = np.array(list(itertools.combinations(range(30), n)))
+        alt = snumbers_mod._alternation_target(n)
+        rows = snumbers_mod._Rows(matrix)
+        assert snumbers_mod._CramerSets(rows, sets).good.all()
+        calls = _counted_dets(monkeypatch)
+        result = snumbers_mod._best_of_sets(rows, sets, alt, np.inf)
+        assert result.solved >= 1 and calls == []
+        monkeypatch.undo()
+        _assert_stage_parity(matrix, sets, alt)
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7, 1e-3, 123.4])
+    def test_band_sets_keep_lapacks_verdict(self, monkeypatch, scale):
+        # the threshold family's pairs lie in the band, among good pairs of
+        # generic rows: LAPACK takes the determinant of exactly the sets the
+        # closed form does not call good, and its verdicts and coefficients
+        # are those it gives with no verdict handed in
+        matrix, _ = _threshold_family(scale)
+        matrix = np.vstack([matrix, np.random.default_rng(2).standard_normal((10, 2))])
+        sets = np.array(list(itertools.combinations(range(len(matrix)), 2)))
+        alt = snumbers_mod._alternation_target(2)
+        stage = snumbers_mod._CramerSets(snumbers_mod._Rows(matrix), sets)
+        assert stage.band.sum() >= 81 and stage.good.any()
+        coeffs, good = snumbers_mod._interpolants(matrix, sets, alt)
+        assert 0 < good[stage.band].sum() < stage.band.sum()
+        calls = _counted_dets(monkeypatch)
+        handed, verdicts = snumbers_mod._interpolants(matrix, sets, alt, stage.good)
+        assert calls == [int((~stage.good).sum())]
+        assert verdicts.tolist() == good.tolist() and handed.tobytes() == coeffs.tobytes()
+        monkeypatch.undo()
+        _assert_stage_parity(matrix, sets, alt)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "over-cap"])
+    def test_full_row_cap(self, monkeypatch, n, over):
+        # 64 rows: a batch of FULL_ROW_ENTRIES / 64 sets is bounded on every
+        # row, one more set is sampled on the peak rows; either way the
+        # winner is the full table's
+        P = 64
+        m = snumbers_mod.FULL_ROW_ENTRIES // P + over
+        rng = np.random.default_rng(n)
+        matrix = rng.standard_normal((P, n))
+        sets = np.unique(np.sort(rng.choice(P, (3 * m, n)), axis=1), axis=0)
+        sets = sets[(np.diff(sets, axis=1) > 0).all(axis=1)]
+        sets = sets[np.sort(rng.choice(len(sets), m, replace=False))]
+        alt = snumbers_mod._alternation_target(n)
+        paths, sample = [], snumbers_mod._peak_sample
+
+        def recorded(rows, coeffs):
+            result = sample(rows, coeffs)
+            paths.append((len(coeffs), result[0] is None))
+            return result
+
+        monkeypatch.setattr(snumbers_mod, "_peak_sample", recorded)
+        _assert_table_winner(matrix, sets, alt)
+        # the first sample is of every set: the closed form's up to n = 3,
+        # the exact path's beyond
+        assert paths[0] == (m, not over)
+        _assert_stage_parity(matrix, sets, alt)
+
+    def test_interval_command_counts(self):
+        # the seed-1 interval command: no more sets solved or rescored than
+        # with the peak-row sample and the capped closed form, and every
+        # evaluation still counted
+        results = [res for n in (1, 2, 3) for res in _interval_searches(n)[1]]
+        assert len(results) == 60
+        assert sum(res.evaluations for res in results) == 585_864
+        assert sum(res.solved for res in results) <= 1_777
+        assert sum(res.rescored for res in results) <= 206
 
 
 @functools.lru_cache(maxsize=None)
@@ -787,9 +886,9 @@ def _interval_node_matrices(seed):
     return matrices
 
 
-def _full_pair_sweep(matrix, cands, alt):
+def _full_pair_sweep(rows, cands, alt):
     """Every pair of ``cands`` in one batch: the sweep without the hull-row prune."""
-    return snumbers_mod._best_of_sets(matrix, next(snumbers_mod._combination_chunks(cands, 2)), alt, math.inf)
+    return snumbers_mod._best_of_sets(rows, next(snumbers_mod._combination_chunks(cands, 2)), alt, math.inf)
 
 
 def _scaled(matrix):
@@ -803,9 +902,10 @@ def _assert_pair_parity(monkeypatch, matrix):
     value bits and coefficient bytes, and ``zigzag_find`` reports the same
     witness, value, status and evaluations with either."""
     alt = snumbers_mod._alternation_target(2)
+    scaled, cands = _scaled(matrix)
     picks = []
     for sweep in (snumbers_mod._best_pair, _full_pair_sweep):
-        val, best, c = sweep(*_scaled(matrix), alt)[:3]
+        val, best, c = sweep(snumbers_mod._Rows(scaled), cands, alt)[:3]
         picks.append((np.float64(val).tobytes(), best is None or best.tolist(), c is None or c.tobytes()))
     assert picks[0] == picks[1]
     summaries = []

@@ -118,6 +118,27 @@ class TestStepFunction:
         assert g.piece_count == 2
         assert g.l1_norm() == f.l1_norm()
 
+    def test_float_sums_add_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the pieces' terms (1e16, 1, -1e16)
+        # add up to 0 from the left; a compensated sum (the builtin sum from
+        # Python 3.12 on) would give 1
+        def left_to_right(terms):
+            total = 0
+            for term in terms:
+                total = total + term
+            return total
+
+        f = StepFunction1D([0.0, 0.25, 0.5, 1.0], [4e16, 4.0, -2e16])
+        one = StepFunction1D([0.0, 0.5, 1.0], [1.0, 1.0])
+        lengths = (0.25, 0.25, 0.5)
+        assert f.integral() == left_to_right(v * l for v, l in zip(f.values, lengths)) == 0.0
+        assert f.integrate_against(one) == 0.0
+        assert f.l1_norm() == left_to_right(abs(v) * l for v, l in zip(f.values, lengths))
+        # Fraction sums stay exact
+        exact = StepFunction1D([0, Fraction(1, 4), Fraction(1, 2), 1], [Fraction(4 * 10**16), 4, -2 * 10**16])
+        exact_one = StepFunction1D([0, 1], [Fraction(1)])
+        assert exact.integral() == exact.integrate_against(exact_one) == 1
+
     def test_serialization_roundtrip(self):
         f = StepFunction1D([0, Fraction(1, 3), 1], [Fraction(5, 2), Fraction(-1)])
         g = from_json_dict(step_to_json_dict(f))
