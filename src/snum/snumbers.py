@@ -19,10 +19,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .hilbert import hilbert_order
-from .john import segment_domain, uniform_john_constant
+from .john import uniform_john_constant
 from .spaces import (
     EXACT,
     FLOAT,
+    CellField,
     ExactValueError,
     GridFunction,
     GridMismatchError,
@@ -30,6 +31,7 @@ from .spaces import (
     MeanZeroTag,
     StepFunction1D,
     _num_to_json,
+    _sum_left,
     grid_gradient_lorentz_norm,
     lorentz_norm,
     step_to_json_dict,
@@ -954,7 +956,7 @@ def bernstein_upper_1d(subspace: Subspace, eps: float = 0.05, rng=None) -> SNumb
     nodes = np.cumsum(np.concatenate(([0.0], h * subspace.piece_lengths)))[w.indices]
     # the legs 0 -> t_1 -> ... -> t_n, and the boundary leg |Vh(1) - Vh(t_n)|
     telescoping = np.abs(np.concatenate((nodes[:1], np.diff(nodes), nodes[-1:]))).tolist()
-    if l1 < sum(telescoping) - 1e-6:
+    if l1 < _sum_left(telescoping) - 1e-6:
         raise AssertionError("mass breakdown below the telescoping sum")
 
     ratio_at_h = nu / l1
@@ -1537,10 +1539,10 @@ def hat_functions(dim: int, m: int, cells_per_side: int) -> list:
                   min(int(c * cells_per_side) + half, cells_per_side - 1) + 1)
             for c in center
         )
-        mesh = np.meshgrid(*(axis[b] for b in box), indexing="ij")
-        dist = np.sqrt(
-            sum((g - float(c)) ** 2 for g, c in zip(mesh, center))
-        )
+        sq = 0.0  # each axis's squares broadcast along the others, added in axis order
+        for a, (b, c) in enumerate(zip(box, center)):
+            sq = sq + ((axis[b] - float(c)) ** 2).reshape((-1,) + (1,) * (dim - 1 - a))
+        dist = np.sqrt(sq)
         values = np.maximum(0.0, r - dist)
         nonzero = np.nonzero(values)  # the center node is r > 0
         trim = tuple(slice(ids.min(), ids.max() + 1) for ids in nonzero)
@@ -1647,6 +1649,18 @@ def hat_subspace_ratio_grid(hats: list, params: LorentzParams) -> float:
     return combo.sup_norm() / grid_gradient_lorentz_norm(combo.gradient_field(), params)
 
 
+def _curve_rows(field: CellField, ordering) -> CellField:
+    """A cell field ``(R,) * d`` as one row per cube of ``ordering``, in curve
+    order: row p holds the cells of the cube numbered p + 1."""
+    d, k = ordering.dim, 1 << ordering.order
+    side = field.values.shape[0] // k
+    cubes_first = field.values.reshape((k, side) * d).transpose(
+        tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
+    )
+    rows = cubes_first.reshape((k,) * d + (side**d,))[tuple(ordering.coords.T)]
+    return CellField(rows, field.cell_measure)
+
+
 def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05,
                          rng=None) -> SNumberBound:
     """Alternation along the cube ordering plus the segment-domain chain.
@@ -1711,12 +1725,13 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
     c_john = uniform_john_constant(d)
     d_conj = d / (d - 1)
 
-    field = v.gradient_field()  # shared by every link and the full norm
+    rows = _curve_rows(v.gradient_field(), ordering)  # shared by every link and the full norm
     osc_links = []
     seg_norms = []
     for a, b in zip(w.indices.tolist(), w.indices[1:].tolist()):
-        omega = segment_domain(ordering, a + 1, b + 1)
-        seg = grid_gradient_lorentz_norm(field, params, cell_mask=omega.cell_mask(R))
+        # segment domain a + 1 .. b + 1: lorentz_norm sorts the cells' values
+        # and every cell has the same measure, so their order is immaterial
+        seg = lorentz_norm(CellField(rows.values[a:b + 1], rows.cell_measure), params)
         osc = abs(w.element[b] - w.element[a])
         osc_links.append(
             {"segment": [a + 1, b + 1], "oscillation": float(osc),
@@ -1729,7 +1744,7 @@ def bernstein_upper_ddim(subspace: Subspace, curve_order: int, eps: float = 0.05
     holder_rhs = float(
         c_john * (n - 1) ** (1 / d_conj) * (seg_norms**d).sum() ** (1 / d)
     )
-    full_norm = grid_gradient_lorentz_norm(field, params)
+    full_norm = lorentz_norm(rows, params)
     lorsum_lhs = float((seg_norms**d).sum())
     lorsum_rhs = float(2 * full_norm**d)  # overlap factor: each cube in <= 2 segments
 

@@ -475,10 +475,12 @@ class GridFunction:
                 hi = [slice(None)] * self.dim
                 lo[b] = slice(0, -1)
                 hi[b] = slice(1, None)
-                g = 0.5 * (g[tuple(lo)] + g[tuple(hi)])
-            g = g / h
-            sq = g**2 if sq is None else sq + g**2
-        return CellField(np.sqrt(sq), h**self.dim)
+                g = np.add(g[tuple(lo)], g[tuple(hi)])
+                g *= 0.5
+            g /= h
+            np.square(g, out=g)  # np.diff and np.add made g: it is ours to overwrite
+            sq = g if sq is None else np.add(sq, g, out=sq)
+        return CellField(np.sqrt(sq, out=sq), h**self.dim)
 
 
 def grid_gradient_lorentz_norm(field: CellField, params, cell_mask=None):

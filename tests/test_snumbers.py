@@ -43,12 +43,14 @@ from snum.snumbers import (
     zigzag_find,
 )
 from snum.spaces import (
+    CellField,
     GridFunction,
     GridMismatchError,
     LorentzParams,
     StepFunction1D,
     from_json_dict,
     grid_gradient_lorentz_norm,
+    lorentz_norm,
     random_step_function,
     step_to_json_dict,
 )
@@ -1449,6 +1451,32 @@ class TestDdim:
         full = grid_gradient_lorentz_norm(v.gradient_field(), params)
         assert w["gradient_norm"].hex() == full.hex()
 
+    @pytest.mark.parametrize("dim,order,cells,sample", [(2, 3, 48, None), (3, 2, 16, 300)])
+    def test_curve_rows_are_the_segment_domains(self, dim, order, cells, sample):
+        # rows p - 1 .. q - 1 hold the cells of segment domain p .. q: the same
+        # multiset of values, so the same Lorentz norm bit for bit
+        rng = np.random.default_rng(dim)
+        ordering = hilbert_order(dim, order)
+        params = LorentzParams(dim, 1)
+        v = GridFunction.random_interior(rng, dim, cells)
+        ties = rng.integers(0, 4, size=(cells,) * dim) * 0.5  # runs of equal values
+        n = len(ordering)
+        segments = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        if sample is not None:
+            picked = rng.choice(len(segments), size=sample, replace=False)
+            segments = [(1, 1), (1, n), (n, n)] + [segments[k] for k in picked]
+        for field in (v.gradient_field(), CellField(ties, cells**-dim)):
+            rows = snumbers_mod._curve_rows(field, ordering)
+            assert rows.values.shape == (n, (cells >> order) ** dim)
+            assert rows.cell_measure == field.cell_measure
+            for i, j in segments:
+                seg = rows.values[i - 1:j]
+                mask = segment_domain(ordering, i, j).cell_mask(cells)
+                assert np.sort(seg, axis=None).tobytes() == np.sort(field.values[mask]).tobytes()
+                by_rows = lorentz_norm(CellField(seg, field.cell_measure), params)
+                by_mask = grid_gradient_lorentz_norm(field, params, cell_mask=mask)
+                assert by_rows.hex() == by_mask.hex()
+
     def test_grid_resolution_must_match_curve(self):
         hats = hat_functions(2, 2, 16)
         with pytest.raises(GridMismatchError):
@@ -1468,6 +1496,23 @@ class TestDdim:
         for m in (3, 5, 7):
             hats = hat_functions(2, m, 16 * m)
             assert all(h.boundary_zero and h.nodal_values.max() > 0 for h in hats)
+
+    @pytest.mark.parametrize("dim,m,cells", [(3, 4, 64), (2, 8, 64), (2, 3, 48)])
+    def test_hats_match_the_meshgrid_profile(self, dim, m, cells):
+        # the broadcast squares add the same floats in the same order as the
+        # sum over a meshgrid of each hat's box: the same bits and origins
+        r, half = 1.0 / (2 * m), cells // (2 * m)
+        axis = np.arange(cells + 1) / cells
+        centers = snumbers_mod._ball_centers(dim, m)
+        for hat, center in zip(hat_functions(dim, m, cells), centers):
+            box = tuple(slice(max(int(c * cells) - half, 1),
+                              min(int(c * cells) + half, cells - 1) + 1) for c in center)
+            mesh = np.meshgrid(*(axis[b] for b in box), indexing="ij")
+            dist = np.sqrt(sum((g - float(c)) ** 2 for g, c in zip(mesh, center)))
+            values = np.maximum(0.0, r - dist)
+            trim = tuple(slice(ids.min(), ids.max() + 1) for ids in np.nonzero(values))
+            assert hat.origin == tuple(b.start + t.start for b, t in zip(box, trim))
+            assert np.array_equal(hat.values.view(np.int64), values[trim].view(np.int64))
 
     def test_hats_are_stored_on_their_boxes(self):
         # trimming drops only zeros: the box holds every nonzero node and

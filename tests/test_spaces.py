@@ -17,6 +17,7 @@ from snum.spaces import (
     StepFunction1D,
     UnsupportedRegimeError,
     _layer_intervals,
+    _sum_left,
     _value_measure_pairs,
     from_json_dict,
     grid_gradient_lorentz_norm,
@@ -48,6 +49,34 @@ def quadrature_lorentz(f, p, q, samples=200_001, block=1 << 14):
                          for i in range(0, len(mids), block)])
     ds = np.diff(s)
     return float((p * mu ** (q / p) * mids ** (q - 1) * ds).sum()) ** (1 / q)
+
+
+def _left_to_right(terms):
+    """0 + t_0 + t_1 + ..., one explicit addition at a time."""
+    total = 0
+    for term in terms:
+        total = total + term
+    return total
+
+
+def _old_gradient_field(u):
+    """``GridFunction.gradient_field`` as it was written with a fresh array
+    per step: the oracle of the in-place version."""
+    h = 1.0 / u.cells_per_side
+    sq = None
+    for a in range(u.dim):
+        g = np.diff(u.nodal_values, axis=a)
+        for b in range(u.dim):
+            if b == a:
+                continue
+            lo = [slice(None)] * u.dim
+            hi = [slice(None)] * u.dim
+            lo[b] = slice(0, -1)
+            hi[b] = slice(1, None)
+            g = 0.5 * (g[tuple(lo)] + g[tuple(hi)])
+        g = g / h
+        sq = g**2 if sq is None else sq + g**2
+    return CellField(np.sqrt(sq), h**u.dim)
 
 
 def _distribution(f, t):
@@ -122,12 +151,7 @@ class TestStepFunction:
         # 1e16 + 1.0 rounds back to 1e16, so the pieces' terms (1e16, 1, -1e16)
         # add up to 0 from the left; a compensated sum (the builtin sum from
         # Python 3.12 on) would give 1
-        def left_to_right(terms):
-            total = 0
-            for term in terms:
-                total = total + term
-            return total
-
+        left_to_right = _left_to_right
         f = StepFunction1D([0.0, 0.25, 0.5, 1.0], [4e16, 4.0, -2e16])
         one = StepFunction1D([0.0, 0.5, 1.0], [1.0, 1.0])
         lengths = (0.25, 0.25, 0.5)
@@ -138,6 +162,19 @@ class TestStepFunction:
         exact = StepFunction1D([0, Fraction(1, 4), Fraction(1, 2), 1], [Fraction(4 * 10**16), 4, -2 * 10**16])
         exact_one = StepFunction1D([0, 1], [Fraction(1)])
         assert exact.integral() == exact.integrate_against(exact_one) == 1
+
+    def test_sum_left_is_the_explicit_loop(self):
+        # terms on which a compensated sum gives 1.0 (or 2.0) and the left
+        # fold gives 0.0; neither side calls the builtin sum
+        for terms in ([1e16, 1.0, -1e16], [1.0, 1e16, 1.0, -1e16, 0.5],
+                      [0.1] * 10, [-0.0], []):
+            got = _sum_left(terms)
+            want = _left_to_right(terms)
+            assert type(got) is type(want) and repr(got) == repr(want)
+            assert _sum_left(iter(terms)) == want  # a generator, read once
+        assert _sum_left([1e16, 1.0, -1e16]) == 0.0
+        assert _sum_left([0.1] * 10) == 0.9999999999999999
+        assert _sum_left([Fraction(10**16), 1, -(10**16)]) == 1
 
     def test_serialization_roundtrip(self):
         f = StepFunction1D([0, Fraction(1, 3), 1], [Fraction(5, 2), Fraction(-1)])
@@ -367,6 +404,24 @@ class TestGridFunction:
         assert grid_gradient_lorentz_norm(u.gradient_field(), LorentzParams(2, 2)) == pytest.approx(
             1.0, rel=1e-12
         )
+
+    @pytest.mark.parametrize("dim,cells", [(2, 12), (2, 48), (3, 12), (3, 48)])
+    def test_in_place_gradient_is_the_old_gradient(self, dim, cells):
+        # whole-grid functions, box-stored hats and a box off the grid's
+        # boundary; cells 12 and 48 are not powers of two
+        rng = np.random.default_rng(dim * cells)
+        hats = hat_functions(dim, 3, cells)
+        box_shape = (cells // 2,) * dim
+        funcs = [GridFunction.random_interior(rng, dim, cells),
+                 _on_grid(lambda *x: np.prod(np.sin(7.0 * np.array(x)), axis=0), dim, cells),
+                 hats[0], hats[-1],
+                 hats[0].combine(hats[1:], rng.normal(size=len(hats)).tolist()),
+                 GridFunction(dim, cells, rng.normal(size=box_shape), origin=(cells // 3,) * dim)]
+        for u in funcs:
+            got, want = u.gradient_field(), _old_gradient_field(u)
+            assert got.values.shape == want.values.shape == (cells,) * dim
+            assert np.array_equal(got.values.view(np.int64), want.values.view(np.int64))
+            assert got.cell_measure == want.cell_measure
 
     def test_constant_function_zero_norm(self):
         u = GridFunction(2, 4, np.full((5, 5), 3.0))
