@@ -1651,13 +1651,14 @@ def hat_subspace_ratio_grid(hats: list, params: LorentzParams) -> float:
 
 def _curve_rows(field: CellField, ordering) -> CellField:
     """A cell field ``(R,) * d`` as one row per cube of ``ordering``, in curve
-    order: row p holds the cells of the cube numbered p + 1."""
+    order: row p holds the cells of the cube numbered p + 1.
+
+    The cube indices are split by slices, so numpy puts the cube axis first
+    and the gather is the only copy."""
     d, k = ordering.dim, 1 << ordering.order
     side = field.values.shape[0] // k
-    cubes_first = field.values.reshape((k, side) * d).transpose(
-        tuple(range(0, 2 * d, 2)) + tuple(range(1, 2 * d, 2))
-    )
-    rows = cubes_first.reshape((k,) * d + (side**d,))[tuple(ordering.coords.T)]
+    idx = tuple(x for col in ordering.coords.T for x in (col, slice(None)))
+    rows = field.values.reshape((k, side) * d)[idx].reshape(len(ordering.coords), -1)
     return CellField(rows, field.cell_measure)
 
 
