@@ -22,7 +22,7 @@ import numpy as np
 
 from . import selftest as selftest_mod
 from .hilbert import MAX_CUBES, check_face_adjacency, check_prefix_nesting, hilbert_order
-from .john import uniform_john_constant, verify_segment_domains
+from .john import exhaustive_pairs, random_pairs, verify_segment_domains
 from .snumbers import (
     DegenerateBasisError,
     SNumberBound,
@@ -373,31 +373,27 @@ def _hilbert_csv(ordering, newline: bytes, header: bool):
 
 def _run_john(args) -> int:
     ordering = hilbert_order(args.dim, args.order)
-    total = len(ordering)
     if args.exhaustive:
-        pairs = ((i, j) for i in range(1, total + 1) for j in range(i, total + 1))
+        blocks = exhaustive_pairs(len(ordering))
     else:  # the seed draws only the pairs
-        rng = np.random.default_rng(args.seed)
-        pairs = []
-        for _ in range(args.pairs):
-            i = int(rng.integers(1, total + 1))
-            pairs.append((i, int(rng.integers(i, total + 1))))
+        blocks = [random_pairs(np.random.default_rng(args.seed), len(ordering), args.pairs)]
     status = 0
-    constant = uniform_john_constant(args.dim)  # every certificate's constant
     # opened first: an unwritable path fails before any domain is measured
     with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as target:
         writer = csv.writer(target)
         writer.writerow(["i", "j", "constant", "profile_bound", "worst_ratio", "verdict"])
-        for omega, _, result in verify_segment_domains(ordering, pairs, args.samples):
-            if isinstance(result, Exception):  # a failed row, not a usage error
-                sys.stderr.write(f"snum john: domain {omega.i}..{omega.j}: {result}\n")
-                ok, worst, bound = False, math.inf, math.nan
-            else:
-                ok, worst, _, bound = result
-            if not ok:
-                status = 1
-            writer.writerow([omega.i, omega.j, f"{constant:.12g}", f"{bound:.12g}",
-                             f"{worst:.12g}", "pass" if ok else "fail"])
+        for i, j, constant, results in verify_segment_domains(ordering, blocks, args.samples):
+            rows = []
+            for a, b, result in zip(i.tolist(), j.tolist(), results):
+                if isinstance(result, Exception):  # a failed row, not a usage error
+                    sys.stderr.write(f"snum john: domain {a}..{b}: {result}\n")
+                    ok, worst, bound = False, math.inf, math.nan
+                else:
+                    ok, worst, _, bound = result
+                status |= not ok
+                rows.append([a, b, f"{constant:.12g}", f"{bound:.12g}", f"{worst:.12g}",
+                             "pass" if ok else "fail"])
+            writer.writerows(rows)
     return status
 
 

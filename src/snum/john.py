@@ -12,6 +12,16 @@ built and proven in groups of domains: a group's blocks are one flat table,
 read off the base-2^d digits of its endpoints, and each bisection level of a
 group is one pass over flat (box, point) pair tables, whatever the number of
 its domains.  Groups are sized by their real (face run, piece) pairs.
+
+The production path, ``snum john`` and the ``john_uniformity`` selftest,
+holds a domain only as its endpoints (i, j) in integer arrays, from
+:func:`random_pairs` or :func:`exhaustive_pairs` through
+:func:`verify_segment_domains` to :func:`_verify_group`.  The one-domain
+objects (``segment_domain``, ``CubeUnion``, ``JohnCertificate``,
+``john_bound_constructive``, ``verify_john_certificate``,
+``oscillation_check``) serve only tests and the benchmark harness's span
+tracer, which wraps four of them by name; they go once it traces the group
+kernels.
 """
 
 from __future__ import annotations
@@ -245,10 +255,6 @@ class CubeUnion:
         self.level = ordering.order
         self.coords = ordering.coords[i - 1 : j]
 
-    @property
-    def cube_count(self) -> int:
-        return self.j - self.i + 1
-
     @cached_property
     def _face_arrays(self):
         """Boundary face runs (lows, highs) of this domain alone (see
@@ -443,18 +449,6 @@ class _Walks:
         return bound
 
 
-def _certificates(domains, table):
-    """The certificate of each domain of a group, from the group's block
-    table (see :func:`_block_table`)."""
-    block_start, levels, coords, center = table
-    middle = block_start[:-1] + center
-    centers = _centers(coords[middle], levels[middle])
-    constant = uniform_john_constant(coords.shape[1])
-    bounds = zip(block_start[:-1].tolist(), block_start[1:].tolist(), center.tolist())
-    for omega, (a, b, c), x in zip(domains, bounds, centers):
-        yield JohnCertificate(omega, x, constant, levels[a:b], coords[a:b], c)
-
-
 def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
     """Certificate from the maximal-block labeling along the curve: a group
     of one (see :func:`_block_table`).
@@ -465,7 +459,9 @@ def john_bound_constructive(omega: CubeUnion) -> JohnCertificate:
     uniform constant of :func:`uniform_john_constant`, independent of the
     resolution and of the index range.
     """
-    return next(_certificates([omega], _block_table(omega.ordering, [omega.i], [omega.j])))
+    _, levels, coords, (c,) = _block_table(omega.ordering, [omega.i], [omega.j])
+    return JohnCertificate(omega, _centers(coords[c], levels[c]), uniform_john_constant(omega.dim),
+                           levels, coords, int(c))
 
 
 def _verify_group(ordering: HilbertOrdering, i, j, constant, samples: int, table,
@@ -607,62 +603,74 @@ def verify_john_certificate(omega: CubeUnion, cert: JohnCertificate, samples: in
     return result[:3]
 
 
-def _chunks(ordering: HilbertOrdering, pairs):
-    """The segment domains of ``pairs``, in lists whose face pass (2 d
-    unit-face slots per cube, a few arrays each, see :func:`_face_runs`)
-    holds at most ``DISTANCE_TABLE_ENTRIES`` / 4 slots, one domain at
-    least."""
-    limit = DISTANCE_TABLE_ENTRIES // (8 * ordering.dim)
-    chunk, cubes = [], 0
-    for i, j in pairs:
-        omega = CubeUnion(ordering, i, j)
-        if chunk and cubes + omega.cube_count > limit:
-            yield chunk
-            chunk, cubes = [], 0
-        chunk.append(omega)
-        cubes += omega.cube_count
-    if chunk:
-        yield chunk
+def _pair_chunks(blocks, limit: int):
+    """The pairs of ``blocks`` of (i, j) arrays, in order, as chunks of
+    consecutive pairs whose domains hold at most ``limit`` cubes (one pair
+    at least), whatever the blocks' boundaries: the last chunk of a block
+    is held back, since it may take pairs of the next one."""
+    i = j = np.zeros(0, dtype=np.int64)
+    for more_i, more_j in blocks:
+        i, j = np.concatenate([i, more_i]), np.concatenate([j, more_j])
+        spans = list(_spans(j - i + 1, limit))
+        for a, b in spans[:-1]:
+            yield i[a:b], j[a:b]
+        if spans:
+            i, j = i[spans[-1][0] :], j[spans[-1][0] :]
+    if len(i):
+        yield i, j
 
 
-def verify_segment_domains(ordering: HilbertOrdering, pairs, samples: int):
-    """Certify and prove the segment domains i..j of ``pairs`` on the
-    ordering, in groups; yield ``(omega, cert, result)`` per pair, in order.
+def random_pairs(rng, total: int, count: int) -> tuple:
+    """``count`` pairs 1 <= i <= j <= total as (i, j) arrays, drawn pair by
+    pair: i uniform on 1 .. total, then j uniform on i .. total."""
+    i, j = np.empty(count, dtype=np.int64), np.empty(count, dtype=np.int64)
+    for k in range(count):
+        i[k] = first = int(rng.integers(1, total + 1))
+        j[k] = rng.integers(first, total + 1)
+    return i, j
 
-    ``result`` is ``(ok, worst, evaluated, profile_bound)`` (see
-    :func:`_verify_group`), or the ``ConstructionError`` or
-    ``CertificateInvalidError`` that fails the domain; ``cert`` is ``None``
-    when the certificate cannot be built.  Each chunk of domains (see
-    :func:`_chunks`) has its block table and face runs built once.  A
-    domain's first proof level measures its 2 (blocks - 1) walk segments
-    (one point if none) against its face runs; a group takes the chunk's
-    domains (one at least) while these pairs, four floats each, would fill
-    at most ``DISTANCE_TABLE_ENTRIES``, so memory stays bounded however many
-    pairs there are.
+
+def exhaustive_pairs(total: int):
+    """Every pair 1 <= i <= j <= total in row order, one row i per block."""
+    return ((np.full(total + 1 - i, i), np.arange(i, total + 1)) for i in range(1, total + 1))
+
+
+def verify_segment_domains(ordering: HilbertOrdering, blocks, samples: int):
+    """Certify and prove the segment domains i[g] .. j[g] on the ordering,
+    read from ``blocks`` of (i, j) integer arrays; yield ``(i, j, constant,
+    results)`` per group, in pair order: the constant handed to the proof
+    (:func:`uniform_john_constant`) and per domain ``(ok, worst, evaluated,
+    profile_bound)`` (see :func:`_verify_group`), or the ``ConstructionError``
+    or ``CertificateInvalidError`` that fails it.  A pair off 1 <= i <= j <= N
+    raises ``IndexError``, and an ordering the certificates cannot use
+    ``ConstructionError`` (see :func:`_block_table`).
+
+    A chunk of pairs (see :func:`_pair_chunks`) has its block table and face
+    runs built once; its face pass (2 d unit-face slots per cube, a few
+    arrays each, see :func:`_face_runs`) holds at most
+    ``DISTANCE_TABLE_ENTRIES`` / 4 slots, one domain at least.  A domain's
+    first proof level measures its 2 (blocks - 1) walk segments (one point
+    if none) against its face runs; a group takes the chunk's domains (one
+    at least) while these pairs, four floats each, would fill at most
+    ``DISTANCE_TABLE_ENTRIES``, so memory stays bounded however many pairs
+    there are.  No domain's result depends on its group.
     """
-    for domains in _chunks(ordering, pairs):
-        i = np.array([omega.i for omega in domains])
-        j = np.array([omega.j for omega in domains])
-        try:
-            table = _block_table(ordering, i, j)
-        except ConstructionError as exc:
-            for omega in domains:
-                yield omega, None, exc
-            continue
-        block_start, levels, coords, center = table
+    constant = uniform_john_constant(ordering.dim)
+    for i, j in _pair_chunks(blocks, DISTANCE_TABLE_ENTRIES // (8 * ordering.dim)):
+        if not ((1 <= i) & (i <= j) & (j <= len(ordering))).all():
+            raise IndexError(f"need 1 <= i <= j <= {len(ordering)} for every pair")
+        block_start, levels, coords, center = _block_table(ordering, i, j)
         lows, highs, runs = _face_runs(ordering, i, j)
         first_run = np.concatenate([[0], np.cumsum(runs)])
-        certs = _certificates(domains, table)
         pairs_per_domain = runs * np.maximum(1, 2 * (np.diff(block_start) - 1))
         for a, b in _spans(pairs_per_domain, DISTANCE_TABLE_ENTRIES // 4):
             rows = slice(block_start[a], block_start[b])
             faces = slice(first_run[a], first_run[b])
             group = (block_start[a : b + 1] - block_start[a], levels[rows], coords[rows],
                      center[a:b])
-            results = _verify_group(ordering, i[a:b], j[a:b], uniform_john_constant(ordering.dim),
-                                    samples, group, (lows[faces], highs[faces], runs[a:b]))
-            for omega, result in zip(domains[a:b], results):
-                yield omega, next(certs), result
+            yield i[a:b], j[a:b], constant, _verify_group(
+                ordering, i[a:b], j[a:b], constant, samples, group,
+                (lows[faces], highs[faces], runs[a:b]))
 
 
 def oscillation_check(omega: CubeUnion, u: GridFunction, certificate: JohnCertificate | None = None):

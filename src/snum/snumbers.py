@@ -657,6 +657,9 @@ def _subset_groups(m: int, n: int):
     order, is followed by every pair of positions after its last one: a
     tail of the row-major ``np.triu_indices`` pairs of range(m).
     """
+    if n == m:  # the one set: no prefix recursion
+        yield np.arange(m)[None]
+        return
     if n == 1:
         yield np.arange(m)[:, None]
         return

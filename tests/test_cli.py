@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -417,6 +418,69 @@ def test_john_domains_pairs_form_one_proof_group(seed, tmp_path, monkeypatch):
     assert main(["john", "--dim", "2", "--order", "5", "--pairs", "300", "--samples", "10000",
                  "--seed", str(seed), "--out", str(tmp_path / "john.csv")]) == 0
     assert groups == [300]
+
+
+def _one_domain_csv(ordering, pairs, samples):
+    """The john.csv bytes of ``pairs`` proven one domain at a time, each as
+    a group of one whose certificate comes from ``segment_domain`` and
+    ``john_bound_constructive``."""
+    target = io.StringIO()
+    writer = csv.writer(target)
+    writer.writerow(["i", "j", "constant", "profile_bound", "worst_ratio", "verdict"])
+    for i, j in pairs:
+        cert = john_bound_constructive(segment_domain(ordering, i, j))
+        table = (np.array([0, len(cert.block_levels)]), cert.block_levels, cert.block_coords,
+                 np.array([cert.center_block]))
+        ok, worst, _, bound = john_mod._verify_group(ordering, [i], [j], cert.constant, samples,
+                                                     table)[0]
+        writer.writerow([i, j, f"{cert.constant:.12g}", f"{bound:.12g}", f"{worst:.12g}",
+                         "pass" if ok else "fail"])
+    return target.getvalue().encode()
+
+
+@pytest.mark.parametrize("dim,order,extra,samples,status", [
+    (2, 2, ["--exhaustive"], 10_000, 0),
+    (3, 1, ["--exhaustive"], 10_000, 0),
+    (2, 2, ["--exhaustive", "--samples", "1"], 1, 1),
+    (2, 3, ["--pairs", "40", "--seed", "3"], 10_000, 0),
+])
+def test_john_rows_match_the_one_domain_path(dim, order, extra, samples, status, tmp_path):
+    # every row of the array path, byte for byte, against the certificate
+    # objects of one domain; drawn pairs come i, then j, pair by pair
+    ordering = hilbert_order(dim, order)
+    total = len(ordering)
+    if "--exhaustive" in extra:
+        pairs = [(i, j) for i in range(1, total + 1) for j in range(i, total + 1)]
+    else:
+        rng, pairs = np.random.default_rng(3), []
+        for _ in range(40):
+            i = int(rng.integers(1, total + 1))
+            pairs.append((i, int(rng.integers(i, total + 1))))
+    out = tmp_path / "john.csv"
+    argv = ["john", "--dim", str(dim), "--order", str(order), *extra, "--out", str(out)]
+    assert main(argv) == status
+    assert out.read_bytes() == _one_domain_csv(ordering, pairs, samples)
+
+
+def test_john_command_and_selftest_build_no_domain_objects(tmp_path, monkeypatch):
+    # the production path works on (i, j) arrays only
+    def never(*args, **kwargs):
+        raise AssertionError("a per-domain object was built")
+
+    monkeypatch.setattr(john_mod.CubeUnion, "__init__", never)
+    monkeypatch.setattr(john_mod.JohnCertificate, "__init__", never)
+    for extra in (["--exhaustive"], ["--pairs", "50"]):
+        assert main(["john", "--dim", "2", "--order", "3", *extra,
+                     "--out", str(tmp_path / "john.csv")]) == 0
+    assert selftest_mod.check_john_uniformity().passed
+
+
+def test_john_uniformity_checks_the_constant_handed_to_the_proof(monkeypatch):
+    # a larger constant still proves every domain: only the constant check fails
+    monkeypatch.setattr(john_mod, "uniform_john_constant", lambda dim: 41.0)
+    result = selftest_mod.check_john_uniformity()
+    assert not result.passed and "k=3: constant 41.0 is not the uniform one" in result.detail
+    assert "ratio" not in result.detail
 
 
 @pytest.mark.parametrize("argv", [

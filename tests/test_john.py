@@ -17,8 +17,10 @@ from snum.john import (
     _members,
     _verify_group,
     _Walks,
+    exhaustive_pairs,
     john_bound_constructive,
     oscillation_check,
+    random_pairs,
     segment_domain,
     uniform_john_constant,
     verify_john_certificate,
@@ -103,12 +105,12 @@ class TestSegmentDomain:
     def test_full_cube(self, ordering_k3):
         omega = segment_domain(ordering_k3, 1, 64)
         assert omega.boundary_distance([[0.5, 0.5]])[0] == pytest.approx(0.5, abs=0)
-        assert omega.cube_count == len(ordering_k3)
+        assert len(omega.coords) == len(ordering_k3)
 
     def test_four_cell_union_connected(self):
         ordering = hilbert_order(2, 2)
         omega = segment_domain(ordering, 2, 5)
-        assert omega.cube_count == 4
+        assert len(omega.coords) == 4
         # consecutive cubes share a face, so the union is connected
         assert np.abs(np.diff(omega.coords, axis=0)).sum(axis=1).tolist() == [1, 1, 1]
 
@@ -263,18 +265,24 @@ class TestConstructiveCertificate:
         assert _profile_bound(cert) == pytest.approx(math.sqrt(2), rel=1e-12)
         assert np.allclose(cert.center, [0.5, 0.5])
 
-    def test_constant_shared_across_random_pairs(self):
+    def test_constant_shared_across_random_pairs(self, monkeypatch):
+        # the constant that every group's proof is handed is the one each
+        # group reports, the uniform one, and every profile bound is below it
         ordering = hilbert_order(2, 4)
-        rng = np.random.default_rng(42)
-        pairs = []
-        for _ in range(500):
-            i = int(rng.integers(1, 257))
-            pairs.append((i, int(rng.integers(i, 257))))
-        constants = set()
-        for _, cert, (_, _, _, bound) in verify_segment_domains(ordering, pairs, 10_000):
-            constants.add(cert.constant)
-            assert bound <= cert.constant + 1e-9
-        assert constants == {uniform_john_constant(2)}
+        prove, handed = john_mod._verify_group, []
+
+        def recorded(ordering, i, j, constant, *args):
+            handed.append(constant)
+            return prove(ordering, i, j, constant, *args)
+
+        monkeypatch.setattr(john_mod, "_verify_group", recorded)
+        blocks = [random_pairs(np.random.default_rng(42), len(ordering), 500)]
+        reported = []
+        for i, j, constant, results in verify_segment_domains(ordering, blocks, 10_000):
+            reported.append(constant)
+            assert len(results) == len(i) == len(j)
+            assert all(bound <= constant + 1e-9 for _, _, _, bound in results)
+        assert handed == reported and set(reported) == {uniform_john_constant(2)}
 
     def test_run_length_bounds_exhaustive(self):
         # per curve direction: first-generation extras <= 2(2^d - 2),
@@ -578,7 +586,7 @@ def _random_points(omega, rng, count):
     """Uniform samples from the union and the 0-based position within the
     union of the cube each was drawn in."""
     side = 1.0 / (1 << omega.level)
-    picks = rng.integers(0, omega.cube_count, size=count)
+    picks = rng.integers(0, len(omega.coords), size=count)
     points = omega.coords[picks] * side + rng.uniform(0.0, side, size=(count, omega.dim))
     return points, picks
 
@@ -765,17 +773,46 @@ class TestGroups:
 
         monkeypatch.setattr(john_mod, "_face_runs", counted_groups)
         monkeypatch.setattr(john_mod, "_nearest_faces", counted_passes)
-        pairs = [(i, j) for i in range(1, 65) for j in range(i, 65)]
-        rows = list(verify_segment_domains(ordering_k3, pairs, 10_000))
-        assert [(omega.i, omega.j) for omega, _, _ in rows] == pairs
-        assert all(result[0] for _, _, result in rows)
+        rows = list(verify_segment_domains(ordering_k3, exhaustive_pairs(64), 10_000))
+        i = np.concatenate([group[0] for group in rows])
+        j = np.concatenate([group[1] for group in rows])
+        assert np.array_equal(np.stack([i, j]), np.array(np.triu_indices(64)) + 1)
+        assert all(result[0] for *_, results in rows for result in results)
         groups, passes = calls["groups"], calls["passes"]
         levels = 0
-        for omega, cert, _ in rows:
+        for k in range(len(i)):  # each domain alone
             calls["passes"] = 0
-            verify_john_certificate(omega, cert, 10_000)
+            next(verify_segment_domains(ordering_k3, [(i[k : k + 1], j[k : k + 1])], 10_000))
             levels = max(levels, calls["passes"])
-        assert levels <= passes <= groups * levels and 100 * groups < len(pairs)
+        assert levels <= passes <= groups * levels and 100 * groups < len(i)
+
+    @pytest.mark.parametrize("limit", [1, 7, 100, 10_000])
+    def test_chunks_do_not_depend_on_the_blocks(self, limit):
+        # the pairs split at random into blocks, empty ones among them, give
+        # the chunks of one block: a chunk may take pairs of the next block
+        i, j = random_pairs(np.random.default_rng(limit), 64, 300)
+        rng = np.random.default_rng(1)
+        cuts = np.sort(rng.integers(0, 301, 40))
+        blocks = [(i[a:b], j[a:b]) for a, b in zip([0, *cuts], [*cuts, 300])]
+        spans = john_mod._spans(j - i + 1, limit)
+        want = [(i[a:b].tolist(), j[a:b].tolist()) for a, b in spans]
+        for parts in (blocks, [(i, j)]):
+            chunks = john_mod._pair_chunks(parts, limit)
+            assert [(a.tolist(), b.tolist()) for a, b in chunks] == want
+        assert list(john_mod._pair_chunks([], limit)) == []
+
+    def test_exhaustive_pairs_come_a_row_at_a_time(self):
+        blocks = list(exhaustive_pairs(5))
+        assert [(i.tolist(), j.tolist()) for i, j in blocks] == [
+            ([k] * (6 - k), list(range(k, 6))) for k in range(1, 6)]
+
+    def test_bad_pairs_and_orderings_are_refused(self, ordering_k3):
+        for i, j in [(0, 5), (5, 65), (7, 6)]:
+            with pytest.raises(IndexError, match="need 1 <= i <= j <= 64"):
+                next(verify_segment_domains(ordering_k3, [([1, i], [2, j])], 100))
+        row_major = HilbertOrdering(2, 1, [(i, j) for i in range(2) for j in range(2)])
+        with pytest.raises(ConstructionError):
+            next(verify_segment_domains(row_major, [([1], [4])], 100))
 
     @pytest.mark.parametrize("dim,order", [(2, 3), (3, 2)])
     def test_full_segment_length_is_twice_the_half_length(self, dim, order):

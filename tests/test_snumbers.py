@@ -254,6 +254,21 @@ class TestZigzag:
         assert count == total
         assert peak <= 12 * 1000 * 5 * 8 < total * 5 * 8 / 10
 
+    def test_one_set_when_n_is_the_candidate_count(self):
+        # n = m has one subset, the candidates themselves: no prefix
+        # recursion, whose ~n/2 levels (each with the m-row pair table) once
+        # ended in a RecursionError at n = m = 1,024
+        import inspect
+        import sys
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 40)
+        try:
+            chunks = list(snumbers_mod._combination_chunks(np.arange(120), 120))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert [c.tolist() for c in chunks] == [[list(range(120))]]
+
     # indices, value, status and evaluations recorded when index sets were
     # still tuples and lists: the array search walks the same path.  The
     # kicks and escalation paths were recorded again when each descent step
